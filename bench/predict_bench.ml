@@ -182,7 +182,11 @@ let bench_serving () =
         cache_capacity;
       }
     in
-    let server = Serve.Server.start ~artifact config in
+    let server =
+      Serve.Server.start
+        ~artifact:(Serve.Artifact.version_id artifact, artifact)
+        config
+    in
     Fun.protect
       ~finally:(fun () ->
         Serve.Server.stop server;

@@ -108,11 +108,14 @@ let run () =
 
   (* Hot swap: installation latency of a full routing replacement. *)
   let artifact_of d =
-    {
-      Serve.Artifact.model = Ml_model.Model.train d;
-      space = scale.Ml_model.Dataset.space;
-      meta = [ ("bench", J.Bool true) ];
-    }
+    let a =
+      {
+        Serve.Artifact.model = Ml_model.Model.train d;
+        space = scale.Ml_model.Dataset.space;
+        meta = [ ("bench", J.Bool true) ];
+      }
+    in
+    (Serve.Artifact.version_id a, a)
   in
   let a = artifact_of d1 and b = artifact_of d2 in
   let socket = Filename.concat "results" "registry_bench.sock" in

@@ -53,8 +53,8 @@ let run ctx =
   let save_s = Unix.gettimeofday () -. t0 in
   let t0 = Unix.gettimeofday () in
   let loaded =
-    match Serve.Artifact.load ~path with
-    | Ok a -> a
+    match Serve.Artifact.read ~path with
+    | Ok loaded -> loaded
     | Error e -> failwith e
   in
   let load_s = Unix.gettimeofday () -. t0 in

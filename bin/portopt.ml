@@ -273,10 +273,11 @@ let exec_cmd =
     (Cmd.info "exec" ~doc:"Parse a textual IR file, compile at -O3 and run")
     Term.(const run $ obs_term "exec" $ file $ uarch_term)
 
-(* Loads a .pcm artifact or dies with its diagnostic. *)
-let load_artifact path =
-  match Serve.Artifact.load ~path with
-  | Ok artifact -> artifact
+(* Loads a .pcm artifact, with its version id, or dies with its
+   diagnostic. *)
+let read_artifact path =
+  match Serve.Artifact.read ~path with
+  | Ok loaded -> loaded
   | Error e ->
     Printf.eprintf "portopt: %s\n" e;
     exit 1
@@ -286,7 +287,7 @@ let predict_cmd =
     let model, space =
       match model_path with
       | Some path ->
-        let a = load_artifact path in
+        let _, a = read_artifact path in
         (a.Serve.Artifact.model, a.Serve.Artifact.space)
       | None ->
         let scale =
@@ -979,7 +980,8 @@ let address_term =
    optionally candidate) pointer, remember the last-installed pair of
    ids, and answer Unchanged while the pointers haven't moved — so the
    watch thread and the reload op only load artifacts when a publish or
-   promote actually changed something. *)
+   promote actually changed something.  Each artifact is handed over
+   with the id [Registry.resolve] verified it against. *)
 let registry_source reg ~stable_channel ~candidate_channel =
   let last = ref None in
   fun () ->
@@ -996,12 +998,11 @@ let registry_source reg ~stable_channel ~candidate_channel =
       else
         match Registry.resolve reg stable_id with
         | Error e -> Error e
-        | Ok (_, stable) -> (
+        | Ok stable -> (
           let candidate =
             match candidate_id with
             | None -> Ok None
-            | Some id ->
-              Result.map (fun (_, a) -> Some a) (Registry.resolve reg id)
+            | Some id -> Result.map Option.some (Registry.resolve reg id)
           in
           match candidate with
           | Error e -> Error e
@@ -1046,7 +1047,7 @@ let serve_cmd =
           Printf.eprintf "portopt: --ab/--watch need --registry\n";
           exit 2
         end;
-        (load_artifact path, None, None)
+        (read_artifact path, None, None)
       | None, Some dir -> (
         let reg = Registry.open_ ~dir in
         let source =
@@ -1082,7 +1083,7 @@ let serve_cmd =
        %d, queue %d, cache %d%s%s%s)\n\
        %!"
       (Serve.Protocol.address_to_string (Serve.Server.address server))
-      (Ml_model.Model.n_points artifact.Serve.Artifact.model)
+      (Ml_model.Model.n_points (snd artifact).Serve.Artifact.model)
       (Ml_model.Predict.engine_to_string engine)
       jobs queue cache
       (if admin then ", admin" else "")

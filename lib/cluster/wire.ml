@@ -40,9 +40,7 @@ type to_worker =
 let ( let* ) = Result.bind
 
 let field name conv j =
-  match Option.bind (J.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "cluster: missing or malformed %S field" name)
+  Result.map_error (fun e -> "cluster: " ^ e) (J.field name conv j)
 
 let tag_of j =
   field "type" J.to_str j

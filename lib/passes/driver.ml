@@ -100,15 +100,22 @@ let fingerprint =
 let m_compiles = Obs.Metrics.counter "passes.compiles"
 let m_applied = Obs.Metrics.counter "passes.applied"
 
+(* Registered on the first compile.  The first compiles run on several
+   domains at once, and a lazy value forced concurrently raises
+   [Lazy.Undefined], so the forcing is serialised. *)
 let pass_hists =
-  lazy
-    (Array.map
-       (fun s -> Obs.Metrics.hist ("pass." ^ s.sname ^ ".seconds"))
-       steps)
+  let hists =
+    lazy
+      (Array.map
+         (fun s -> Obs.Metrics.hist ("pass." ^ s.sname ^ ".seconds"))
+         steps)
+  in
+  let m = Mutex.create () in
+  fun () -> Mutex.protect m (fun () -> Lazy.force hists)
 
 let compile ?(setting = Flags.o3) program =
   let cfg = Flags.decode setting in
-  let hists = Lazy.force pass_hists in
+  let hists = pass_hists () in
   Obs.Metrics.add m_compiles 1;
   Obs.Span.with_ "compile"
     ~attrs:[ ("size_in", Obs.Json.Int (Ir.Types.program_size program)) ]

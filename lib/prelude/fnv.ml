@@ -8,7 +8,18 @@ let create () = { h = basis }
 let add_char t c =
   t.h <- Int64.mul (Int64.logxor t.h (Int64.of_int (Char.code c))) prime
 
-let add_string t s = String.iter (add_char t) s
+(* The hot loop keeps the state in a local, which the compiler holds
+   unboxed, and stores it once: folding [add_char] would box an int64
+   into the record per byte. *)
+let add_string t s =
+  let h = ref t.h in
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        prime
+  done;
+  t.h <- !h
 
 let add_int t i =
   add_string t (string_of_int i);

@@ -210,28 +210,23 @@ let lineage_to_json l =
 
 let ( let* ) = Result.bind
 
-let field name conv j =
-  match Option.bind (J.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or malformed %S field" name)
-
 let lineage_of_json j =
-  let* l_id = field "id" J.to_str j in
+  let* l_id = J.field "id" J.to_str j in
   let* l_parent =
     match J.member "parent" j with
     | Some J.Null -> Ok None
     | Some (J.Str p) -> Ok (Some p)
     | _ -> Error "missing or malformed \"parent\" field"
   in
-  let* l_created = field "created_unix" J.to_float j in
-  let* l_k = field "k" J.to_int j in
-  let* l_beta = field "beta" J.to_float j in
-  let* l_space = field "space" J.to_str j in
-  let* l_pairs = field "pairs" J.to_int j in
-  let* l_records = field "records" J.to_int j in
-  let* l_evidence_digest = field "evidence_digest" J.to_str j in
-  let* l_programs_digest = field "programs_digest" J.to_str j in
-  let* l_uarchs_digest = field "uarchs_digest" J.to_str j in
+  let* l_created = J.field "created_unix" J.to_float j in
+  let* l_k = J.field "k" J.to_int j in
+  let* l_beta = J.field "beta" J.to_float j in
+  let* l_space = J.field "space" J.to_str j in
+  let* l_pairs = J.field "pairs" J.to_int j in
+  let* l_records = J.field "records" J.to_int j in
+  let* l_evidence_digest = J.field "evidence_digest" J.to_str j in
+  let* l_programs_digest = J.field "programs_digest" J.to_str j in
+  let* l_uarchs_digest = J.field "uarchs_digest" J.to_str j in
   let l_objective =
     (* Absent in pre-objective lineage records: read as the default. *)
     match J.member "objective" j with
@@ -292,9 +287,20 @@ let evidence t id =
 
 let resolve t name =
   let* id = resolve_id t name in
-  let* artifact = Serve.Artifact.load ~path:(object_path t id) in
-  Obs.Metrics.add m_resolves 1;
-  Ok (id, artifact)
+  let* digest, artifact = Serve.Artifact.read ~path:(object_path t id) in
+  (* Objects are filed under their own digest; one copied or renamed
+     under another id would be served under a name that is not its
+     content. *)
+  if digest <> id then
+    Error
+      (Printf.sprintf
+         "version %s: object content has digest %s (an object must be \
+          filed under its own digest)"
+         id digest)
+  else begin
+    Obs.Metrics.add m_resolves 1;
+    Ok (id, artifact)
+  end
 
 (* ---- publish ---------------------------------------------------------- *)
 

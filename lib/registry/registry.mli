@@ -86,8 +86,11 @@ val publish :
 
 val resolve : t -> string -> (string * Serve.Artifact.t, string) result
 (** Load a version by channel name, full id, or unambiguous id prefix
-    (>= 4 hex chars).  Returns the resolved id and the loaded artifact
-    (checksum-verified by {!Serve.Artifact.load}). *)
+    (>= 4 hex chars).  Returns the resolved id and the loaded artifact,
+    checksum-verified by {!Serve.Artifact.read}.  An object whose
+    verified digest differs from the id it is filed under is an error
+    naming both: a copied or renamed object is never served under a
+    name that is not its content. *)
 
 val resolve_id : t -> string -> (string, string) result
 (** {!resolve} without loading the artifact. *)

@@ -15,9 +15,10 @@
     payload is even parsed; the payload is one {!Obs.Json} object whose
     floats round-trip bit-exactly (shortest-representation printing),
     making a loaded model's predictions bit-identical to the model that
-    was saved.  [load] validates the schema version, the checksum and
-    every structural invariant ({!Ml_model.Model.import}) and returns a
-    human-readable error on any mismatch.
+    was saved.  [read] validates the schema version, the checksum and
+    every structural invariant ({!Ml_model.Model.import}), returns a
+    human-readable error on any mismatch, and returns the verified
+    checksum digest as the artifact's version id.
 
     Versioning is minor-compatible downwards: this build writes
     version 2 and still loads version-1 files (no ["index"] field),
@@ -86,54 +87,82 @@ let space_of_string = function
   | "extended" -> Ok Ml_model.Features.Extended
   | s -> Error (Printf.sprintf "unknown feature space %S" s)
 
-let floats a = J.List (Array.to_list (Array.map (fun f -> J.Float f) a))
-let float_rows m = J.List (Array.to_list (Array.map floats m))
+(* The payload is printed straight into one buffer by the same printer
+   as [J.to_string], in the order the tree rendering always had, so the
+   bytes — hence checksums, store keys and registry ids — are those of
+   every earlier build. *)
+
+let add_int buf i = Buffer.add_string buf (string_of_int i)
+
+let add_array buf add a =
+  Buffer.add_char buf '[';
+  Array.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf ',';
+      add buf x)
+    a;
+  Buffer.add_char buf ']'
+
+let add_floats buf a = add_array buf J.add_float a
 
 (* The frozen VP-tree, shape-for-shape: a JSON list is a leaf (its row
    indices), an object is a split.  Only the tree shape is stored — the
    row data is the "features" matrix the tree indexes. *)
-let rec index_to_json = function
-  | Ml_model.Vptree.Leaf idxs ->
-    J.List (Array.to_list (Array.map (fun i -> J.Int i) idxs))
+let rec add_index buf = function
+  | Ml_model.Vptree.Leaf idxs -> add_array buf add_int idxs
   | Ml_model.Vptree.Split { vp; mu; inner; outer } ->
-    J.Obj
-      [
-        ("vp", J.Int vp);
-        ("mu", J.Float mu);
-        ("in", index_to_json inner);
-        ("out", index_to_json outer);
-      ]
+    Buffer.add_string buf "{\"vp\":";
+    add_int buf vp;
+    Buffer.add_string buf ",\"mu\":";
+    J.add_float buf mu;
+    Buffer.add_string buf ",\"in\":";
+    add_index buf inner;
+    Buffer.add_string buf ",\"out\":";
+    add_index buf outer;
+    Buffer.add_char buf '}'
 
-let payload_json t =
+let payload t =
   let r = Ml_model.Model.export t.model in
   let means, stds = r.Ml_model.Model.r_normaliser in
-  J.Obj
-    [
-      ("k", J.Int r.Ml_model.Model.r_k);
-      ("beta", J.Float r.Ml_model.Model.r_beta);
-      ("space", J.Str (space_to_string t.space));
-      ( "mask",
-        match r.Ml_model.Model.r_mask with
-        | None -> J.Null
-        | Some m -> J.List (Array.to_list (Array.map (fun b -> J.Bool b) m)) );
-      ("normaliser", J.Obj [ ("mean", floats means); ("std", floats stds) ]);
-      ("features", float_rows r.Ml_model.Model.r_features);
-      ( "distributions",
-        J.List
-          (Array.to_list
-             (Array.map float_rows r.Ml_model.Model.r_distributions)) );
-      ( "index",
-        match r.Ml_model.Model.r_index with
-        | None -> J.Null
-        | Some root -> index_to_json root );
-      ("meta", J.Obj t.meta);
-    ]
+  let buf = Buffer.create 65536 in
+  let lit = Buffer.add_string buf in
+  lit "{\"k\":";
+  add_int buf r.Ml_model.Model.r_k;
+  lit ",\"beta\":";
+  J.add_float buf r.Ml_model.Model.r_beta;
+  lit ",\"space\":";
+  J.add_string buf (space_to_string t.space);
+  lit ",\"mask\":";
+  (match r.Ml_model.Model.r_mask with
+  | None -> lit "null"
+  | Some m ->
+    add_array buf
+      (fun buf b -> Buffer.add_string buf (if b then "true" else "false"))
+      m);
+  lit ",\"normaliser\":{\"mean\":";
+  add_floats buf means;
+  lit ",\"std\":";
+  add_floats buf stds;
+  lit "},\"features\":";
+  add_array buf add_floats r.Ml_model.Model.r_features;
+  lit ",\"distributions\":";
+  add_array buf
+    (fun buf d -> add_array buf add_floats d)
+    r.Ml_model.Model.r_distributions;
+  lit ",\"index\":";
+  (match r.Ml_model.Model.r_index with
+  | None -> lit "null"
+  | Some root -> add_index buf root);
+  lit ",\"meta\":";
+  J.add buf (J.Obj t.meta);
+  lit "}";
+  Buffer.contents buf
 
 (** The exact two lines [save] writes, exposed so the model registry
     can content-address an artifact (the payload's FNV-1a 64 digest is
     the version id) and write the object file itself. *)
 let encode t =
-  let payload = J.to_string (payload_json t) in
+  let payload = payload t in
   let header =
     J.to_string
       (J.Obj
@@ -150,11 +179,7 @@ let encode t =
     artifacts have equal [version_id] iff their payload lines are
     byte-identical — the registry's version ids and the byte-identity
     assertions both rest on this. *)
-let version_id t =
-  let _, payload = encode t in
-  Prelude.Fnv.digest_string payload
-
-let checksum t = "fnv1a64:" ^ version_id t
+let version_id t = Prelude.Fnv.digest_string (payload t)
 
 let save ~path t =
   let header, payload = encode t in
@@ -173,157 +198,193 @@ let save ~path t =
 
 (* ---- decoding --------------------------------------------------------- *)
 
-let ( let* ) = Result.bind
+(* The payload is decoded in one pass over the text, straight into the
+   model's arrays.  Malformed JSON is [J.parse]'s error; a well-formed
+   document that breaks the schema raises [Bad] with the message the
+   field-by-field checks have always given.  Keys may come in any order
+   and unknown ones are skipped; of duplicate keys the first wins, as
+   with [J.member]. *)
 
-let field name conv j =
-  match Option.bind (J.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or malformed %S field" name)
+exception Bad of string
 
-let float_array j =
-  match J.to_list j with
-  | None -> None
-  | Some items ->
-    let a = Array.of_list items in
-    let out = Array.make (Array.length a) 0.0 in
-    let ok = ref true in
-    Array.iteri
-      (fun i v ->
-        match J.to_float v with Some f -> out.(i) <- f | None -> ok := false)
-      a;
-    if !ok then Some out else None
+let need msg = function Some v -> v | None -> raise (Bad msg)
+let malformed name = Printf.sprintf "missing or malformed %S field" name
+let field name read c = need (malformed name) (read c)
+let get name slot = need (malformed name) !slot
+let skip c = ignore (J.value c)
 
-let float_matrix j =
-  match J.to_list j with
-  | None -> None
-  | Some rows ->
-    let out = List.filter_map float_array rows in
-    if List.length out = List.length rows then Some (Array.of_list out)
-    else None
+(* Fill [slot] from the member's value unless a first occurrence did. *)
+let once slot read c =
+  match !slot with None -> slot := Some (read c) | Some _ -> skip c
 
-let rec index_of_json j =
-  match j with
-  | J.List items ->
-    let idxs = List.filter_map J.to_int items in
-    if List.length idxs <> List.length items then
-      Error "malformed \"index\" leaf"
-    else Ok (Ml_model.Vptree.Leaf (Array.of_list idxs))
-  | J.Obj _ ->
-    let* vp = field "vp" J.to_int j in
-    let* mu = field "mu" J.to_float j in
-    let child name =
-      match J.member name j with
-      | None -> Error (Printf.sprintf "missing %S field in \"index\" split" name)
-      | Some c -> index_of_json c
+let float_rows ~error c = J.array c (fun c -> need error (J.floats c))
+
+let rec index_node c =
+  match J.array c (fun c -> need "malformed \"index\" leaf" (J.int c)) with
+  | Some idxs -> Ml_model.Vptree.Leaf idxs
+  | None ->
+    let vp = ref None and mu = ref None in
+    let inner = ref None and outer = ref None in
+    let member = function
+      | "vp" -> once vp (field "vp" J.int) c
+      | "mu" -> once mu (field "mu" J.float) c
+      | "in" -> once inner index_node c
+      | "out" -> once outer index_node c
+      | _ -> skip c
     in
-    let* inner = child "in" in
-    let* outer = child "out" in
-    Ok (Ml_model.Vptree.Split { vp; mu; inner; outer })
-  | _ -> Error "malformed \"index\" field"
+    if not (J.members c member) then raise (Bad "malformed \"index\" field");
+    let child name slot =
+      need (Printf.sprintf "missing %S field in \"index\" split" name) !slot
+    in
+    let vp = get "vp" vp in
+    let mu = get "mu" mu in
+    let inner = child "in" inner in
+    let outer = child "out" outer in
+    Ml_model.Vptree.Split { vp; mu; inner; outer }
+
+let payload_of c =
+  let k = ref None and beta = ref None and space = ref None in
+  let mask = ref None and mean = ref None and std = ref None in
+  let normaliser = ref None and features = ref None in
+  let distributions = ref None and index = ref None and meta = ref None in
+  let normaliser_member = function
+    | "mean" -> once mean (field "mean" J.floats) c
+    | "std" -> once std (field "std" J.floats) c
+    | _ -> skip c
+  in
+  let mask_of c =
+    if J.null c then None
+    else
+      let error = "malformed \"mask\" field" in
+      Some (need error (J.array c (fun c -> need error (J.bool c))))
+  in
+  let distributions_of c =
+    let error = "malformed \"distributions\" field" in
+    J.array c (fun c -> need error (float_rows ~error c))
+  in
+  let member = function
+    | "k" -> once k (field "k" J.int) c
+    | "beta" -> once beta (field "beta" J.float) c
+    | "space" -> once space (field "space" J.string) c
+    | "mask" -> once mask mask_of c
+    | "normaliser" ->
+      once normaliser
+        (fun c -> if not (J.members c normaliser_member) then skip c)
+        c
+    | "features" ->
+      let error = malformed "features" in
+      once features (field "features" (float_rows ~error)) c
+    | "distributions" ->
+      once distributions (field "distributions" distributions_of) c
+    | "index" ->
+      once index (fun c -> if J.null c then None else Some (index_node c)) c
+    | "meta" ->
+      once meta
+        (fun c -> match J.value c with J.Obj fields -> fields | _ -> [])
+        c
+    | _ -> skip c
+  in
+  if not (J.members c member) then skip c;
+  (* Checked in the order the fields have always been reported in. *)
+  let r_k = get "k" k in
+  let r_beta = get "beta" beta in
+  let space =
+    match space_of_string (get "space" space) with
+    | Ok s -> s
+    | Error e -> raise (Bad e)
+  in
+  let r_mask = need "missing \"mask\" field" !mask in
+  let () = get "normaliser" normaliser in
+  let means = get "mean" mean in
+  let stds = get "std" std in
+  let r_features = get "features" features in
+  let r_distributions = get "distributions" distributions in
+  ( {
+      Ml_model.Model.r_k;
+      r_beta;
+      r_mask;
+      r_normaliser = (means, stds);
+      r_features;
+      r_distributions;
+      (* Absent (version 1) and explicit null both mean "rebuild": the
+         build is deterministic, so the reloaded model is structurally
+         identical either way, it just pays the construction again. *)
+      r_index = Option.join !index;
+    },
+    space,
+    Option.value ~default:[] !meta )
 
 let parse_payload text =
-  let* j =
-    Result.map_error (fun e -> "payload is not valid JSON: " ^ e)
-      (J.of_string text)
-  in
-  let* k = field "k" J.to_int j in
-  let* beta = field "beta" J.to_float j in
-  let* space_s = field "space" J.to_str j in
-  let* space = space_of_string space_s in
-  let* mask =
-    match J.member "mask" j with
-    | None -> Error "missing \"mask\" field"
-    | Some J.Null -> Ok None
-    | Some (J.List bs) ->
-      let bools =
-        List.filter_map (function J.Bool b -> Some b | _ -> None) bs
-      in
-      if List.length bools = List.length bs then
-        Ok (Some (Array.of_list bools))
-      else Error "malformed \"mask\" field"
-    | Some _ -> Error "malformed \"mask\" field"
-  in
-  let* norm = field "normaliser" Option.some j in
-  let* means = field "mean" float_array norm in
-  let* stds = field "std" float_array norm in
-  let* features = field "features" float_matrix j in
-  let* distributions =
-    match Option.bind (J.member "distributions" j) J.to_list with
-    | None -> Error "missing or malformed \"distributions\" field"
-    | Some rows ->
-      let out = List.filter_map float_matrix rows in
-      if List.length out = List.length rows then Ok (Array.of_list out)
-      else Error "malformed \"distributions\" field"
-  in
-  let* index =
-    (* Absent (version 1) and explicit null both mean "rebuild": the
-       build is deterministic, so the reloaded model is structurally
-       identical either way, it just pays the construction again. *)
-    match J.member "index" j with
-    | None | Some J.Null -> Ok None
-    | Some ij -> Result.map Option.some (index_of_json ij)
-  in
-  let meta =
-    match J.member "meta" j with Some (J.Obj fields) -> fields | _ -> []
-  in
-  let* model =
-    Ml_model.Model.import
-      {
-        Ml_model.Model.r_k = k;
-        r_beta = beta;
-        r_mask = mask;
-        r_normaliser = (means, stds);
-        r_features = features;
-        r_distributions = distributions;
-        r_index = index;
-      }
-  in
-  Ok { model; space; meta }
+  match J.parse text payload_of with
+  | exception Bad m -> Error m
+  | Error e -> Error ("payload is not valid JSON: " ^ e)
+  | Ok (repr, space, meta) ->
+    Result.map
+      (fun model -> { model; space; meta })
+      (Ml_model.Model.import repr)
 
-let load ~path =
-  let* text =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-    with Sys_error e -> Error e
+(* The header line: (magic, version, checksum, bytes). *)
+let header_of c =
+  let magic = ref None and version = ref None in
+  let checksum = ref None and bytes = ref None in
+  let member = function
+    | "magic" -> once magic (field "magic" J.string) c
+    | "version" -> once version (field "version" J.int) c
+    | "checksum" -> once checksum (field "checksum" J.string) c
+    | "bytes" -> once bytes (field "bytes" J.int) c
+    | _ -> skip c
   in
+  if not (J.members c member) then skip c;
+  let magic = get "magic" magic in
+  let version = get "version" version in
+  let checksum = get "checksum" checksum in
+  (magic, version, checksum, get "bytes" bytes)
+
+let read_file path =
+  try
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
+  with Sys_error e -> Error e
+
+let read ~path =
   let err fmt = Printf.ksprintf (fun m -> Error (path ^ ": " ^ m)) fmt in
-  match String.index_opt text '\n' with
-  | None -> err "truncated file (no header line)"
-  | Some nl -> (
-    let header_line = String.sub text 0 nl in
-    let rest = String.sub text (nl + 1) (String.length text - nl - 1) in
-    let payload =
-      match String.index_opt rest '\n' with
-      | Some nl2 -> String.sub rest 0 nl2
-      | None -> rest
-    in
-    match J.of_string header_line with
-    | Error e -> err "malformed header: %s" e
-    | Ok header -> (
-      match
-        let* m = field "magic" J.to_str header in
-        let* v = field "version" J.to_int header in
-        let* sum = field "checksum" J.to_str header in
-        let* bytes = field "bytes" J.to_int header in
-        Ok (m, v, sum, bytes)
-      with
+  match read_file path with
+  | Error e -> Error e
+  | Ok text -> (
+    match String.index_opt text '\n' with
+    | None -> err "truncated file (no header line)"
+    | Some nl -> (
+      let line_end =
+        Option.value ~default:(String.length text)
+          (String.index_from_opt text (nl + 1) '\n')
+      in
+      match J.parse (String.sub text 0 nl) header_of with
+      | exception Bad e -> err "malformed header: %s" e
       | Error e -> err "malformed header: %s" e
       | Ok (m, _, _, _) when m <> magic ->
         err "not a portopt model artifact (magic %S)" m
       | Ok (_, v, _, _) when v < 1 || v > version ->
         err "unsupported artifact version %d (this build reads versions 1-%d)"
           v version
-      | Ok (_, _, _, bytes) when String.length payload < bytes ->
+      | Ok (_, _, _, bytes) when bytes < 0 ->
+        err "malformed header: negative payload length %d" bytes
+      | Ok (_, _, _, bytes) when line_end - (nl + 1) < bytes ->
         err "truncated file (header promises %d payload bytes, found %d)"
-          bytes (String.length payload)
-      | Ok (_, _, sum, bytes) ->
-        let payload = String.sub payload 0 bytes in
-        let actual = fnv1a64 payload in
-        if actual <> sum then
-          err "checksum mismatch (file corrupt?): header %s, payload %s" sum
-            actual
+          bytes (line_end - (nl + 1))
+      | Ok (_, v, sum, bytes) -> (
+        let payload = String.sub text (nl + 1) bytes in
+        let digest = Prelude.Fnv.digest_string payload in
+        if "fnv1a64:" ^ digest <> sum then
+          err "checksum mismatch (file corrupt?): header %s, payload fnv1a64:%s"
+            sum digest
         else
-          Result.map_error (fun e -> path ^ ": " ^ e) (parse_payload payload)))
+          match parse_payload payload with
+          | Error e -> err "%s" e
+          (* A version-1 payload differs from what this build writes
+             (it has no index), so its id is the re-encoding's digest —
+             the id the file has always been served under. *)
+          | Ok t -> Ok ((if v = 1 then version_id t else digest), t))))
+
+let load ~path = Result.map snd (read ~path)

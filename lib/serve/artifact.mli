@@ -54,22 +54,31 @@ val objective : t -> Objective.Spec.t
 val encode : t -> string * string
 (** The exact [(header, payload)] lines [save] writes — exposed so the
     model registry ([Registry]) can content-address artifacts and write
-    object files itself. *)
+    object files itself.  The payload is printed straight into one
+    buffer, never through a {!Obs.Json.t} tree. *)
 
 val version_id : t -> string
 (** The payload's FNV-1a 64 digest as 16 hex characters.  Equal iff the
-    payload lines are byte-identical, which makes it both the
-    registry's version id and the server's "which model is live"
-    fingerprint. *)
-
-val checksum : t -> string
-(** ["fnv1a64:" ^ version_id] — the header's checksum rendering. *)
+    payload lines are byte-identical, which makes it the registry's
+    version id.  It re-encodes the whole model: a loaded artifact's id
+    comes from {!read} instead. *)
 
 val save : path:string -> t -> unit
 (** Serialise atomically (write to [path ^ ".tmp"], then rename). *)
 
+val read : path:string -> (string * t, string) result
+(** Strict load, returning the artifact's version id with it: rejects
+    missing files, truncation, checksum mismatches, wrong magic or
+    schema version, malformed JSON and any structural invariant
+    violation ({!Ml_model.Model.import}), each with a distinct
+    human-readable message prefixed by the path.  The payload is
+    decoded in one pass straight into the model's arrays.
+
+    For a version-2 file the id is the digest the header's checksum was
+    verified against, so for every file [save] or the registry writes
+    it equals [version_id] of the decoded artifact without re-encoding
+    it.  A version-1 file is re-encoded once: its id is [version_id] of
+    the decoded artifact. *)
+
 val load : path:string -> (t, string) result
-(** Strict load: rejects missing files, truncation, checksum
-    mismatches, wrong magic or schema version, malformed JSON and any
-    structural invariant violation ({!Ml_model.Model.import}), each
-    with a distinct human-readable message prefixed by the path. *)
+(** {!read} without the id. *)

@@ -49,7 +49,10 @@ module J = Obs.Json
 
 type source =
   | Unchanged
-  | Swap of { stable : Artifact.t; candidate : Artifact.t option }
+  | Swap of {
+      stable : string * Artifact.t;
+      candidate : (string * Artifact.t) option;
+    }
 
 type config = {
   address : Protocol.address;
@@ -91,11 +94,11 @@ type cached = {
   c_neighbours : Protocol.neighbour array;
 }
 
-(** One installed model: the artifact plus its content identity,
-    computed once at install time so the hot paths never serialise. *)
+(** One installed model: the artifact plus the content identity it was
+    loaded under, so neither install nor the hot paths serialise. *)
 type arm = {
   arm_label : string;  (** ["stable"] or ["candidate"]. *)
-  arm_version : string;  (** {!Artifact.version_id}. *)
+  arm_version : string;  (** The id {!Artifact.read} returned. *)
   arm_checksum : string;
   arm_artifact : Artifact.t;
 }
@@ -259,8 +262,7 @@ let cache_put t key v =
 
 (* ---- routing ---------------------------------------------------------- *)
 
-let make_arm label artifact =
-  let version = Artifact.version_id artifact in
+let make_arm label (version, artifact) =
   {
     arm_label = label;
     arm_version = version;

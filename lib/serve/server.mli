@@ -12,9 +12,13 @@
 
 type source =
   | Unchanged  (** The model source still resolves to what is live. *)
-  | Swap of { stable : Artifact.t; candidate : Artifact.t option }
+  | Swap of {
+      stable : string * Artifact.t;
+      candidate : (string * Artifact.t) option;
+    }
       (** Install these as the new arms (atomically, between
-          requests). *)
+          requests).  Each artifact travels with its version id, as
+          {!Artifact.read} or a registry resolve returned it. *)
 
 type config = {
   address : Protocol.address;
@@ -69,16 +73,26 @@ val ab_bucket : string -> int
 type t
 
 val start :
-  ?pool:Prelude.Pool.t -> ?candidate:Artifact.t -> artifact:Artifact.t ->
-  config -> t
+  ?pool:Prelude.Pool.t ->
+  ?candidate:string * Artifact.t ->
+  artifact:string * Artifact.t ->
+  config ->
+  t
 (** Bind, listen and spawn the loop thread; returns immediately.
     [artifact] is the stable arm; [?candidate] opens an A/B experiment
-    at [config.split] from the first request.  Without [?pool] the
+    at [config.split] from the first request.  Each artifact comes
+    with its version id ({!Artifact.read} returns both), which keys the
+    cache and is reported as the arm's [version]; the server never
+    re-serialises a model to derive it.  Without [?pool] the
     server creates (and on [wait] shuts down) its own pool of
     [config.jobs] domains.  Raises [Unix.Unix_error] if the address
     cannot be bound. *)
 
-val install : t -> stable:Artifact.t -> candidate:Artifact.t option -> unit
+val install :
+  t ->
+  stable:string * Artifact.t ->
+  candidate:(string * Artifact.t) option ->
+  unit
 (** Atomically replace the routing state (both arms) without dropping
     in-flight requests: requests already admitted keep computing
     against the snapshot they took; new requests see the new models.

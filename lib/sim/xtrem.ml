@@ -139,11 +139,6 @@ let export run =
 
 let ( let* ) = Result.bind
 
-let field name conv j =
-  match Option.bind (J.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or malformed %S field" name)
-
 let int_array j =
   match J.to_list j with
   | None -> None
@@ -172,9 +167,9 @@ let int_pairs j =
 
 let hist_of_json j =
   match
-    let* entries = field "entries" int_pairs j in
-    let* cold = field "cold" (function J.Int n -> Some n | _ -> None) j in
-    let* total = field "total" (function J.Int n -> Some n | _ -> None) j in
+    let* entries = J.field "entries" int_pairs j in
+    let* cold = J.field "cold" (function J.Int n -> Some n | _ -> None) j in
+    let* total = J.field "total" (function J.Int n -> Some n | _ -> None) j in
     Ok { Prelude.Reuse.entries; cold; total }
   with
   | Ok h -> Some h
@@ -201,17 +196,17 @@ let hists_of_json j =
     else None
 
 let import j =
-  let* setting = field "setting" int_array j in
+  let* setting = J.field "setting" int_array j in
   let* () =
     match Passes.Flags.validate setting with
     | () -> Ok ()
     | exception Invalid_argument e -> Error e
   in
-  let* checksum = field "checksum" J.to_int j in
+  let* checksum = J.field "checksum" J.to_int j in
   (* Optional: absent from store records written before v2. *)
   let size = Option.bind (J.member "size" j) J.to_int in
-  let* p = field "profile" Option.some j in
-  let i name = field name J.to_int p in
+  let* p = J.field "profile" Option.some j in
+  let i name = J.field name J.to_int p in
   let* dyn_insts = i "dyn_insts" in
   let* alu = i "alu" in
   let* mac = i "mac" in
@@ -230,12 +225,12 @@ let import j =
   let* jumps = i "jumps" in
   let* reg_reads = i "reg_reads" in
   let* reg_writes = i "reg_writes" in
-  let* branch_sites = field "branch_sites" int_pairs p in
-  let* d_hists = field "d_hists" hists_of_json p in
-  let* i_hists = field "i_hists" hists_of_json p in
-  let* btb_hist = field "btb_hist" hist_of_json p in
-  let* gap_load = field "gap_load" int_array p in
-  let* gap_long = field "gap_long" int_array p in
+  let* branch_sites = J.field "branch_sites" int_pairs p in
+  let* d_hists = J.field "d_hists" hists_of_json p in
+  let* i_hists = J.field "i_hists" hists_of_json p in
+  let* btb_hist = J.field "btb_hist" hist_of_json p in
+  let* gap_load = J.field "gap_load" int_array p in
+  let* gap_long = J.field "gap_long" int_array p in
   let* adjacent_dep_pairs = i "adjacent_dep_pairs" in
   let* code_bytes = i "code_bytes" in
   let* profile_checksum = i "checksum" in

@@ -127,11 +127,6 @@ let stats t =
 
 let ( let* ) = Result.bind
 
-let field name conv j =
-  match Option.bind (J.member name j) conv with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or malformed %S field" name)
-
 let encode_record ~key run =
   let payload =
     J.to_string (J.Obj [ ("key", J.Str key); ("run", Sim.Xtrem.export run) ])
@@ -172,10 +167,10 @@ let load_record ~path =
     | Error e -> err "malformed header: %s" e
     | Ok header -> (
       match
-        let* m = field "magic" J.to_str header in
-        let* v = field "version" J.to_int header in
-        let* sum = field "checksum" J.to_str header in
-        let* bytes = field "bytes" J.to_int header in
+        let* m = J.field "magic" J.to_str header in
+        let* v = J.field "version" J.to_int header in
+        let* sum = J.field "checksum" J.to_str header in
+        let* bytes = J.field "bytes" J.to_int header in
         Ok (m, v, sum, bytes)
       with
       | Error e -> err "malformed header: %s" e
@@ -198,8 +193,8 @@ let load_record ~path =
           | Error e -> err "malformed payload: %s" e
           | Ok j -> (
             match
-              let* key = field "key" J.to_str j in
-              let* run_j = field "run" Option.some j in
+              let* key = J.field "key" J.to_str j in
+              let* run_j = J.field "run" Option.some j in
               let* run =
                 Result.map_error
                   (fun e -> "malformed run: " ^ e)

@@ -46,7 +46,20 @@ grep -q "predicted passes" "$DIR/q2.out"
 
 echo "serve-smoke: cache + health..."
 "$BIN" query --socket "$SOCK" qsort | grep -q "cache hit"
-"$BIN" query --socket "$SOCK" --health | grep -q '"ok":true'
+"$BIN" query --socket "$SOCK" --health >"$DIR/health.json"
+grep -q '"ok":true' "$DIR/health.json"
+
+# The served version is the digest the artifact header's checksum was
+# verified against: the server takes it from the load, never re-encodes.
+HEADER_ID=$(head -n 1 "$MODEL" |
+  sed -n 's/.*"checksum":"fnv1a64:\([0-9a-f]\{16\}\)".*/\1/p')
+if [ -z "$HEADER_ID" ] ||
+  ! grep -q "\"model\":{\"version\":\"$HEADER_ID\"" "$DIR/health.json"; then
+  echo "serve-smoke: health.model.version is not the header digest" \
+    "'$HEADER_ID'" >&2
+  cat "$DIR/health.json" >&2
+  exit 1
+fi
 
 echo "serve-smoke: graceful shutdown..."
 "$BIN" query --socket "$SOCK" --shutdown | grep -q '"stopping":true'

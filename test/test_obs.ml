@@ -61,6 +61,144 @@ let test_json_parse_forms () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing garbage should not parse"
 
+(* The printer's reference: the [Printf] form the float printer had
+   before it called the runtime's formatter directly. *)
+let printf_float_repr f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
+  else
+    let s = Printf.sprintf "%.12g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let test_json_float_printer_matches_printf () =
+  let rng = Random.State.make [| 2009 |] in
+  let special =
+    [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity;
+      Float.min_float; -.Float.min_float; Float.max_float;
+      Float.epsilon; 5e-324; -5e-324; 2.2250738585072009e-308;
+      1e16; -1e16; 9999999999999998.0; 1e16 -. 2.0; 1e16 +. 2.0;
+      0.1; 0.1 +. 0.2; 1.0 /. 3.0; 2.0 /. 3.0; 1785955230.1727901;
+      123456789012345678.0; 1e300; 1e-300; 0.30000000000000004 ]
+  in
+  let random_bits () = Int64.float_of_bits (Random.State.bits64 rng) in
+  let subnormal () = ldexp (Random.State.float rng 1.0) (-1023 - Random.State.int rng 52) in
+  let near_1e16 () = 1e16 +. float_of_int (Random.State.int rng 64 - 32) in
+  let seventeen () = Random.State.float rng 1.0 *. 10.0 ** float_of_int (Random.State.int rng 40 - 20) in
+  let generated =
+    List.init 20_000 (fun i ->
+        match i mod 4 with
+        | 0 -> random_bits ()
+        | 1 -> subnormal ()
+        | 2 -> near_1e16 ()
+        | _ -> seventeen ())
+  in
+  List.iter
+    (fun f ->
+      let printed = Obs.Json.to_string (Obs.Json.Float f) in
+      if printed <> printf_float_repr f then
+        Alcotest.failf "%h prints %s, Printf form %s" f printed (printf_float_repr f);
+      let buf = Buffer.create 32 in
+      Obs.Json.add_float buf f;
+      if Buffer.contents buf <> printed then
+        Alcotest.failf "%h: add_float %s, to_string %s" f (Buffer.contents buf) printed;
+      if Float.is_finite f && float_of_string printed <> f then
+        Alcotest.failf "%h does not round-trip through %s" f printed)
+    (special @ generated)
+
+(* The pull reader is the tree's lexer: typed reads agree with the tree,
+   a mismatch leaves the cursor in place, and malformed input fails with
+   the tree reader's messages. *)
+let test_json_pull_reader () =
+  let module J = Obs.Json in
+  let doc =
+    {| { "a" : [ 1 , -0 , 2.5e1 , 1e400 , 123456789012345678901 ] , "b" : "x\u0041" , "a" : null } |}
+  in
+  let tree = J.of_string doc in
+  check Alcotest.bool "of_string is parse value" true (J.parse doc J.value = tree);
+  let read c =
+    let seen = ref [] in
+    let member k =
+      let v =
+        match J.floats c with
+        | Some a -> `Floats a
+        | None -> `Value (J.value c)
+      in
+      seen := (k, v) :: !seen
+    in
+    let is_object = J.members c member in
+    (is_object, List.rev !seen)
+  in
+  let floats =
+    match tree with
+    | Ok t ->
+      Array.of_list
+        (List.filter_map J.to_float
+           (Option.get (Option.bind (J.member "a" t) J.to_list)))
+    | Error e -> Alcotest.fail e
+  in
+  let bits = Array.map Int64.bits_of_float in
+  (match J.parse doc read with
+  | Ok
+      ( true,
+        [ ("a", `Floats pulled); ("b", `Value (J.Str "xA")); ("a", `Value J.Null) ]
+      ) ->
+    (* Bit for bit: -0 is an int token, so it reads as +0.0. *)
+    check Alcotest.(array int64) "floats as to_float reads them" (bits floats)
+      (bits pulled);
+    check Alcotest.bool "an int-shaped -0 reads as +0.0" false
+      (Float.sign_bit pulled.(1))
+  | _ -> Alcotest.fail "members in order, duplicates included");
+  let big = "123456789012345678901" in
+  check Alcotest.bool "an int that does not fit is a float" true
+    (J.parse big (fun c ->
+         let i = J.int c in
+         (i, J.float c))
+    = Ok (None, Some (float_of_string big)));
+  check Alcotest.bool "a mismatch leaves the cursor in place" true
+    (J.parse {| "s"|} (fun c ->
+         let i = J.int c in
+         let f = J.float c in
+         let a = J.floats c in
+         let n = J.null c in
+         let b = J.bool c in
+         (i, f, a, n, b, J.string c))
+    = Ok (None, None, None, false, None, Some "s"));
+  check Alcotest.bool "a non-number element leaves the array unread" true
+    (J.parse {|[1,"x"]|} (fun c ->
+         let a = J.floats c in
+         (a, J.value c))
+    = Ok (None, J.List [ J.Int 1; J.Str "x" ]));
+  check Alcotest.bool "typed arrays" true
+    (J.parse "[true,false]" (fun c -> J.array c (fun c -> Option.get (J.bool c)))
+    = Ok (Some [| true; false |]));
+  List.iter
+    (fun (bad, msg) ->
+      check
+        Alcotest.(result reject string)
+        (Printf.sprintf "%S" bad) (Error msg) (J.of_string bad);
+      check
+        Alcotest.(result reject string)
+        (Printf.sprintf "%S as floats" bad) (Error msg)
+        (Result.map ignore (J.parse bad J.floats)))
+    [
+      ("[1,2", "expected ']' at offset 4");
+      ("[1-2]", "malformed number at offset 4");
+    ];
+  List.iter
+    (fun (bad, msg) ->
+      check
+        Alcotest.(result reject string)
+        (Printf.sprintf "%S" bad) (Error msg) (J.of_string bad))
+    [
+      ("[1,]", "unexpected ']' at offset 3");
+      ({|{"a":|}, "unexpected end of input at offset 5");
+      ("[1, 2] trailing", "trailing garbage at offset 7");
+      ({|"\q"|}, "unknown escape at offset 3");
+      ("nul", "expected null at offset 0");
+      ("", "unexpected end of input at offset 0");
+      ({|{"a" 1}|}, "expected ':' at offset 5");
+    ]
+
 (* ---- Metrics under the domain pool ------------------------------------- *)
 
 let with_pool jobs f =
@@ -757,6 +895,9 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_json_round_trip;
           Alcotest.test_case "parse forms" `Quick test_json_parse_forms;
+          Alcotest.test_case "float printer matches Printf" `Quick
+            test_json_float_printer_matches_printf;
+          Alcotest.test_case "pull reader" `Quick test_json_pull_reader;
         ] );
       ( "metrics",
         [

@@ -218,7 +218,28 @@ let test_resolve_and_channels () =
   (* Versions listing carries the lineage. *)
   let versions = or_fail ~msg:"versions" (Registry.versions r) in
   check Alcotest.int "one version" 1 (List.length versions);
-  check Alcotest.string "listed id" id (List.hd versions).Registry.l_id
+  check Alcotest.string "listed id" id (List.hd versions).Registry.l_id;
+  (* A misfiled object: intact bytes under another valid id.  Its
+     checksum verifies, but it must not be served under a name that is
+     not its digest. *)
+  let other = if id = "0123456789abcdef" then "fedcba9876543210" else "0123456789abcdef" in
+  let oc = open_out_bin (Registry.object_path r other) in
+  output_string oc (read_file (Registry.object_path r id));
+  close_out oc;
+  or_fail ~msg:"point at the copy"
+    (Registry.set_channel r ~name:"misfiled" ~id:other);
+  match Registry.resolve r "misfiled" with
+  | Ok _ -> Alcotest.fail "resolved an object filed under another id"
+  | Error e ->
+    check Alcotest.bool "the error names the id and the digest" true
+      (let contains needle =
+         let n = String.length needle in
+         let rec go i =
+           i + n <= String.length e && (String.sub e i n = needle || go (i + 1))
+         in
+         go 0
+       in
+       contains other && contains id)
 
 (* ---- gc reachability --------------------------------------------------- *)
 

@@ -283,15 +283,14 @@ let read_file path =
    regenerated, internally consistent version-[version] header — how
    the tests manufacture version-1 files and index corruption without
    tripping the checksum first. *)
-let rewrite_artifact ~path ~version transform =
+let payload_of_file path =
   let text = read_file path in
   let nl = String.index text '\n' in
-  let payload_line = String.sub text (nl + 1) (String.length text - nl - 2) in
-  let payload =
-    match J.of_string payload_line with
-    | Ok j -> J.to_string (transform j)
-    | Error e -> Alcotest.failf "payload unparseable: %s" e
-  in
+  String.sub text (nl + 1) (String.length text - nl - 2)
+
+(* Writes [payload] under a freshly signed version-[version] header, so
+   whatever the payload holds reaches the payload decoder. *)
+let write_signed ~path ~version payload =
   let header =
     J.to_string
       (J.Obj
@@ -303,6 +302,11 @@ let rewrite_artifact ~path ~version transform =
          ])
   in
   write_file path (header ^ "\n" ^ payload ^ "\n")
+
+let rewrite_artifact ~path ~version transform =
+  match J.of_string (payload_of_file path) with
+  | Ok j -> write_signed ~path ~version (J.to_string (transform j))
+  | Error e -> Alcotest.failf "payload unparseable: %s" e
 
 let test_artifact_saves_frozen_index () =
   let artifact = artifact_of (Lazy.force dataset42) in
@@ -364,6 +368,285 @@ let test_artifact_rejects_corrupt_index () =
   check_error_mentions ~msg:"bad shape" "index"
     (reload_with_index (J.Str "zap"));
   Sys.remove path
+
+(* ---- the codec: version ids, non-canonical and hostile payloads -------- *)
+
+let read_ok path =
+  match Serve.Artifact.read ~path with
+  | Ok loaded -> loaded
+  | Error e -> Alcotest.failf "%s: read failed: %s" path e
+
+(* A model over the given pairs' distributions in [space]: the rows are
+   recomputed from each pair's -O3 counters, so no second dataset has
+   to be generated for the extended space. *)
+let model_of_pairs ?mask space pairs =
+  let features_raw =
+    Array.map
+      (fun (d, (p : Ml_model.Dataset.pair)) ->
+        let uarch = d.Ml_model.Dataset.uarchs.(p.Ml_model.Dataset.uarch_index) in
+        let v =
+          Sim.Xtrem.time
+            d.Ml_model.Dataset.o3_runs.(p.Ml_model.Dataset.prog_index)
+            uarch
+        in
+        Ml_model.Features.raw space v.Sim.Pipeline.counters uarch)
+      pairs
+  in
+  Ml_model.Model.of_parts ?mask ~features_raw
+    ~distributions:
+      (Array.map (fun (_, (p : Ml_model.Dataset.pair)) -> p.distribution) pairs)
+    ()
+
+let pairs_of d = Array.map (fun p -> (d, p)) d.Ml_model.Dataset.pairs
+
+(* The payload as the JSON tree printer renders it: the reference the
+   streaming encoder must match byte for byte. *)
+let tree_payload (a : Serve.Artifact.t) =
+  let r = Ml_model.Model.export a.Serve.Artifact.model in
+  let list f xs = J.List (Array.to_list (Array.map f xs)) in
+  let floats = list (fun f -> J.Float f) in
+  let rows = list floats in
+  let rec index = function
+    | Ml_model.Vptree.Leaf idxs -> list (fun i -> J.Int i) idxs
+    | Ml_model.Vptree.Split { vp; mu; inner; outer } ->
+      J.Obj
+        [
+          ("vp", J.Int vp);
+          ("mu", J.Float mu);
+          ("in", index inner);
+          ("out", index outer);
+        ]
+  in
+  let means, stds = r.Ml_model.Model.r_normaliser in
+  J.to_string
+    (J.Obj
+       [
+         ("k", J.Int r.Ml_model.Model.r_k);
+         ("beta", J.Float r.Ml_model.Model.r_beta);
+         ( "space",
+           J.Str
+             (match a.Serve.Artifact.space with
+             | Ml_model.Features.Base -> "base"
+             | Ml_model.Features.Extended -> "extended") );
+         ( "mask",
+           match r.Ml_model.Model.r_mask with
+           | None -> J.Null
+           | Some m -> list (fun b -> J.Bool b) m );
+         ("normaliser", J.Obj [ ("mean", floats means); ("std", floats stds) ]);
+         ("features", rows r.Ml_model.Model.r_features);
+         ("distributions", list rows r.Ml_model.Model.r_distributions);
+         ( "index",
+           match r.Ml_model.Model.r_index with
+           | None -> J.Null
+           | Some root -> index root );
+         ("meta", J.Obj a.Serve.Artifact.meta);
+       ])
+
+let test_artifact_read_returns_version_id () =
+  let d42 = Lazy.force dataset42 and d43 = Lazy.force dataset43 in
+  let base = Ml_model.Features.Base and ext = Ml_model.Features.Extended in
+  let mask space =
+    Array.init (Ml_model.Features.dim space) (fun i -> i mod 3 <> 0)
+  in
+  let artifact ?(meta = [ ("suite", J.Str "test") ]) ?mask space pairs =
+    { Serve.Artifact.model = model_of_pairs ?mask space pairs; space; meta }
+  in
+  let cases =
+    [
+      ("base", artifact base (pairs_of d42));
+      ("base, masked", artifact ~mask:(mask base) base (pairs_of d42));
+      ("extended", artifact ext (pairs_of d42));
+      ("extended, masked", artifact ~mask:(mask ext) ext (pairs_of d42));
+      ( "objective meta",
+        artifact
+          ~meta:
+            [
+              ("suite", J.Str "test");
+              ( "objective",
+                J.Str
+                  (Objective.Spec.to_string
+                     (Objective.Spec.Weighted { c = 0.5; s = 0.25; e = 0.25 }))
+              );
+            ]
+          base (pairs_of d42) );
+      ("one pair", artifact base [| (d42, d42.Ml_model.Dataset.pairs.(0)) |]);
+      ( "many pairs",
+        artifact base (Array.append (pairs_of d42) (pairs_of d43)) );
+    ]
+  in
+  let path = tmp_path "ids.pcm" in
+  List.iter
+    (fun (name, a) ->
+      check Alcotest.bool (name ^ ": payload is the tree printer's") true
+        (snd (Serve.Artifact.encode a) = tree_payload a);
+      Serve.Artifact.save ~path a;
+      let id, loaded = read_ok path in
+      check Alcotest.string (name ^ ": id is version_id of the saved artifact")
+        (Serve.Artifact.version_id a) id;
+      check Alcotest.string (name ^ ": and of the decoded one")
+        (Serve.Artifact.version_id loaded) id;
+      check Alcotest.bool (name ^ ": meta survives") true
+        (loaded.Serve.Artifact.meta = a.Serve.Artifact.meta))
+    cases;
+  (* Version 1: the header digests a payload without an index, so the
+     id is that of the decoded artifact. *)
+  let a = List.assoc "base" cases in
+  Serve.Artifact.save ~path a;
+  rewrite_artifact ~path ~version:1 (function
+    | J.Obj fields -> J.Obj (List.filter (fun (k, _) -> k <> "index") fields)
+    | j -> j);
+  let id, loaded = read_ok path in
+  Sys.remove path;
+  check Alcotest.string "version 1: id is version_id of the decoded artifact"
+    (Serve.Artifact.version_id loaded) id;
+  check Alcotest.string "version 1: which is the version-2 id"
+    (Serve.Artifact.version_id a) id
+
+(* Prints a payload the way no build writes it: whitespace between every
+   token (never a newline, which would end the payload line), members in
+   reverse order outside [meta], unknown and duplicated keys after the
+   real ones, and integral floats as integer tokens.  [meta] and the
+   unknown members' values are printed as they are. *)
+let rec noncanonical buf ~in_meta j =
+  let ws () = Buffer.add_string buf " \t " in
+  let value = noncanonical buf in
+  match j with
+  | J.Float f when Float.is_integer f && Float.abs f < 1e15 && not (Float.sign_bit f) ->
+    Buffer.add_string buf (string_of_int (int_of_float f))
+  | J.List items ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i item ->
+        if i > 0 then Buffer.add_char buf ',';
+        ws ();
+        value ~in_meta item)
+      items;
+    ws ();
+    Buffer.add_char buf ']'
+  | J.Obj fields ->
+    let fields =
+      if in_meta then fields
+      else
+        List.rev fields
+        @ [ ("unknown", J.List [ J.Obj [ ("x", J.Null) ]; J.Str "y" ]) ]
+        @ (match fields with
+          | (k, _) :: _ -> [ (k, J.Str "a duplicate: the first one wins") ]
+          | [] -> [])
+    in
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, item) ->
+        if i > 0 then Buffer.add_char buf ',';
+        ws ();
+        Buffer.add_string buf (J.to_string (J.Str k));
+        ws ();
+        Buffer.add_char buf ':';
+        ws ();
+        value ~in_meta:(in_meta || k = "meta" || k = "unknown") item)
+      fields;
+    ws ();
+    Buffer.add_char buf '}'
+  | j -> Buffer.add_string buf (J.to_string j)
+
+let test_artifact_reads_noncanonical_payloads () =
+  let dataset = Lazy.force dataset42 in
+  let artifact = artifact_of dataset in
+  let path = tmp_path "noncanonical.pcm" in
+  Serve.Artifact.save ~path artifact;
+  let canonical_id, canonical = read_ok path in
+  let payload =
+    match J.of_string (payload_of_file path) with
+    | Ok j ->
+      let buf = Buffer.create 65536 in
+      noncanonical buf ~in_meta:false j;
+      Buffer.contents buf
+    | Error e -> Alcotest.failf "payload unparseable: %s" e
+  in
+  let has needles text = List.exists (fun needle -> contains ~needle text) needles in
+  check Alcotest.bool "the canonical payload has integral floats" true
+    (has [ ",0.0,"; ",1.0," ] (payload_of_file path));
+  check Alcotest.bool "the rewrite has integer tokens for them" true
+    (has [ "\t 0,"; "\t 1," ] payload
+    && not (has [ "\t 0.0,"; "\t 0.0 "; "\t 1.0,"; "\t 1.0 " ] payload));
+  write_signed ~path ~version:2 payload;
+  let id, loaded = read_ok path in
+  Sys.remove path;
+  check Alcotest.string "served under the digest of the bytes it was read from"
+    (Prelude.Fnv.digest_string payload) id;
+  check Alcotest.string "re-encodes to the canonical payload" canonical_id
+    (Serve.Artifact.version_id loaded);
+  check Alcotest.bool "meta survives" true
+    (loaded.Serve.Artifact.meta = canonical.Serve.Artifact.meta);
+  check_models_bit_identical ~msg:"non-canonical payload"
+    canonical.Serve.Artifact.model loaded.Serve.Artifact.model
+    (all_raw_features dataset)
+
+(* Every truncation point and single-byte mutation of a small payload,
+   each under a re-signed header so it reaches the decoder: the answer is
+   [Ok] or [Error], never an exception. *)
+let test_artifact_hostile_payloads () =
+  let d = Lazy.force dataset42 in
+  let artifact =
+    {
+      Serve.Artifact.model =
+        model_of_pairs Ml_model.Features.Base
+          (Array.sub (pairs_of d) 0 2);
+      space = Ml_model.Features.Base;
+      meta = [ ("suite", J.Str "test") ];
+    }
+  in
+  (* Two rows make a one-leaf index; give the payload a split as well,
+     so the mutations reach every part of the grammar. *)
+  let split =
+    J.Obj
+      [
+        ("vp", J.Int 0);
+        ("mu", J.Float 1.5);
+        ("in", J.List [ J.Int 1 ]);
+        ("out", J.List []);
+      ]
+  in
+  let payload =
+    match J.of_string (snd (Serve.Artifact.encode artifact)) with
+    | Ok (J.Obj fields) ->
+      J.to_string
+        (J.Obj
+           (List.map
+              (fun (k, v) -> if k = "index" then (k, split) else (k, v))
+              fields))
+    | _ -> Alcotest.fail "payload unparseable"
+  in
+  let path = tmp_path "hostile.pcm" in
+  write_signed ~path ~version:2 payload;
+  ignore (read_ok path);
+  let ok = ref 0 and rejected = ref 0 in
+  let attempt what mutated =
+    write_signed ~path ~version:2 mutated;
+    match Serve.Artifact.read ~path with
+    | Ok _ -> incr ok
+    | Error _ -> incr rejected
+    | exception e ->
+      Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+  in
+  let n = String.length payload in
+  for i = 0 to n - 1 do
+    attempt (Printf.sprintf "truncation at %d" i) (String.sub payload 0 i)
+  done;
+  let structural =
+    [| '0'; '-'; 'e'; '.'; '"'; ','; ':'; '['; ']'; '{'; '}'; 'n'; ' ' |]
+  in
+  for i = 0 to n - 1 do
+    let with_byte c =
+      let b = Bytes.of_string payload in
+      Bytes.set b i c;
+      attempt (Printf.sprintf "byte %d set to %C" i c) (Bytes.to_string b)
+    in
+    with_byte (Char.chr (Char.code payload.[i] lxor 0x01));
+    with_byte (Char.chr (Char.code payload.[i] lxor 0x80));
+    Array.iter (fun c -> if c <> payload.[i] then with_byte c) structural
+  done;
+  Sys.remove path;
+  check Alcotest.bool "most mutations are rejected" true (!rejected > !ok)
 
 (* ---- quantise: the cache-key kernel ------------------------------------ *)
 
@@ -538,6 +821,9 @@ let test_protocol_batch_roundtrip_and_limits () =
 
 (* ---- server end-to-end ------------------------------------------------- *)
 
+(* An in-memory artifact with the id the server keys it under. *)
+let with_id a = (Serve.Artifact.version_id a, a)
+
 let with_server ?(jobs = 2) ?(queue = 8) ?(cache = 256) ?(admin = false)
     ?(engine = Ml_model.Predict.Vptree) ?(split = 0.0) ?source ?watch
     ?candidate artifact f =
@@ -555,7 +841,11 @@ let with_server ?(jobs = 2) ?(queue = 8) ?(cache = 256) ?(admin = false)
       watch;
     }
   in
-  let server = Serve.Server.start ?candidate ~artifact config in
+  let server =
+    Serve.Server.start
+      ?candidate:(Option.map with_id candidate)
+      ~artifact:(with_id artifact) config
+  in
   Fun.protect
     ~finally:(fun () ->
       Serve.Server.stop server;
@@ -822,7 +1112,7 @@ let test_server_tcp_ephemeral_port () =
       Serve.Server.jobs = 1;
     }
   in
-  let server = Serve.Server.start ~artifact config in
+  let server = Serve.Server.start ~artifact:(with_id artifact) config in
   Fun.protect
     ~finally:(fun () ->
       Serve.Server.stop server;
@@ -1295,7 +1585,7 @@ let test_server_graceful_drain () =
       watch = None;
     }
   in
-  let server = Serve.Server.start ~artifact config in
+  let server = Serve.Server.start ~artifact:(with_id artifact) config in
   let address = Serve.Server.address server in
   let in_flight_ok = Atomic.make false in
   let sleeper =
@@ -1401,7 +1691,7 @@ let test_server_swap_under_load () =
           (fun () ->
             let flip = ref true in
             while not (Atomic.get stop_swapping) do
-              let stable = if !flip then b else a in
+              let stable = if !flip then (vb, b) else (va, a) in
               flip := not !flip;
               Serve.Server.install server ~stable ~candidate:None;
               Thread.delay 0.005
@@ -1456,7 +1746,7 @@ let test_server_reload_op () =
           | Ok r -> check Alcotest.bool "unchanged source" false
               (bool_field "changed" r)
           | Error (_, e) -> Alcotest.failf "reload failed: %s" e);
-          next := Serve.Server.Swap { stable = b; candidate = None };
+          next := Serve.Server.Swap { stable = with_id b; candidate = None };
           (match Serve.Client.reload c with
           | Ok r ->
             check Alcotest.bool "swap reported" true (bool_field "changed" r);
@@ -1605,7 +1895,7 @@ let test_client_reconnects_idempotent_ops () =
       watch = None;
     }
   in
-  let server1 = Serve.Server.start ~artifact config in
+  let server1 = Serve.Server.start ~artifact:(with_id artifact) config in
   let client = Serve.Client.connect (Serve.Server.address server1) in
   Fun.protect
     ~finally:(fun () -> Serve.Client.close client)
@@ -1618,7 +1908,7 @@ let test_client_reconnects_idempotent_ops () =
          hits a dead socket and must transparently reconnect. *)
       Serve.Server.stop server1;
       Serve.Server.wait server1;
-      let server2 = Serve.Server.start ~artifact config in
+      let server2 = Serve.Server.start ~artifact:(with_id artifact) config in
       Fun.protect
         ~finally:(fun () ->
           Serve.Server.stop server2;
@@ -1645,7 +1935,7 @@ let test_server_watch_swaps_in_background () =
       check Alcotest.string "starts on the fixed artifact"
         (Serve.Artifact.version_id a)
         (client_health_version address);
-      next := Serve.Server.Swap { stable = b; candidate = None };
+      next := Serve.Server.Swap { stable = with_id b; candidate = None };
       (* The watch thread must pick the swap up on its own. *)
       let deadline = Unix.gettimeofday () +. 5.0 in
       let rec await () =
@@ -1692,6 +1982,12 @@ let () =
             test_artifact_v1_loads_and_rebuilds_index;
           Alcotest.test_case "rejects a corrupt index" `Slow
             test_artifact_rejects_corrupt_index;
+          Alcotest.test_case "read returns the version id" `Slow
+            test_artifact_read_returns_version_id;
+          Alcotest.test_case "reads non-canonical payloads" `Slow
+            test_artifact_reads_noncanonical_payloads;
+          Alcotest.test_case "hostile payloads: Ok or Error, never raise"
+            `Slow test_artifact_hostile_payloads;
         ] );
       ( "quantise",
         [

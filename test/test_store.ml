@@ -88,7 +88,24 @@ let test_fnv_vectors () =
   let d = Prelude.Fnv.create () in
   Prelude.Fnv.add_string d "foo";
   Prelude.Fnv.add_string d "bar";
-  check Alcotest.string "streaming" "85944171f73967e8" (Prelude.Fnv.to_hex d)
+  check Alcotest.string "streaming" "85944171f73967e8" (Prelude.Fnv.to_hex d);
+  (* The string kernel equals the byte-at-a-time fold, on any bytes and
+     from any starting state. *)
+  let rng = Random.State.make [| 12 |] in
+  for i = 1 to 200 do
+    let s =
+      String.init (Random.State.int rng (4 * i)) (fun _ ->
+          Char.chr (Random.State.int rng 256))
+    in
+    let prefix = String.make (i mod 3) 'p' in
+    let by_string = Prelude.Fnv.create () and by_char = Prelude.Fnv.create () in
+    Prelude.Fnv.add_string by_string prefix;
+    Prelude.Fnv.add_string by_string s;
+    String.iter (Prelude.Fnv.add_char by_char) (prefix ^ s);
+    check Alcotest.string
+      (Printf.sprintf "add_string = add_char fold (%d bytes)" (String.length s))
+      (Prelude.Fnv.to_hex by_char) (Prelude.Fnv.to_hex by_string)
+  done
 
 let test_digests_stable_and_distinct () =
   let p = program "crc" in

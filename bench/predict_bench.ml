@@ -242,9 +242,9 @@ let bench_serving () =
             (single_rps, batch_rps, health_rps)))
   in
   let unix_address =
-    Serve.Protocol.Unix_path (Filename.concat "results" "predict_bench.sock")
+    Net.Addr.Unix_path (Filename.concat "results" "predict_bench.sock")
   in
-  let tcp_address = Serve.Protocol.Tcp ("127.0.0.1", 0) in
+  let tcp_address = Net.Addr.Tcp ("127.0.0.1", 0) in
   let cold_single, cold_batch, _ =
     measure ~address:unix_address ~jobs:1 ~cache_capacity:0
   in

@@ -82,7 +82,7 @@ let run ctx =
   let socket = Filename.concat "results" "serve_bench.sock" in
   let config =
     {
-      (Serve.Server.default_config (Serve.Protocol.Unix_path socket)) with
+      (Serve.Server.default_config (Net.Addr.Unix_path socket)) with
       Serve.Server.jobs = Prelude.Pool.jobs ();
       cache_capacity = 1024;
     }

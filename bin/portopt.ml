@@ -428,6 +428,15 @@ let cluster_fail fmt =
       exit 2)
     fmt
 
+(* Shared by serve and the cluster coordinator: bind or die with a
+   friendly message. *)
+let listen_or_exit address start =
+  try start ()
+  with Unix.Unix_error (e, _, _) ->
+    Printf.eprintf "portopt: cannot listen on %s: %s\n"
+      (Net.Addr.to_string address) (Unix.error_message e);
+    exit 1
+
 (* Run [f] with an optional cluster evaluation backend: start the
    coordinator, spawn local workers, wire SIGINT/SIGTERM to a graceful
    drain, and always tear everything down (quit workers, reap
@@ -440,11 +449,11 @@ let with_cluster ?store ?on_result opts f =
     if opts.c_workers < 0 then cluster_fail "--workers must be >= 0";
     let address =
       match opts.c_listen with
-      | None -> Serve.Protocol.Tcp ("127.0.0.1", 0)
+      | None -> Net.Addr.Tcp ("127.0.0.1", 0)
       | Some s -> (
-        match Cluster.Worker.parse_connect s with
+        match Net.Addr.of_string s with
         | Ok a -> a
-        | Error e -> cluster_fail "%s" e)
+        | Error e -> cluster_fail "--cluster-listen %s" e)
     in
     let chaos_spec =
       match opts.c_chaos with
@@ -461,12 +470,15 @@ let with_cluster ?store ?on_result opts f =
         lease_timeout_s = opts.c_lease_timeout;
       }
     in
-    let coord = Cluster.Coordinator.create ?store config in
+    let coord =
+      listen_or_exit address (fun () ->
+          Cluster.Coordinator.create ?store config)
+    in
     let stop_signal _ = Cluster.Coordinator.stop coord in
     let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle stop_signal) in
     let prev_term = Sys.signal Sys.sigterm (Sys.Signal_handle stop_signal) in
     let connect =
-      Serve.Protocol.address_to_string (Cluster.Coordinator.address coord)
+      Net.Addr.to_string (Cluster.Coordinator.address coord)
     in
     Obs.Span.log
       (Printf.sprintf "cluster: coordinator listening on %s" connect);
@@ -549,9 +561,9 @@ let wire_term =
 let worker_cmd =
   let run () connect store chaos name wire =
     let connect =
-      match Cluster.Worker.parse_connect connect with
+      match Net.Addr.of_string connect with
       | Ok a -> a
-      | Error e -> cluster_fail "%s" e
+      | Error e -> cluster_fail "--connect %s" e
     in
     let chaos =
       match chaos with
@@ -971,8 +983,8 @@ let address_term =
   in
   let mk socket host port =
     match socket with
-    | Some path -> Serve.Protocol.Unix_path path
-    | None -> Serve.Protocol.Tcp (host, port)
+    | Some path -> Net.Addr.Unix_path path
+    | None -> Net.Addr.Tcp (host, port)
   in
   Term.(const mk $ socket $ host $ port)
 
@@ -1074,7 +1086,10 @@ let serve_cmd =
         watch;
       }
     in
-    let server = Serve.Server.start ?candidate ~artifact config in
+    let server =
+      listen_or_exit address (fun () ->
+          Serve.Server.start ?candidate ~artifact config)
+    in
     let on_signal _ = Serve.Server.stop server in
     Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
@@ -1082,7 +1097,7 @@ let serve_cmd =
       "portopt serve: listening on %s (%d training pairs, index %s, jobs \
        %d, queue %d, cache %d%s%s%s)\n\
        %!"
-      (Serve.Protocol.address_to_string (Serve.Server.address server))
+      (Net.Addr.to_string (Serve.Server.address server))
       (Ml_model.Model.n_points (snd artifact).Serve.Artifact.model)
       (Ml_model.Predict.engine_to_string engine)
       jobs queue cache
@@ -1247,7 +1262,7 @@ let query_cmd =
       try Serve.Client.connect ~wire address
       with Unix.Unix_error (e, _, _) ->
         Printf.eprintf "portopt: cannot connect to %s: %s\n"
-          (Serve.Protocol.address_to_string address)
+          (Net.Addr.to_string address)
           (Unix.error_message e);
         exit 1
     in
@@ -1434,7 +1449,7 @@ let connect_or_exit address =
   try Serve.Client.connect address
   with Unix.Unix_error (e, _, _) ->
     Printf.eprintf "portopt: cannot connect to %s: %s\n"
-      (Serve.Protocol.address_to_string address)
+      (Net.Addr.to_string address)
       (Unix.error_message e);
     exit 1
 
@@ -1444,9 +1459,9 @@ let metrics_cmd =
       match cluster with
       | Some spec -> (
         let addr =
-          match Cluster.Worker.parse_connect spec with
+          match Net.Addr.of_string spec with
           | Ok a -> a
-          | Error e -> cluster_fail "%s" e
+          | Error e -> cluster_fail "--cluster %s" e
         in
         match Cluster.Coordinator.query_metrics addr with
         | Ok s -> s
@@ -1517,7 +1532,7 @@ let top_cmd =
     end;
     let client = connect_or_exit address in
     let clear = (not no_clear) && Unix.isatty Unix.stdout in
-    let address = Serve.Protocol.address_to_string address in
+    let address = Net.Addr.to_string address in
     Fun.protect
       ~finally:(fun () -> Serve.Client.close client)
       (fun () ->

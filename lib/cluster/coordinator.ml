@@ -13,7 +13,7 @@
 module J = Obs.Json
 
 type config = {
-  address : Serve.Protocol.address;
+  address : Net.Addr.t;
   lease_size : int;
   lease_timeout_s : float;
   heartbeat_timeout_s : float;
@@ -23,7 +23,7 @@ type config = {
   register_timeout_s : float;
 }
 
-let config ?(address = Serve.Protocol.Tcp ("127.0.0.1", 0)) () =
+let config ?(address = Net.Addr.Tcp ("127.0.0.1", 0)) () =
   {
     address;
     lease_size = 8;
@@ -113,24 +113,14 @@ type cstate = {
 type t = {
   cfg : config;
   store : Store.t option;
-  listener : Unix.file_descr;
-  bound : Serve.Protocol.address;
-  loop : Net.Loop.t;
+  listener : cstate Net.Listener.t;
   mutex : Mutex.t;  (** Guards every mutable field below and [rng]. *)
   mutable workers : wstate list;
   leases : (int, lease) Hashtbl.t;
   mutable job : job option;
   mutable next_id : int;
-  mutable stopping : bool;
   mutable closed : bool;
-  loop_done : bool Atomic.t;
-  mutable loop_thread : Thread.t option;
   rng : Prelude.Rng.t;  (** Reassignment jitter — timing-only. *)
-  (* Loop-thread-only connection bookkeeping. *)
-  conns : (int, cstate) Hashtbl.t;
-  mutable next_conn : int;
-  mutable listen_src : Net.Loop.source option;
-  mutable draining : bool;
 }
 
 let locked t f =
@@ -318,7 +308,8 @@ let drain_grace_s = 2.0
 (* Bounded patience for the first frame to be a registration. *)
 let register_patience_s = 10.0
 
-let register_worker t cs conn ~name ~pid =
+let register_worker t cs ~name ~pid =
+  let conn = cs.c_conn and loop = Net.Listener.loop t.listener in
   let w =
     locked t (fun () ->
         let id = t.next_id in
@@ -330,11 +321,11 @@ let register_worker t cs conn ~name ~pid =
             w_pid = pid;
             w_send =
               (fun msg ->
-                Net.Loop.post t.loop (fun () ->
+                Net.Loop.post loop (fun () ->
                     Net.Conn.send conn
                       (J.to_string (Wire.to_worker_to_json msg))));
             w_close =
-              (fun () -> Net.Loop.post t.loop (fun () -> Net.Conn.close conn));
+              (fun () -> Net.Loop.post loop (fun () -> Net.Conn.close conn));
             w_last_seen = Unix.gettimeofday ();
             w_lease = None;
             w_failures = 0;
@@ -357,7 +348,8 @@ let register_worker t cs conn ~name ~pid =
   cs.c_mode <- Registered w;
   w.w_send (Wire.Welcome { worker = w.w_id })
 
-let on_conn_frame t cs conn line =
+let on_conn_frame t cs line =
+  let conn = cs.c_conn in
   match cs.c_mode with
   | Registered w -> handle_message t w line
   | Pending -> (
@@ -373,8 +365,8 @@ let on_conn_frame t cs conn line =
               (Wire.Reject { reason = "pipeline fingerprint mismatch" })));
       Net.Conn.close_after_flush conn
     | Ok (Wire.Register { name; pid; fingerprint = _ }) ->
-      if t.draining then Net.Conn.close conn
-      else register_worker t cs conn ~name ~pid
+      if Net.Listener.draining t.listener then Net.Conn.close conn
+      else register_worker t cs ~name ~pid
     | Ok Wire.Metrics_query ->
       (* Admin poll: answer with the live snapshot and keep listening —
          the poller closes its end when satisfied, without ever
@@ -385,16 +377,16 @@ let on_conn_frame t cs conn line =
               (Wire.Metrics { snapshot = Obs.Metrics.snapshot () })))
     | Ok _ | Error _ -> Obs.Metrics.add m_protocol_errors 1)
 
-let on_conn_closed t id cs reason =
+let on_conn_closed t cs reason =
   (match cs.c_reg_timer with
   | Some tm ->
     Net.Loop.cancel tm;
     cs.c_reg_timer <- None
   | None -> ());
-  (match cs.c_mode with
+  match cs.c_mode with
   | Pending -> ()
   | Registered w ->
-    let expected = t.stopping || reason = Net.Conn.Eof in
+    let expected = Net.Listener.stopping t.listener || reason = Net.Conn.Eof in
     locked t (fun () ->
         mark_dead_locked t w
           ~now:(Unix.gettimeofday ())
@@ -402,174 +394,76 @@ let on_conn_closed t id cs reason =
           ~why:
             (match reason with
             | Net.Conn.Eof -> "connection closed"
-            | r -> Net.Conn.close_reason_to_string r)));
-  Hashtbl.remove t.conns id;
-  if t.draining && Hashtbl.length t.conns = 0 then Net.Loop.stop t.loop
+            | r -> Net.Conn.close_reason_to_string r))
 
-let setup_conn t fd =
-  let id = t.next_conn in
-  t.next_conn <- id + 1;
-  let cs_ref = ref None in
-  let conn =
-    Net.Conn.attach t.loop fd ~max_frame:Wire.max_frame
-      ~on_frame:(fun conn line ->
-        match !cs_ref with
-        | Some cs -> on_conn_frame t cs conn line
-        | None -> ())
-      ~on_closed:(fun _conn reason ->
-        match !cs_ref with
-        | Some cs -> on_conn_closed t id cs reason
-        | None -> ())
-      ()
-  in
+let attach t conn =
   let cs = { c_conn = conn; c_mode = Pending; c_reg_timer = None } in
-  cs_ref := Some cs;
   cs.c_reg_timer <-
     Some
-      (Net.Loop.after t.loop register_patience_s (fun () ->
+      (Net.Loop.after (Net.Listener.loop t.listener) register_patience_s
+         (fun () ->
            (* Still unregistered: an admin poller that is done, or junk. *)
            match cs.c_mode with
            | Pending -> Net.Conn.close conn
            | Registered _ -> ()));
-  Hashtbl.add t.conns id cs
+  cs
 
-(* Accept everything ready, retrying EINTR; an accepted fd whose
-   per-connection setup raises is closed, not leaked. *)
-let rec accept_burst t =
-  if not t.draining then
-    match Unix.accept t.listener with
-    | fd, _ ->
-      (try setup_conn t fd
-       with _ -> ( try Unix.close fd with Unix.Unix_error _ -> ()));
-      accept_burst t
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_burst t
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error _ -> ()
-
-(* Drain (loop thread, once): close the listener, tell every live
-   worker to quit, close pending connections, and give the rest
-   [drain_grace_s] to hang up on their own before they are cut off.
-   The loop stops when the last connection is gone. *)
-let begin_drain t =
-  if not t.draining then begin
-    t.draining <- true;
-    (match t.listen_src with
-    | Some s ->
-      Net.Loop.remove t.loop s;
-      t.listen_src <- None
-    | None -> ());
-    (try Unix.close t.listener with Unix.Unix_error _ -> ());
-    (match t.cfg.address with
-    | Serve.Protocol.Unix_path p -> (
-      try Unix.unlink p with Unix.Unix_error _ -> ())
-    | Serve.Protocol.Tcp _ -> ());
-    let ws = locked t (fun () -> t.workers) in
-    List.iter (fun w -> if w.w_alive then w.w_send Wire.Quit) ws;
-    let pending =
-      Hashtbl.fold
-        (fun _ cs acc ->
-          match cs.c_mode with Pending -> cs :: acc | Registered _ -> acc)
-        t.conns []
-    in
-    List.iter (fun cs -> Net.Conn.close_after_flush cs.c_conn) pending;
-    if Hashtbl.length t.conns = 0 then Net.Loop.stop t.loop
-    else
-      ignore
-        (Net.Loop.after t.loop drain_grace_s (fun () ->
-             let all = Hashtbl.fold (fun _ cs acc -> cs :: acc) t.conns [] in
-             List.iter (fun cs -> Net.Conn.close cs.c_conn) all))
-  end
+(* The coordinator's part of a drain: tell every live worker to quit,
+   close pending connections, and give the rest [drain_grace_s] to hang
+   up on their own before they are cut off. *)
+let on_drain t () =
+  let ws = locked t (fun () -> t.workers) in
+  List.iter (fun w -> if w.w_alive then w.w_send Wire.Quit) ws;
+  List.iter
+    (fun cs ->
+      match cs.c_mode with
+      | Pending -> Net.Conn.close_after_flush cs.c_conn
+      | Registered _ -> ())
+    (Net.Listener.connections t.listener);
+  ignore
+    (Net.Loop.after (Net.Listener.loop t.listener) drain_grace_s (fun () ->
+         List.iter
+           (fun cs -> Net.Conn.close cs.c_conn)
+           (Net.Listener.connections t.listener)))
 
 (* ---- lifecycle -------------------------------------------------------- *)
 
 let create ?store cfg =
   validate_config cfg;
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let sa = Serve.Protocol.sockaddr cfg.address in
-  (match cfg.address with
-  | Serve.Protocol.Unix_path p -> (
-    try Unix.unlink p with Unix.Unix_error _ -> ())
-  | Serve.Protocol.Tcp _ -> ());
-  let listener = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt listener Unix.SO_REUSEADDR true;
-     Unix.bind listener sa;
-     Unix.listen listener 64;
-     Unix.set_nonblock listener
-   with e ->
-     (try Unix.close listener with Unix.Unix_error _ -> ());
-     raise e);
-  let bound =
-    match (cfg.address, Unix.getsockname listener) with
-    | Serve.Protocol.Tcp (host, _), Unix.ADDR_INET (_, port) ->
-      Serve.Protocol.Tcp (host, port)
-    | addr, _ -> addr
-  in
-  let loop = Net.Loop.create () in
   let t =
     {
       cfg;
       store;
-      listener;
-      bound;
-      loop;
+      listener = Net.Listener.listen cfg.address;
       mutex = Mutex.create ();
       workers = [];
       leases = Hashtbl.create 16;
       job = None;
       next_id = 1;
-      stopping = false;
       closed = false;
-      loop_done = Atomic.make false;
-      loop_thread = None;
       rng =
         Prelude.Rng.create
           ((Unix.getpid () * 69_069)
            lxor (int_of_float (Unix.gettimeofday () *. 1e6) land max_int));
-      conns = Hashtbl.create 16;
-      next_conn = 0;
-      listen_src = None;
-      draining = false;
     }
   in
-  t.listen_src <-
-    Some
-      (Net.Loop.add loop listener ~read:true ~write:false
-         ~on_read:(fun () -> accept_burst t)
-         ~on_write:ignore ());
-  Net.Loop.set_on_wake loop (fun () -> if t.stopping then begin_drain t);
-  t.loop_thread <-
-    Some
-      (Thread.create
-         (fun () ->
-           Net.Loop.run loop;
-           Atomic.set t.loop_done true)
-         ());
+  Net.Listener.start t.listener ~max_frame:Wire.max_frame ~attach:(attach t)
+    ~on_frame:(on_conn_frame t) ~on_closed:(on_conn_closed t)
+    ~on_drain:(on_drain t) ();
   t
 
-let address t = t.bound
+let address t = Net.Listener.address t.listener
 
 let workers t = locked t (fun () -> List.length (alive_workers_locked t))
 
 (* Async-signal-safe: one store, one wakeup-pipe write. *)
-let stop t =
-  t.stopping <- true;
-  Net.Loop.nudge t.loop
+let stop t = Net.Listener.stop t.listener
 
 let shutdown t =
   stop t;
   if not t.closed then begin
     t.closed <- true;
-    (* Poll rather than park so the calling (main) thread keeps hitting
-       safe points where signal handlers run. *)
-    while not (Atomic.get t.loop_done) do
-      Thread.delay 0.02
-    done;
-    (match t.loop_thread with
-    | Some th ->
-      Thread.join th;
-      t.loop_thread <- None
-    | None -> ());
+    Net.Listener.wait t.listener;
     locked t (fun () -> refresh_gauges_locked t)
   end
 
@@ -766,7 +660,8 @@ let evaluate ?tick ?on_result t groups =
             (match j.j_fatal with
             | Some why -> fatal := Some why
             | None ->
-              if t.stopping then fatal := Some "coordinator stopping (drain)"
+              if Net.Listener.stopping t.listener then
+                fatal := Some "coordinator stopping (drain)"
               else if now -. !last_alive > t.cfg.register_timeout_s then
                 fatal :=
                   Some
@@ -813,13 +708,7 @@ let evaluate ?tick ?on_result t groups =
 
 let query_metrics address =
   match
-    let sa = Serve.Protocol.sockaddr address in
-    let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
-    (match Unix.connect fd sa with
-    | () -> ()
-    | exception e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise e);
+    let fd = Net.Addr.connect address in
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->

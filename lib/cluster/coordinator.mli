@@ -31,7 +31,7 @@
     never stalls scheduling or another worker's results. *)
 
 type config = {
-  address : Serve.Protocol.address;
+  address : Net.Addr.t;
       (** Listen address; TCP port 0 lets the kernel pick ({!address}
           reports the real one). *)
   lease_size : int;  (** Max tasks handed out per lease. *)
@@ -48,7 +48,7 @@ type config = {
           before failing. *)
 }
 
-val config : ?address:Serve.Protocol.address -> unit -> config
+val config : ?address:Net.Addr.t -> unit -> config
 (** Defaults: 127.0.0.1 on an ephemeral port, leases of 8 tasks with a
     30 s deadline, 5 s heartbeat timeout, {!Prelude.Backoff.default}
     retries, breaker at 5 failures with a 2 s cooldown, 30 s worker
@@ -61,7 +61,7 @@ val create : ?store:Store.t -> config -> t
     [store] makes the coordinator a write-through cache: results
     persist as they arrive, and already-stored tasks never ship. *)
 
-val address : t -> Serve.Protocol.address
+val address : t -> Net.Addr.t
 (** The actually-bound address — what workers should [--connect] to. *)
 
 val workers : t -> int
@@ -100,7 +100,7 @@ val shutdown : t -> unit
 (** {!stop}, then block until the drain completes and the loop thread
     is joined.  Idempotent. *)
 
-val query_metrics : Serve.Protocol.address -> (Obs.Json.t, string) result
+val query_metrics : Net.Addr.t -> (Obs.Json.t, string) result
 (** Admin client for [portopt metrics --cluster]: connect to a running
     coordinator, send a [metrics_query] and return the live
     {!Obs.Metrics.snapshot} — without registering as a worker. *)

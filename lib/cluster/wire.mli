@@ -1,6 +1,6 @@
-(** Cluster wire protocol: newline-delimited JSON messages over the
-    same {!Serve.Frame} framing the prediction server uses, with a
-    larger frame bound (result lines carry whole interpreter profiles).
+(** Cluster wire protocol: JSON messages in the same {!Net.Codec}
+    frames the prediction server uses, with a larger frame bound
+    (result frames carry whole interpreter profiles).
 
     {v
     worker -> coordinator                 coordinator -> worker

@@ -3,7 +3,7 @@
 module J = Obs.Json
 
 type config = {
-  connect : Serve.Protocol.address;
+  connect : Net.Addr.t;
   name : string;
   store : Store.t option;
   chaos : Chaos.t;
@@ -214,16 +214,6 @@ let session cfg ~stop ~chaos ~registered fd =
       | r -> finish r
       | exception Killed_mid_lease -> finish `Killed))
 
-let connect_fd address =
-  let sa = Serve.Protocol.sockaddr address in
-  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
-  (match Unix.connect fd sa with
-  | () -> ()
-  | exception e ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    raise e);
-  fd
-
 let run ?(stop = fun () -> false) cfg =
   Prelude.Backoff.validate cfg.reconnect;
   (* Timing-only jitter source for the reconnect backoff — outside the
@@ -247,7 +237,7 @@ let run ?(stop = fun () -> false) cfg =
   while !outcome = None do
     if stop () then outcome := Some Drained
     else
-      match connect_fd cfg.connect with
+      match Net.Addr.connect cfg.connect with
       | exception Unix.Unix_error _ -> give_up_or_backoff ()
       | fd -> (
         let registered = ref false in
@@ -269,20 +259,3 @@ let run ?(stop = fun () -> false) cfg =
         | `Eof -> give_up_or_backoff ())
   done;
   Option.get !outcome
-
-let parse_connect s =
-  let s = String.trim s in
-  if s = "" then Error "empty --connect address"
-  else if String.contains s '/' then Ok (Serve.Protocol.Unix_path s)
-  else
-    match String.rindex_opt s ':' with
-    | None ->
-      Error
-        (Printf.sprintf
-           "--connect %S: expected host:port or a socket path containing '/'" s)
-    | Some i -> (
-      let host = String.sub s 0 i in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt port with
-      | Some p when p > 0 && p < 65536 -> Ok (Serve.Protocol.Tcp (host, p))
-      | _ -> Error (Printf.sprintf "--connect %S: bad port %S" s port))

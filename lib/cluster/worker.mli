@@ -15,7 +15,7 @@
     tested against. *)
 
 type config = {
-  connect : Serve.Protocol.address;
+  connect : Net.Addr.t;
   name : string;  (** Registration name; also the chaos salt. *)
   store : Store.t option;  (** Read-through profile store. *)
   chaos : Chaos.t;
@@ -32,7 +32,7 @@ type config = {
           checksum/parse paths, not the codec. *)
 }
 
-val config : connect:Serve.Protocol.address -> name:string -> config
+val config : connect:Net.Addr.t -> name:string -> config
 (** Defaults: no store, no chaos, {!Prelude.Backoff.default} reconnect,
     0.5 s heartbeats, binary framing. *)
 
@@ -49,7 +49,3 @@ val run : ?stop:(unit -> bool) -> config -> outcome
     worker that stops mid-lease simply disconnects and the coordinator
     reassigns the lease.  Blocks the calling thread; the heartbeat runs
     on an internal thread. *)
-
-val parse_connect : string -> (Serve.Protocol.address, string) result
-(** ["host:port"] or a Unix socket path (recognised by containing
-    ['/']). *)

@@ -30,7 +30,7 @@ val header_len : int
 (** Bytes of binary framing overhead (magic + u32be length = 5). *)
 
 val default_max_frame : int
-(** 1 MiB, matching [Serve.Frame.default_max_frame]. *)
+(** 1 MiB: the prediction server's request bound. *)
 
 type error =
   | Oversized of int  (** JSON line exceeds the frame bound (bytes seen). *)

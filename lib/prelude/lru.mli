@@ -2,9 +2,8 @@
 
     O(1) [get]/[put] via a hash table plus an intrusive recency list.
     Not internally synchronised: owners guard their instance with a
-    mutex.  Shared by the serving layer's prediction cache
-    ({!Serve.Lru} is an alias of this module) and the in-RAM tier of
-    the evaluation store's profile cache. *)
+    mutex.  Shared by the serving layer's prediction cache and the
+    in-RAM tier of the evaluation store's profile cache. *)
 
 type ('k, 'v) t
 

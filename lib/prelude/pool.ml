@@ -24,6 +24,8 @@ type t = {
   tasks : (unit -> unit) Queue.t;
       (** Async single tasks ([submit]); serviced by workers between
           batches, drained under [mutex]. *)
+  mutable service : Thread.t option;
+      (** A domainless pool's [submit] worker, started on first use. *)
   busy : float array;
       (** Cumulative task seconds per participant (0 = submitter);
           written under [mutex] in [drain], read at [shutdown]. *)
@@ -110,6 +112,7 @@ let create ~jobs =
       stop = false;
       domains = [];
       tasks = Queue.create ();
+      service = None;
       busy = Array.make jobs 0.0;
     }
   in
@@ -127,6 +130,8 @@ let shutdown t =
   Mutex.unlock t.mutex;
   List.iter Domain.join t.domains;
   t.domains <- [];
+  Option.iter Thread.join t.service;
+  t.service <- None;
   (* Workers exit on [stop] without draining the async queue; run any
      leftovers inline so work accepted before shutdown is never
      silently dropped (same swallow-and-count error semantics as
@@ -205,18 +210,14 @@ let submit t task =
        race shutdown — the cluster drain path depends on this raise. *)
     Mutex.unlock t.mutex;
     raise Closed
-  end
-  else if t.domains = [] then begin
-    (* No workers (jobs = 1): run inline in the submitting thread,
-       preserving the sequential fallback contract. *)
-    Mutex.unlock t.mutex;
-    task ()
-  end
-  else begin
-    Queue.push task t.tasks;
-    Condition.broadcast t.work_ready;
-    Mutex.unlock t.mutex
-  end
+  end;
+  (* Never on the caller's thread: a domainless pool (jobs = 1) serves
+     its queue from one thread of its own, running the worker loop. *)
+  if t.domains = [] && t.service = None then
+    t.service <- Some (Thread.create (worker t ~who:0) t.generation);
+  Queue.push task t.tasks;
+  Condition.broadcast t.work_ready;
+  Mutex.unlock t.mutex
 
 let pending t =
   Mutex.lock t.mutex;

@@ -10,8 +10,8 @@
 
     Parallelism is controlled by the [REPRO_JOBS] environment variable
     (default: [Domain.recommended_domain_count ()]).  [REPRO_JOBS=1]
-    spawns no domains at all and runs every task inline in the calling
-    domain — exactly the historical sequential behaviour.
+    spawns no domains at all and runs every [init]/[map] task inline in
+    the calling domain — exactly the historical sequential behaviour.
 
     Exceptions raised by tasks are re-raised in the submitting domain;
     when several tasks fail, the one with the {e lowest index} wins, so
@@ -33,12 +33,13 @@ exception Closed
     work loudly instead of silently dropping or inlining it. *)
 
 val shutdown : t -> unit
-(** Join the worker domains, then run any still-queued {!submit} tasks
-    inline — work accepted before shutdown always executes.  The pool
-    must be idle (no batch in flight); batch use after shutdown falls
-    back to inline sequential execution, while {!submit} raises
-    {!Closed}.  Publishes the per-domain busy times as
-    [pool.domain<i>.busy_s] gauges in {!Obs.Metrics}. *)
+(** Join the worker domains (or the {!submit} service thread), then
+    run any still-queued {!submit} tasks inline — work accepted before
+    shutdown always executes.  The pool must be idle (no batch in
+    flight); batch use after shutdown falls back to inline sequential
+    execution, while {!submit} raises {!Closed}.  Publishes the
+    per-domain busy times as [pool.domain<i>.busy_s] gauges in
+    {!Obs.Metrics}. *)
 
 val busy_seconds : t -> float array
 (** Cumulative wall seconds each participant (index 0 = the submitting
@@ -59,17 +60,18 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val submit : t -> (unit -> unit) -> unit
 (** [submit t task] enqueues a single closure for asynchronous
-    execution on a worker domain — the request-dispatch shape used by
+    execution by the pool — the request-dispatch shape used by
     the serving subsystem, complementing the batch-shaped [init]/[map].
-    Returns immediately; tasks run in submission order between batches.
-    If the pool has no worker domains (jobs = 1), the task runs inline
-    in the calling thread before [submit] returns; after [shutdown] it
-    raises {!Closed} instead.  A task must not raise: escaping
-    exceptions are counted in the [pool.async_errors] metric and
-    otherwise swallowed (a detached worker has nowhere meaningful to
-    re-raise), so callers thread their own error channel through the
-    closure.  Tasks still queued when [shutdown] runs are executed
-    inline by [shutdown] itself before it returns. *)
+    Returns immediately at every pool size; tasks run in submission
+    order between batches, never on the caller's thread.  A pool with
+    no worker domains (jobs = 1) runs them on one service thread of its
+    own, started by the first [submit] and joined by {!shutdown}.
+    After [shutdown], [submit] raises {!Closed}.  A task must not
+    raise: escaping exceptions are counted in the [pool.async_errors]
+    metric and otherwise swallowed (a detached worker has nowhere
+    meaningful to re-raise), so callers thread their own error channel
+    through the closure.  Tasks still queued when [shutdown] runs are
+    executed inline by [shutdown] itself before it returns. *)
 
 val pending : t -> int
 (** Number of [submit]ted tasks not yet claimed by a worker — the

@@ -13,31 +13,12 @@
 module J = Obs.Json
 
 type t = {
-  address : Protocol.address;
+  address : Net.Addr.t;
   reconnect : Prelude.Backoff.policy;
   wire : Net.Codec.mode;  (** Frame format for requests; replies match. *)
   mutable fd : Unix.file_descr;
   mutable reader : Net.Codec.reader;  (** Bounded dual-format framing. *)
 }
-
-let dial address =
-  let sa = Protocol.sockaddr address in
-  let domain = Unix.domain_of_sockaddr sa in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  (try
-     Unix.connect fd sa;
-     (* Request/response framing: Nagle would stall each round trip on
-        a delayed ACK, so disable it on TCP (meaningless on Unix
-        sockets). *)
-     match address with
-     | Protocol.Tcp _ -> (
-       try Unix.setsockopt fd Unix.TCP_NODELAY true
-       with Unix.Unix_error _ -> ())
-     | Protocol.Unix_path _ -> ()
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  fd
 
 (* One redial per transport failure by default: enough to ride out a
    server restart, not enough to hammer a dead address. *)
@@ -47,14 +28,14 @@ let default_reconnect = { Prelude.Backoff.default with max_retries = 1 }
    it exercises the negotiation path everywhere.  [~wire:Json] keeps a
    connection human-readable for debugging. *)
 let connect ?(reconnect = default_reconnect) ?(wire = Net.Codec.Binary) address =
-  let fd = dial address in
+  let fd = Net.Addr.connect address in
   { address; reconnect; wire; fd; reader = Net.Codec.reader fd }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let reconnect_now t =
   (try Unix.close t.fd with Unix.Unix_error _ -> ());
-  let fd = dial t.address in
+  let fd = Net.Addr.connect t.address in
   t.fd <- fd;
   t.reader <- Net.Codec.reader fd
 

@@ -7,7 +7,7 @@ type t
 val connect :
   ?reconnect:Prelude.Backoff.policy ->
   ?wire:Net.Codec.mode ->
-  Protocol.address ->
+  Net.Addr.t ->
   t
 (** Raises [Unix.Unix_error] if the server is unreachable.  [reconnect]
     governs how idempotent ops handle a connection that dies

@@ -18,21 +18,6 @@
 
 module J = Obs.Json
 
-type address = Tcp of string * int | Unix_path of string
-
-let sockaddr = function
-  | Tcp (host, port) ->
-    let ip =
-      try Unix.inet_addr_of_string host
-      with Failure _ -> (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    in
-    Unix.ADDR_INET (ip, port)
-  | Unix_path path -> Unix.ADDR_UNIX path
-
-let address_to_string = function
-  | Tcp (host, port) -> Printf.sprintf "%s:%d" host port
-  | Unix_path path -> path
-
 (* ---- microarchitecture encoding --------------------------------------- *)
 
 let uarch_to_json (u : Uarch.Config.t) =

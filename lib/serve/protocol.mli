@@ -2,13 +2,6 @@
     one request per line, one response line per request.  See
     docs/serving.md for the full schema. *)
 
-type address = Tcp of string * int | Unix_path of string
-
-val sockaddr : address -> Unix.sockaddr
-(** Resolves host names for [Tcp]. *)
-
-val address_to_string : address -> string
-
 val uarch_to_json : Uarch.Config.t -> Obs.Json.t
 val uarch_of_json : Obs.Json.t -> (Uarch.Config.t, string) result
 (** Validates with {!Uarch.Config.validate}. *)

@@ -55,8 +55,8 @@ type source =
     }
 
 type config = {
-  address : Protocol.address;
-  jobs : int;  (** Worker-pool size (ignored when a pool is passed in). *)
+  address : Net.Addr.t;
+  jobs : int;  (** Worker-pool size. *)
   queue : int;  (** Admitted requests beyond [jobs] before shedding. *)
   cache_capacity : int;  (** LRU entries; 0 disables the cache. *)
   admin : bool;  (** Honour [shutdown]/[sleep]/[reload] ops. *)
@@ -112,53 +112,21 @@ type routing = {
   r_split : float;
 }
 
-(* Per-connection bookkeeping on top of [Net.Conn]: [busy] marks a request
-   dispatched to the pool (the connection is paused until the completion
-   posts back); a draining server closes idle connections immediately and
-   busy ones when their completion lands. *)
-type cstate = { cs_conn : Net.Conn.t; mutable cs_busy : bool }
-
-(* Where pooled work runs.  A pool with worker domains is already
-   asynchronous; a jobs = 1 pool runs [Prelude.Pool.submit] inline in
-   the calling thread — which here would be the I/O loop, serialising
-   every connection behind the computation and defeating admission.  So
-   a domainless pool gets a single dispatch thread of its own: same
-   sequential semantics and submission order, off the loop thread. *)
-type dthread = {
-  d_q : (unit -> unit) Queue.t;
-  d_mutex : Mutex.t;
-  d_cond : Condition.t;
-  mutable d_closed : bool;
-  mutable d_thread : Thread.t option;
-}
-
-type dispatcher = Direct of Prelude.Pool.t | Threaded of dthread
-
 type t = {
   config : config;
   routing : routing Atomic.t;
   pool : Prelude.Pool.t;
-  owns_pool : bool;
-  dispatch : dispatcher;
-  listen_fd : Unix.file_descr;
-  resolved : Protocol.address;  (** With the kernel-assigned TCP port. *)
-  loop : Net.Loop.t;
-  conns : (int, cstate) Hashtbl.t;  (** Loop thread only. *)
-  mutable next_conn : int;
-  mutable listen_src : Net.Loop.source option;
-  mutable draining : bool;  (** Loop thread only. *)
-  stopping : bool Atomic.t;
-  loop_done : bool Atomic.t;
+  listener : Net.Conn.t Net.Listener.t;
+      (** A connection is busy exactly while it is paused: a request
+          went to the pool and its completion has not landed. *)
   inflight : int Atomic.t;  (** Admitted predict/sleep requests. *)
-  live_conns : int Atomic.t;
   requests : int Atomic.t;  (** Per-server, for the health endpoint. *)
   shed : int Atomic.t;
   errors : int Atomic.t;
   reloads : int Atomic.t;  (** Effective model swaps since start. *)
-  cache : (string, cached) Lru.t option;
+  cache : (string, cached) Prelude.Lru.t option;
   cache_mutex : Mutex.t;
   started : float;
-  mutable loop_thread : Thread.t option;
   mutable watch_thread : Thread.t option;
 }
 
@@ -196,7 +164,7 @@ let bump per_server process_wide =
   Atomic.incr per_server;
   Obs.Metrics.add process_wide 1
 
-let address t = t.resolved
+let address t = Net.Listener.address t.listener
 
 (* ---- cache ------------------------------------------------------------ *)
 
@@ -245,7 +213,7 @@ let cache_get t key =
   | None -> None
   | Some c ->
     Mutex.lock t.cache_mutex;
-    let r = Lru.get c key in
+    let r = Prelude.Lru.get c key in
     Mutex.unlock t.cache_mutex;
     (match r with
     | Some _ -> Obs.Metrics.add m_cache_hits 1
@@ -257,7 +225,7 @@ let cache_put t key v =
   | None -> ()
   | Some c ->
     Mutex.lock t.cache_mutex;
-    Lru.put c key v;
+    Prelude.Lru.put c key v;
     Mutex.unlock t.cache_mutex
 
 (* ---- routing ---------------------------------------------------------- *)
@@ -343,62 +311,6 @@ let set_queue_gauge t n =
 (** Lock-free admission: optimistically take a slot, hand it back when
     over capacity.  The transient overshoot is bounded by the number of
     racing threads and never admits work. *)
-(* Queued-task depth for the health document, whichever dispatcher is
-   in use. *)
-let queue_depth t =
-  match t.dispatch with
-  | Direct pool -> Prelude.Pool.pending pool
-  | Threaded d ->
-    Mutex.lock d.d_mutex;
-    let n = Queue.length d.d_q in
-    Mutex.unlock d.d_mutex;
-    n
-
-let dispatch_submit t task =
-  match t.dispatch with
-  | Direct pool -> Prelude.Pool.submit pool task
-  | Threaded d ->
-    Mutex.lock d.d_mutex;
-    if d.d_closed then begin
-      Mutex.unlock d.d_mutex;
-      raise Prelude.Pool.Closed
-    end;
-    Queue.push task d.d_q;
-    Condition.signal d.d_cond;
-    Mutex.unlock d.d_mutex
-
-(* Runs queued tasks in submission order; drains the queue before
-   exiting on close, so work accepted before shutdown always executes
-   (the same contract as [Prelude.Pool.shutdown]). *)
-let dispatch_loop d =
-  let rec next () =
-    Mutex.lock d.d_mutex;
-    while Queue.is_empty d.d_q && not d.d_closed do
-      Condition.wait d.d_cond d.d_mutex
-    done;
-    match Queue.take_opt d.d_q with
-    | Some task ->
-      Mutex.unlock d.d_mutex;
-      (try task () with _ -> ());
-      next ()
-    | None -> Mutex.unlock d.d_mutex
-  in
-  next ()
-
-let dispatch_close t =
-  match t.dispatch with
-  | Direct _ -> ()
-  | Threaded d ->
-    Mutex.lock d.d_mutex;
-    d.d_closed <- true;
-    Condition.broadcast d.d_cond;
-    Mutex.unlock d.d_mutex;
-    (match d.d_thread with
-    | Some th ->
-      Thread.join th;
-      d.d_thread <- None
-    | None -> ())
-
 let try_admit t =
   let n = Atomic.fetch_and_add t.inflight 1 in
   if n >= admit_capacity t then begin
@@ -444,10 +356,10 @@ let health_json t =
       J.Obj
         [
           ("enabled", J.Bool true);
-          ("size", J.Int (Lru.size c));
-          ("capacity", J.Int (Lru.capacity c));
-          ("hits", J.Int (Lru.hits c));
-          ("misses", J.Int (Lru.misses c));
+          ("size", J.Int (Prelude.Lru.size c));
+          ("capacity", J.Int (Prelude.Lru.capacity c));
+          ("hits", J.Int (Prelude.Lru.hits c));
+          ("misses", J.Int (Prelude.Lru.misses c));
         ]
   in
   J.Obj
@@ -458,11 +370,11 @@ let health_json t =
       ("shed", J.Int (Atomic.get t.shed));
       ("errors", J.Int (Atomic.get t.errors));
       ("inflight", J.Int (Atomic.get t.inflight));
-      ("connections", J.Int (Atomic.get t.live_conns));
-      ("queue_depth", J.Int (queue_depth t));
+      ("connections", J.Int (Net.Listener.live t.listener));
+      ("queue_depth", J.Int (Prelude.Pool.pending t.pool));
       ("jobs", J.Int t.config.jobs);
       ("queue_limit", J.Int t.config.queue);
-      ("stopping", J.Bool (Atomic.get t.stopping));
+      ("stopping", J.Bool (Net.Listener.stopping t.listener));
       ("reloads", J.Int (Atomic.get t.reloads));
       ("cache", cache_stats);
       ( "model",
@@ -755,9 +667,7 @@ let predict_batch_outcome t ~id ~t0 ~objective queries =
 (* [stop] must stay async-signal-safe: the CLI's SIGINT/SIGTERM handlers
    call it directly.  One atomic store plus one wakeup-pipe write; the
    loop's on_wake hook notices and begins the drain. *)
-let stop t =
-  Atomic.set t.stopping true;
-  Net.Loop.nudge t.loop
+let stop t = Net.Listener.stop t.listener
 
 let with_id id fields =
   match id with Some i -> ("id", i) :: fields | None -> fields
@@ -888,33 +798,29 @@ let finish _t conn ~t0 ~op ~remote response =
   Obs.Span.event ~parent:None ?remote_parent:remote "serve.request"
     [ ("op", J.Str op); ("dur_ms", J.Float (dur *. 1e3)) ]
 
-let drain_finished t =
-  t.draining && Atomic.get t.live_conns = 0
-
 (* One frame from a connection.  [Now] outcomes answer inline; [Pooled]
    outcomes pause the connection (one request in flight per connection,
-   responses in request order), ship the closure to a pool domain and
+   responses in request order), ship the closure to the pool and
    re-enter the loop with the completion. *)
-let on_frame t cs payload =
+let on_frame t conn payload =
   let line = String.trim payload in
   if line <> "" then begin
     let t0 = Unix.gettimeofday () in
     bump t.requests m_requests;
     let outcome, op, remote = classify t ~t0 line in
     match outcome with
-    | Now response -> finish t cs.cs_conn ~t0 ~op ~remote response
+    | Now response -> finish t conn ~t0 ~op ~remote response
     | Pooled job ->
-      Net.Conn.pause cs.cs_conn;
-      cs.cs_busy <- true;
+      Net.Conn.pause conn;
       let complete response =
-        Net.Loop.post t.loop (fun () ->
-            cs.cs_busy <- false;
-            finish t cs.cs_conn ~t0 ~op ~remote response;
-            if t.draining then Net.Conn.close_after_flush cs.cs_conn
-            else Net.Conn.resume cs.cs_conn)
+        Net.Loop.post (Net.Listener.loop t.listener) (fun () ->
+            finish t conn ~t0 ~op ~remote response;
+            if Net.Listener.draining t.listener then
+              Net.Conn.close_after_flush conn
+            else Net.Conn.resume conn)
       in
       (try
-         dispatch_submit t (fun () ->
+         Prelude.Pool.submit t.pool (fun () ->
              complete
                (try job ()
                 with e ->
@@ -922,92 +828,28 @@ let on_frame t cs payload =
                   Protocol.error_to_json ~code:500
                     ("internal error: " ^ Printexc.to_string e)))
        with Prelude.Pool.Closed ->
-         cs.cs_busy <- false;
-         finish t cs.cs_conn ~t0 ~op ~remote
+         finish t conn ~t0 ~op ~remote
            (Protocol.error_to_json ~code:503 "server shutting down");
-         Net.Conn.close_after_flush cs.cs_conn)
+         Net.Conn.close_after_flush conn)
   end
 
-let setup_conn t fd =
-  (* One request frame, one response frame: Nagle's algorithm only adds
-     delayed-ACK stalls (tens of ms per round trip) to this traffic
-     shape, so turn it off on TCP connections. *)
-  (match t.config.address with
-  | Protocol.Tcp _ -> (
-    try Unix.setsockopt fd Unix.TCP_NODELAY true
-    with Unix.Unix_error _ -> ())
-  | Protocol.Unix_path _ -> ());
-  let id = t.next_conn in
-  t.next_conn <- id + 1;
-  let cs_ref = ref None in
-  let conn =
-    Net.Conn.attach t.loop fd
-      ~on_frame:(fun _conn payload ->
-        match !cs_ref with Some cs -> on_frame t cs payload | None -> ())
-      ~on_error:(fun conn e ->
-        (* Framing violations — oversized frame, bad binary length,
-           mid-frame EOF — are protocol errors: the client gets a 400
-           (when it can still be written to) and the connection closes,
-           leaving the rest of the loop untouched. *)
-        bump t.errors m_errors;
-        Net.Conn.send conn
-          (J.to_string
-             (Protocol.error_to_json ~code:400 (Net.Codec.error_to_string e))))
-      ~on_closed:(fun _conn _reason ->
-        Hashtbl.remove t.conns id;
-        ignore (Atomic.fetch_and_add t.live_conns (-1));
-        if drain_finished t then Net.Loop.stop t.loop)
-      ()
-  in
-  let cs = { cs_conn = conn; cs_busy = false } in
-  cs_ref := Some cs;
-  Hashtbl.add t.conns id cs;
-  Obs.Metrics.add m_connections 1;
-  ignore (Atomic.fetch_and_add t.live_conns 1)
+(* Framing violations — oversized frame, bad binary length, mid-frame
+   EOF — are protocol errors: the client gets a 400 (when it can still
+   be written to) and the connection closes, leaving the rest of the
+   loop untouched. *)
+let on_error t conn e =
+  bump t.errors m_errors;
+  Net.Conn.send conn
+    (J.to_string
+       (Protocol.error_to_json ~code:400 (Net.Codec.error_to_string e)))
 
-(* Accept everything ready, retrying EINTR; if per-connection setup
-   raises (fd limits, a peer that vanished between accept and setsockopt)
-   the accepted fd is closed rather than leaked. *)
-let rec accept_burst t =
-  if not t.draining then
-    match Unix.accept t.listen_fd with
-    | fd, _ ->
-      (try setup_conn t fd
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         bump t.errors m_errors;
-         ignore e);
-      accept_burst t
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_burst t
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error _ ->
-      (* Transient accept failure (ECONNABORTED, fd pressure): drop it;
-         the loop re-polls. *)
-      ()
-
-(* Begin the graceful drain (loop thread, once): close the listener,
-   close idle connections (after their output flushes), let busy ones
-   finish — their completions close them.  The loop stops when the last
-   connection is gone, so drain latency is bounded by work. *)
-let begin_drain t =
-  if not t.draining then begin
-    t.draining <- true;
-    (match t.listen_src with
-    | Some s ->
-      Net.Loop.remove t.loop s;
-      t.listen_src <- None
-    | None -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (match t.config.address with
-    | Protocol.Unix_path p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-    | Protocol.Tcp _ -> ());
-    let idle =
-      Hashtbl.fold (fun _ cs acc -> if cs.cs_busy then acc else cs :: acc)
-        t.conns []
-    in
-    List.iter (fun cs -> Net.Conn.close_after_flush cs.cs_conn) idle;
-    if drain_finished t then Net.Loop.stop t.loop
-  end
+(* The server's part of a drain: idle connections close once their
+   output flushes; busy (paused) ones are closed by their completion. *)
+let on_drain t () =
+  List.iter
+    (fun conn ->
+      if not (Net.Conn.paused conn) then Net.Conn.close_after_flush conn)
+    (Net.Listener.connections t.listener)
 
 (* The registry-watch mode: poll the model source on its interval (in
    small ticks so [stop] is noticed promptly) and install whatever it
@@ -1016,14 +858,15 @@ let begin_drain t =
    stays a thread of its own: registry resolution is file-system bound
    and must not stall the loop. *)
 let watch_loop t resolve interval =
-  while not (Atomic.get t.stopping) do
+  let stopping () = Net.Listener.stopping t.listener in
+  while not (stopping ()) do
     let deadline = Unix.gettimeofday () +. interval in
     while
-      (not (Atomic.get t.stopping)) && Unix.gettimeofday () < deadline
+      (not (stopping ())) && Unix.gettimeofday () < deadline
     do
       Thread.delay (Float.min 0.1 interval)
     done;
-    if not (Atomic.get t.stopping) then begin
+    if not (stopping ()) then begin
       match resolve () with
       | Ok Unchanged -> ()
       | Ok (Swap { stable; candidate }) ->
@@ -1041,54 +884,11 @@ let watch_loop t resolve interval =
 
 (* ---- lifecycle -------------------------------------------------------- *)
 
-let start ?pool ?candidate ~artifact config =
-  (* A client closing mid-response must surface as EPIPE, not kill the
-     process. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+let start ?candidate ~artifact config =
   let config = { config with split = Float.min 1.0 (Float.max 0.0 config.split) } in
-  let listen_fd, resolved =
-    match config.address with
-    | Protocol.Unix_path path ->
-      if Sys.file_exists path then (try Unix.unlink path with _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 1024;
-      (fd, config.address)
-    | Protocol.Tcp (host, port) ->
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Protocol.sockaddr config.address);
-      Unix.listen fd 1024;
-      let port =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> port
-      in
-      (fd, Protocol.Tcp (host, port))
-  in
-  Unix.set_nonblock listen_fd;
-  let pool, owns_pool =
-    match pool with
-    | Some p -> (p, false)
-    | None -> (Prelude.Pool.create ~jobs:(max 1 config.jobs), true)
-  in
+  let listener = Net.Listener.listen config.address in
+  let pool = Prelude.Pool.create ~jobs:(max 1 config.jobs) in
   let config = { config with jobs = Prelude.Pool.size pool } in
-  let dispatch =
-    if Prelude.Pool.size pool > 1 then Direct pool
-    else begin
-      let d =
-        {
-          d_q = Queue.create ();
-          d_mutex = Mutex.create ();
-          d_cond = Condition.create ();
-          d_closed = false;
-          d_thread = None;
-        }
-      in
-      d.d_thread <- Some (Thread.create dispatch_loop d);
-      Threaded d
-    end
-  in
   let routing =
     {
       r_stable = make_arm "stable" artifact;
@@ -1096,75 +896,41 @@ let start ?pool ?candidate ~artifact config =
       r_split = config.split;
     }
   in
-  let loop = Net.Loop.create () in
   let t =
     {
       config;
       routing = Atomic.make routing;
       pool;
-      owns_pool;
-      dispatch;
-      listen_fd;
-      resolved;
-      loop;
-      conns = Hashtbl.create 64;
-      next_conn = 0;
-      listen_src = None;
-      draining = false;
-      stopping = Atomic.make false;
-      loop_done = Atomic.make false;
+      listener;
       inflight = Atomic.make 0;
-      live_conns = Atomic.make 0;
       requests = Atomic.make 0;
       shed = Atomic.make 0;
       errors = Atomic.make 0;
       reloads = Atomic.make 0;
       cache =
         (if config.cache_capacity > 0 then
-           Some (Lru.create ~capacity:config.cache_capacity)
+           Some (Prelude.Lru.create ~capacity:config.cache_capacity)
          else None);
       cache_mutex = Mutex.create ();
       started = Unix.gettimeofday ();
-      loop_thread = None;
       watch_thread = None;
     }
   in
-  t.listen_src <-
-    Some
-      (Net.Loop.add loop listen_fd ~read:true ~write:false
-         ~on_read:(fun () -> accept_burst t)
-         ~on_write:ignore ());
-  Net.Loop.set_on_wake loop (fun () ->
-      if Atomic.get t.stopping then begin_drain t);
-  t.loop_thread <-
-    Some
-      (Thread.create
-         (fun () ->
-           Net.Loop.run loop;
-           Atomic.set t.loop_done true)
-         ());
+  Net.Listener.start listener
+    ~attach:(fun conn ->
+      Obs.Metrics.add m_connections 1;
+      conn)
+    ~on_frame:(on_frame t) ~on_error:(on_error t)
+    ~on_closed:(fun _ _ -> ())
+    ~on_drain:(on_drain t) ();
   (match (config.source, config.watch) with
   | Some resolve, Some interval when interval > 0.0 ->
     t.watch_thread <- Some (Thread.create (watch_loop t resolve) interval)
   | _ -> ());
   t
 
-(** Poll-based so the calling (main) thread keeps hitting safe points —
-    OCaml signal handlers (the CLI's SIGINT/SIGTERM -> [stop]) only run
-    there; a thread parked in [Condition.wait] would never notice. *)
 let wait t =
-  while not (Atomic.get t.loop_done) do
-    Thread.delay 0.02
-  done;
-  (match t.loop_thread with
-  | Some th ->
-    Thread.join th;
-    t.loop_thread <- None
-  | None -> ());
-  (match t.watch_thread with
-  | Some th ->
-    Thread.join th;
-    t.watch_thread <- None
-  | None -> ());
-  dispatch_close t;
-  if t.owns_pool then Prelude.Pool.shutdown t.pool
+  Net.Listener.wait t.listener;
+  Option.iter Thread.join t.watch_thread;
+  t.watch_thread <- None;
+  Prelude.Pool.shutdown t.pool

@@ -21,10 +21,8 @@ type source =
           {!Artifact.read} or a registry resolve returned it. *)
 
 type config = {
-  address : Protocol.address;
-  jobs : int;
-      (** Worker-pool size; ignored when [start] is given a pool
-          (then the pool's size is used for admission too). *)
+  address : Net.Addr.t;
+  jobs : int;  (** Worker-pool size (at least 1). *)
   queue : int;
       (** Admitted-but-waiting requests tolerated beyond [jobs] before
           the server sheds load with a 429 error. *)
@@ -54,7 +52,7 @@ type config = {
           leaves the last good model serving. *)
 }
 
-val default_config : Protocol.address -> config
+val default_config : Net.Addr.t -> config
 (** jobs 2, queue 64, cache 512 entries, admin off, VP-tree engine,
     split 0, no source, no watch. *)
 
@@ -73,7 +71,6 @@ val ab_bucket : string -> int
 type t
 
 val start :
-  ?pool:Prelude.Pool.t ->
   ?candidate:string * Artifact.t ->
   artifact:string * Artifact.t ->
   config ->
@@ -83,10 +80,11 @@ val start :
     at [config.split] from the first request.  Each artifact comes
     with its version id ({!Artifact.read} returns both), which keys the
     cache and is reported as the arm's [version]; the server never
-    re-serialises a model to derive it.  Without [?pool] the
-    server creates (and on [wait] shuts down) its own pool of
-    [config.jobs] domains.  Raises [Unix.Unix_error] if the address
-    cannot be bound. *)
+    re-serialises a model to derive it.  The server creates (and on
+    [wait] shuts down) its own pool of [config.jobs] workers.  Raises
+    [Unix.Unix_error] if the address cannot be bound — including a
+    Unix socket path a live server answers on — with nothing left
+    open (see {!Net.Listener.listen}). *)
 
 val install :
   t ->
@@ -99,7 +97,7 @@ val install :
     Exposed for in-process tests; over the wire this is the [reload]
     op. *)
 
-val address : t -> Protocol.address
+val address : t -> Net.Addr.t
 (** The bound address — with the kernel-assigned port when the config
     asked for TCP port 0, which is how tests get an ephemeral port. *)
 
@@ -113,6 +111,6 @@ val stop : t -> unit
 
 val wait : t -> unit
 (** Block until the drain completes: loop and watch threads joined,
-    every connection closed, owned pool shut down.  Polls rather than
+    every connection closed, pool shut down.  Polls rather than
     parking on a condition so the main thread keeps reaching safe
     points where OCaml runs signal handlers. *)

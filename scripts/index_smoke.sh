@@ -11,6 +11,8 @@
 set -eu
 
 BIN=_build/default/bin/portopt.exe
+SMOKE=index-smoke
+. "$(dirname "$0")/smoke_lib.sh"
 DIR=results/index_smoke
 MODEL="$DIR/model.pcm"
 
@@ -21,22 +23,8 @@ echo "index-smoke: training tiny model..."
 REPRO_UARCHS=2 REPRO_OPTS=8 "$BIN" train -o "$MODEL" --log-level quiet
 
 for ENGINE in scan vptree; do
-  SOCK="$DIR/$ENGINE.sock"
-  "$BIN" serve --model "$MODEL" --socket "$SOCK" --jobs 2 --admin \
-    --index "$ENGINE" >"$DIR/serve_$ENGINE.log" 2>&1 &
-  SERVER=$!
-  trap 'kill "$SERVER" 2>/dev/null || true' EXIT
-
-  i=0
-  while [ ! -S "$SOCK" ] && [ $i -lt 100 ]; do
-    sleep 0.1
-    i=$((i + 1))
-  done
-  if [ ! -S "$SOCK" ]; then
-    echo "index-smoke: $ENGINE server never came up" >&2
-    cat "$DIR/serve_$ENGINE.log" >&2
-    exit 1
-  fi
+  start_server "$DIR/$ENGINE.sock" "$DIR/serve_$ENGINE.log" \
+    --model "$MODEL" --jobs 2 --admin --index "$ENGINE"
 
   echo "index-smoke: querying $ENGINE engine..."
   "$BIN" query --socket "$SOCK" --health \
@@ -46,9 +34,7 @@ for ENGINE in scan vptree; do
     "$BIN" query --socket "$SOCK" --batch qsort bitcnts susan_e
   } | grep -v "served in" >"$DIR/$ENGINE.out"
 
-  "$BIN" query --socket "$SOCK" --shutdown >/dev/null
-  wait "$SERVER"
-  trap - EXIT
+  stop_server
 done
 
 echo "index-smoke: comparing predictions..."

@@ -13,6 +13,8 @@
 set -eu
 
 BIN=_build/default/bin/portopt.exe
+SMOKE=net-smoke
+. "$(dirname "$0")/smoke_lib.sh"
 DIR=results/net_smoke
 SOCK="$DIR/portopt.sock"
 MODEL="$DIR/model.pcm"
@@ -23,21 +25,7 @@ mkdir -p "$DIR"
 echo "net-smoke: training tiny model..."
 REPRO_UARCHS=2 REPRO_OPTS=8 "$BIN" train -o "$MODEL" --log-level quiet
 
-"$BIN" serve --model "$MODEL" --socket "$SOCK" --jobs 2 --admin \
-  >"$DIR/serve.log" 2>&1 &
-SERVER=$!
-trap 'kill "$SERVER" 2>/dev/null || true' EXIT
-
-i=0
-while [ ! -S "$SOCK" ] && [ $i -lt 100 ]; do
-  sleep 0.1
-  i=$((i + 1))
-done
-if [ ! -S "$SOCK" ]; then
-  echo "net-smoke: server never came up" >&2
-  cat "$DIR/serve.log" >&2
-  exit 1
-fi
+start_server "$SOCK" "$DIR/serve.log" --model "$MODEL" --jobs 2 --admin
 
 echo "net-smoke: binary client..."
 "$BIN" query --socket "$SOCK" --wire binary qsort >"$DIR/bin.out" 2>&1
@@ -79,10 +67,7 @@ echo "net-smoke: drain under load..."
 D1=$!
 "$BIN" query --socket "$SOCK" --wire json qsort >"$DIR/d2.out" 2>&1 &
 D2=$!
-"$BIN" query --socket "$SOCK" --shutdown | grep -q '"stopping":true'
+stop_server
 wait "$D1" || true
 wait "$D2" || true
-wait "$SERVER"
-trap - EXIT
-grep -q "drained, bye" "$DIR/serve.log"
 echo "net-smoke: OK"

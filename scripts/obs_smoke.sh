@@ -18,6 +18,8 @@
 set -eu
 
 BIN=_build/default/bin/portopt.exe
+SMOKE=obs-smoke
+. "$(dirname "$0")/smoke_lib.sh"
 DIR=results/obs_smoke
 SOCK="$DIR/portopt.sock"
 MODEL="$DIR/model.pcm"
@@ -58,21 +60,8 @@ grep -q "cluster.lease @" "$DIR/stitch.out"
 ! grep -q "distinct trace ids" "$DIR/stitch.out"
 
 echo "obs-smoke: traced serve + query burst..."
-"$BIN" serve --model "$MODEL" --socket "$SOCK" --jobs 2 --admin \
-  --trace "$DIR/serve.jsonl" >"$DIR/serve.log" 2>&1 &
-SERVER=$!
-trap 'kill "$SERVER" 2>/dev/null || true' EXIT
-
-i=0
-while [ ! -S "$SOCK" ] && [ $i -lt 100 ]; do
-  sleep 0.1
-  i=$((i + 1))
-done
-if [ ! -S "$SOCK" ]; then
-  echo "obs-smoke: server never came up" >&2
-  cat "$DIR/serve.log" >&2
-  exit 1
-fi
+start_server "$SOCK" "$DIR/serve.log" --model "$MODEL" --jobs 2 --admin \
+  --trace "$DIR/serve.jsonl"
 
 env $SCALE "$BIN" query --socket "$SOCK" qsort \
   --trace "$DIR/query.jsonl" >"$DIR/q1.out" 2>&1
@@ -99,9 +88,7 @@ grep -q "(lifetime)" "$DIR/top.out"
 grep -q "(window)" "$DIR/top.out"
 
 echo "obs-smoke: drain and stitch client into the server trace..."
-"$BIN" query --socket "$SOCK" --shutdown >/dev/null
-wait "$SERVER"
-trap - EXIT
+stop_server
 
 "$BIN" report "$DIR/serve.jsonl" "$DIR/query.jsonl" >"$DIR/stitch2.out"
 grep -q "^orphan spans: 0$" "$DIR/stitch2.out"

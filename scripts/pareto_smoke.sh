@@ -17,6 +17,8 @@
 set -eu
 
 BIN=_build/default/bin/portopt.exe
+SMOKE=pareto-smoke
+. "$(dirname "$0")/smoke_lib.sh"
 BENCH=_build/default/bench/main.exe
 DIR=results/pareto_smoke
 SOCK="$DIR/portopt.sock"
@@ -60,21 +62,7 @@ fi
 grep -q '"objective.front"' "$DIR/crossval.jsonl"
 
 echo "pareto-smoke: serving the pareto model..."
-"$BIN" serve --model "$DIR/pareto.pcm" --socket "$SOCK" --jobs 2 --admin \
-  >"$DIR/serve.log" 2>&1 &
-SERVER=$!
-trap 'kill "$SERVER" 2>/dev/null || true' EXIT
-
-i=0
-while [ ! -S "$SOCK" ] && [ $i -lt 100 ]; do
-  sleep 0.1
-  i=$((i + 1))
-done
-if [ ! -S "$SOCK" ]; then
-  echo "pareto-smoke: server never came up" >&2
-  cat "$DIR/serve.log" >&2
-  exit 1
-fi
+start_server "$SOCK" "$DIR/serve.log" --model "$DIR/pareto.pcm" --jobs 2 --admin
 
 # Health echoes the training spec in the artifact meta.
 "$BIN" query --socket "$SOCK" --health | grep -q '"objective":"pareto"'
@@ -96,9 +84,7 @@ grep -q "objective mismatch" "$DIR/mismatch.out"
 # An unpinned query still answers (compatibility default).
 "$BIN" query --socket "$SOCK" qsort | grep -q "predicted passes"
 
-"$BIN" query --socket "$SOCK" --shutdown >/dev/null
-wait "$SERVER"
-trap - EXIT
+stop_server
 
 echo "pareto-smoke: bench pareto writes a schema-tagged summary..."
 env REPRO_UARCHS=2 REPRO_OPTS=16 "$BENCH" pareto --log-level quiet \

@@ -12,6 +12,8 @@
 set -eu
 
 BIN=_build/default/bin/portopt.exe
+SMOKE=registry-smoke
+. "$(dirname "$0")/smoke_lib.sh"
 DIR=results/registry_smoke
 REG="$DIR/registry"
 REG2="$DIR/registry_cold"
@@ -55,21 +57,8 @@ cmp "$REG/objects/$V2.pcm" "$REG2/objects/$V2COLD.pcm"
 "$BIN" registry resolve --dir "$REG" stable | grep -q "^$V1 "
 
 echo "registry-smoke: serving the registry with A/B and watch..."
-"$BIN" serve --registry "$REG" --ab candidate=0.5 --watch 0.2 --admin \
-  --socket "$SOCK" --jobs 2 >"$DIR/serve.log" 2>&1 &
-SERVER=$!
-trap 'kill "$SERVER" 2>/dev/null || true' EXIT
-
-i=0
-while [ ! -S "$SOCK" ] && [ $i -lt 100 ]; do
-  sleep 0.1
-  i=$((i + 1))
-done
-if [ ! -S "$SOCK" ]; then
-  echo "registry-smoke: server never came up" >&2
-  cat "$DIR/serve.log" >&2
-  exit 1
-fi
+start_server "$SOCK" "$DIR/serve.log" --registry "$REG" \
+  --ab candidate=0.5 --watch 0.2 --admin --jobs 2
 
 "$BIN" query --socket "$SOCK" --health >"$DIR/health1.out"
 grep -q "\"version\":\"$V1\"" "$DIR/health1.out"
@@ -120,8 +109,5 @@ fi
 "$BIN" registry resolve --dir "$REG2" "$V1" >/dev/null
 
 echo "registry-smoke: graceful shutdown..."
-"$BIN" query --socket "$SOCK" --shutdown | grep -q '"stopping":true'
-wait "$SERVER"
-trap - EXIT
-grep -q "drained, bye" "$DIR/serve.log"
+stop_server
 echo "registry-smoke: OK"

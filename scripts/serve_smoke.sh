@@ -8,6 +8,8 @@
 set -eu
 
 BIN=_build/default/bin/portopt.exe
+SMOKE=serve-smoke
+. "$(dirname "$0")/smoke_lib.sh"
 DIR=results/serve_smoke
 SOCK="$DIR/portopt.sock"
 MODEL="$DIR/model.pcm"
@@ -18,21 +20,7 @@ mkdir -p "$DIR"
 echo "serve-smoke: training tiny model..."
 REPRO_UARCHS=2 REPRO_OPTS=8 "$BIN" train -o "$MODEL" --log-level quiet
 
-"$BIN" serve --model "$MODEL" --socket "$SOCK" --jobs 2 --admin \
-  >"$DIR/serve.log" 2>&1 &
-SERVER=$!
-trap 'kill "$SERVER" 2>/dev/null || true' EXIT
-
-i=0
-while [ ! -S "$SOCK" ] && [ $i -lt 100 ]; do
-  sleep 0.1
-  i=$((i + 1))
-done
-if [ ! -S "$SOCK" ]; then
-  echo "serve-smoke: server never came up" >&2
-  cat "$DIR/serve.log" >&2
-  exit 1
-fi
+start_server "$SOCK" "$DIR/serve.log" --model "$MODEL" --jobs 2 --admin
 
 echo "serve-smoke: concurrent queries..."
 "$BIN" query --socket "$SOCK" qsort >"$DIR/q1.out" 2>&1 &
@@ -62,8 +50,5 @@ if [ -z "$HEADER_ID" ] ||
 fi
 
 echo "serve-smoke: graceful shutdown..."
-"$BIN" query --socket "$SOCK" --shutdown | grep -q '"stopping":true'
-wait "$SERVER"
-trap - EXIT
-grep -q "drained, bye" "$DIR/serve.log"
+stop_server
 echo "serve-smoke: OK"

@@ -444,6 +444,12 @@ let test_cluster_store_warm_rerun_ships_nothing () =
   check Alcotest.int "all 6 tasks answered from the store" 6
     (Obs.Metrics.value hits - before)
 
+(* A raw peer's newline-JSON frame. *)
+let send_json fd line =
+  match Net.Codec.write fd Net.Codec.Json line with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "write: %s" (Net.Codec.error_to_string e)
+
 let test_coordinator_tolerates_garbage_then_registers () =
   (* A raw connection sends a garbage line; the coordinator must not
      die, and a subsequent honest registration must still be welcomed. *)
@@ -453,17 +459,12 @@ let test_coordinator_tolerates_garbage_then_registers () =
     ~finally:(fun () -> Cluster.Coordinator.shutdown coord)
     (fun () ->
       let address = Cluster.Coordinator.address coord in
-      let fd =
-        Unix.socket (Unix.domain_of_sockaddr
-                       (Serve.Protocol.sockaddr address))
-          Unix.SOCK_STREAM 0
-      in
+      let fd = Net.Addr.connect address in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
-          Unix.connect fd (Serve.Protocol.sockaddr address);
-          Serve.Frame.write_line fd "this is not json {{{";
-          Serve.Frame.write_line fd
+          send_json fd "this is not json {{{";
+          send_json fd
             (J.to_string
                (Cluster.Wire.to_coordinator_to_json
                   (Cluster.Wire.Register
@@ -472,9 +473,8 @@ let test_coordinator_tolerates_garbage_then_registers () =
                        pid = Unix.getpid ();
                        fingerprint = Passes.Driver.fingerprint;
                      })));
-          let reader = Serve.Frame.reader fd in
-          match Serve.Frame.read reader with
-          | Ok line -> (
+          match Net.Codec.read (Net.Codec.reader fd) with
+          | Ok (_, line) -> (
             match
               Result.bind (J.of_string line) Cluster.Wire.to_worker_of_json
             with
@@ -482,7 +482,7 @@ let test_coordinator_tolerates_garbage_then_registers () =
             | Ok _ -> Alcotest.fail "expected welcome"
             | Error e -> Alcotest.failf "unparseable reply: %s" e)
           | Error e ->
-            Alcotest.failf "no reply: %s" (Serve.Frame.error_to_string e)))
+            Alcotest.failf "no reply: %s" (Net.Codec.error_to_string e)))
 
 let test_coordinator_rejects_fingerprint_mismatch () =
   let cfg = Cluster.Coordinator.config () in
@@ -491,16 +491,11 @@ let test_coordinator_rejects_fingerprint_mismatch () =
     ~finally:(fun () -> Cluster.Coordinator.shutdown coord)
     (fun () ->
       let address = Cluster.Coordinator.address coord in
-      let fd =
-        Unix.socket (Unix.domain_of_sockaddr
-                       (Serve.Protocol.sockaddr address))
-          Unix.SOCK_STREAM 0
-      in
+      let fd = Net.Addr.connect address in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
-          Unix.connect fd (Serve.Protocol.sockaddr address);
-          Serve.Frame.write_line fd
+          send_json fd
             (J.to_string
                (Cluster.Wire.to_coordinator_to_json
                   (Cluster.Wire.Register
@@ -509,9 +504,8 @@ let test_coordinator_rejects_fingerprint_mismatch () =
                        pid = Unix.getpid ();
                        fingerprint = "not-the-pipeline";
                      })));
-          let reader = Serve.Frame.reader fd in
-          match Serve.Frame.read reader with
-          | Ok line -> (
+          match Net.Codec.read (Net.Codec.reader fd) with
+          | Ok (_, line) -> (
             match
               Result.bind (J.of_string line) Cluster.Wire.to_worker_of_json
             with
@@ -519,7 +513,7 @@ let test_coordinator_rejects_fingerprint_mismatch () =
             | Ok _ -> Alcotest.fail "expected reject"
             | Error e -> Alcotest.failf "unparseable reply: %s" e)
           | Error e ->
-            Alcotest.failf "no reply: %s" (Serve.Frame.error_to_string e)))
+            Alcotest.failf "no reply: %s" (Net.Codec.error_to_string e)))
 
 (* ---- offload backend through Dataset/Crossval -------------------------- *)
 
@@ -596,29 +590,13 @@ let test_offload_crossval_identical () =
 
 (* ---- worker odds and ends ---------------------------------------------- *)
 
-let test_parse_connect () =
-  (match Cluster.Worker.parse_connect "127.0.0.1:8400" with
-  | Ok (Serve.Protocol.Tcp ("127.0.0.1", 8400)) -> ()
-  | Ok _ -> Alcotest.fail "wrong address"
-  | Error e -> Alcotest.failf "tcp parse failed: %s" e);
-  (match Cluster.Worker.parse_connect "/tmp/cluster.sock" with
-  | Ok (Serve.Protocol.Unix_path "/tmp/cluster.sock") -> ()
-  | Ok _ -> Alcotest.fail "wrong address"
-  | Error e -> Alcotest.failf "unix parse failed: %s" e);
-  List.iter
-    (fun s ->
-      match Cluster.Worker.parse_connect s with
-      | Ok _ -> Alcotest.failf "accepted %S" s
-      | Error _ -> ())
-    [ "nohost"; "host:notaport"; "" ]
-
 let test_worker_gives_up_when_no_coordinator () =
   (* Nothing listening: the reconnect budget must run out and report
      Lost (not hang, not raise). *)
   let wc =
     {
       (Cluster.Worker.config
-         ~connect:(Serve.Protocol.Unix_path (tmp_path "nobody_home.sock"))
+         ~connect:(Net.Addr.Unix_path (tmp_path "nobody_home.sock"))
          ~name:"orphan")
       with
       Cluster.Worker.reconnect =
@@ -688,7 +666,6 @@ let () =
         ] );
       ( "worker",
         [
-          Alcotest.test_case "parse connect" `Quick test_parse_connect;
           Alcotest.test_case "gives up without a coordinator" `Quick
             test_worker_gives_up_when_no_coordinator;
         ] );

@@ -1,8 +1,10 @@
 (** Tests for the shared non-blocking I/O core: Bytebuf FIFO mechanics,
     dual-format codec framing (round-trips, incremental decoding, hostile
-    length prefixes), the readiness loop (posted closures, timers, nudge)
-    and per-connection state machines (mode latching, typed faults,
-    slowloris fairness, output bounds). *)
+    length prefixes), the readiness loop (posted closures, timers, nudge),
+    per-connection state machines (mode latching, typed faults,
+    slowloris fairness, output bounds), addresses (parsing, resolution
+    errors) and the listener (bind failures, stale and live socket
+    files, the drain lifecycle). *)
 
 let check = Alcotest.check
 
@@ -10,6 +12,8 @@ module Bytebuf = Prelude.Bytebuf
 module Codec = Net.Codec
 module Loop = Net.Loop
 module Conn = Net.Conn
+module Addr = Net.Addr
+module Listener = Net.Listener
 
 (* ---- Bytebuf ----------------------------------------------------------- *)
 
@@ -459,6 +463,179 @@ let test_conn_close_after_flush () =
                          (Codec.error_to_string e));
           wait_for "local close" (fun () -> !reason = Some Conn.Local)))
 
+(* ---- Addr --------------------------------------------------------------- *)
+
+let addr_pp = function
+  | Ok a -> "ok " ^ Addr.to_string a
+  | Error e -> "error " ^ e
+
+let contains needle hay =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
+let test_addr_of_string () =
+  (match Addr.of_string "127.0.0.1:8400" with
+  | Ok (Addr.Tcp ("127.0.0.1", 8400)) -> ()
+  | other -> Alcotest.failf "tcp: %s" (addr_pp other));
+  (match Addr.of_string "/tmp/cluster.sock" with
+  | Ok (Addr.Unix_path "/tmp/cluster.sock") -> ()
+  | other -> Alcotest.failf "unix: %s" (addr_pp other));
+  List.iter
+    (fun s ->
+      match Addr.of_string s with
+      | Ok _ -> Alcotest.failf "accepted %S" s
+      | Error e ->
+        (* Each CLI caller names its own flag. *)
+        check Alcotest.bool ("no flag in: " ^ e) false (contains "--" e))
+    [ "nohost"; "host:notaport"; "host:0"; "host:65536"; "" ]
+
+let test_addr_round_trip () =
+  List.iter
+    (fun a ->
+      match Addr.of_string (Addr.to_string a) with
+      | Ok b when b = a -> ()
+      | other ->
+        Alcotest.failf "%s read back as %s" (Addr.to_string a) (addr_pp other))
+    [
+      Addr.Tcp ("127.0.0.1", 1);
+      Addr.Tcp ("localhost", 65535);
+      Addr.Tcp ("0.0.0.0", 7980);
+      Addr.Unix_path "/tmp/portopt.sock";
+      Addr.Unix_path "results/serve_smoke/portopt.sock";
+    ]
+
+let test_addr_unresolvable_host () =
+  (* Resolution failure is a Unix_error, like a refused connection —
+     never an escaping Not_found. *)
+  let a = Addr.Tcp ("no.such.host.invalid", 7979) in
+  let typed what f =
+    match f () with
+    | _ -> Alcotest.failf "%s resolved an .invalid host" what
+    | exception Unix.Unix_error _ -> ()
+  in
+  typed "sockaddr" (fun () -> ignore (Addr.sockaddr a));
+  typed "connect" (fun () -> Unix.close (Addr.connect a))
+
+(* ---- Listener ----------------------------------------------------------- *)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let sock_path () =
+  let p = Filename.temp_file "portopt_net" ".sock" in
+  Sys.remove p;
+  p
+
+(* A started listener whose connections echo every frame; its drain
+   closes whatever is still open. *)
+let echo_listener addr =
+  let l = Listener.listen addr in
+  Listener.start l ~attach:Fun.id
+    ~on_frame:(fun c payload -> Conn.send c payload)
+    ~on_closed:(fun _ _ -> ())
+    ~on_drain:(fun () -> List.iter Conn.close (Listener.connections l))
+    ();
+  l
+
+let with_listener addr f =
+  let l = echo_listener addr in
+  Fun.protect
+    ~finally:(fun () ->
+      Listener.stop l;
+      Listener.wait l)
+    (fun () -> f l)
+
+let echo_once addr payload =
+  let fd = Addr.connect addr in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      (match Codec.write fd Codec.Json payload with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "write: %s" (Codec.error_to_string e));
+      match Codec.read (Codec.reader fd) with
+      | Ok (_, p) -> p
+      | Error e -> Alcotest.failf "read: %s" (Codec.error_to_string e))
+
+let test_listener_taken_port_leaks_nothing () =
+  with_listener (Addr.Tcp ("127.0.0.1", 0)) (fun l ->
+      let before = open_fds () in
+      for _ = 1 to 5 do
+        match Listener.listen (Listener.address l) with
+        | _ -> Alcotest.fail "bound a port that is in use"
+        | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ()
+      done;
+      check Alcotest.int "open fds unchanged" before (open_fds ()))
+
+let test_listener_stale_and_live_sockets () =
+  let path = sock_path () in
+  let addr = Addr.Unix_path path in
+  (* What a killed server leaves behind: a socket file nobody answers. *)
+  let stale = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind stale (Unix.ADDR_UNIX path);
+  Unix.close stale;
+  check Alcotest.bool "stale file present" true (Sys.file_exists path);
+  with_listener addr (fun _ ->
+      check Alcotest.string "stale file replaced" "{\"a\":1}"
+        (echo_once addr "{\"a\":1}");
+      (match Listener.listen addr with
+      | _ -> Alcotest.fail "took over a live server's socket"
+      | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ());
+      check Alcotest.string "live server still answers" "{\"b\":2}"
+        (echo_once addr "{\"b\":2}"))
+
+(* Stop twice, then watch the drain: the socket closes at once, but the
+   loop runs on until the last connection goes, and only then does
+   [wait] return. *)
+let check_drain addr =
+  let l = Listener.listen addr in
+  let addr = Listener.address l in
+  let drains = Atomic.make 0 in
+  Listener.start l ~attach:Fun.id
+    ~on_frame:(fun c payload -> Conn.send c payload)
+    ~on_closed:(fun _ _ -> ())
+    ~on_drain:(fun () -> Atomic.incr drains)
+    ();
+  let client = Addr.connect addr in
+  (match Codec.write client Codec.Json "{}" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "write: %s" (Codec.error_to_string e));
+  ignore (Codec.read (Codec.reader client));
+  let waited = Atomic.make false in
+  let waiter =
+    Thread.create
+      (fun () ->
+        Listener.wait l;
+        Atomic.set waited true)
+      ()
+  in
+  Listener.stop l;
+  Listener.stop l;
+  wait_for "drain" (fun () -> Atomic.get drains > 0);
+  (match addr with
+  | Addr.Unix_path p ->
+    check Alcotest.bool "socket path unlinked" false (Sys.file_exists p)
+  | Addr.Tcp _ -> ());
+  (match Addr.connect addr with
+  | fd ->
+    Unix.close fd;
+    Alcotest.fail "still accepting after the drain"
+  | exception Unix.Unix_error _ -> ());
+  Thread.delay 0.1;
+  check Alcotest.bool "loop outlives the open connection" false
+    (Atomic.get waited);
+  Unix.close client;
+  wait_for "wait returns" (fun () -> Atomic.get waited);
+  Thread.join waiter;
+  Listener.wait l;
+  check Alcotest.int "one drain for two stops" 1 (Atomic.get drains)
+
+let test_listener_drain_lifecycle () =
+  check_drain (Addr.Unix_path (sock_path ()));
+  check_drain (Addr.Tcp ("127.0.0.1", 0))
+
 let () =
   Alcotest.run "net"
     [
@@ -504,4 +681,20 @@ let () =
           Alcotest.test_case "close after flush delivers farewell" `Quick
             test_conn_close_after_flush;
         ] );
+      ( "addr",
+        [
+          Alcotest.test_case "of_string" `Quick test_addr_of_string;
+          Alcotest.test_case "to_string round-trip" `Quick test_addr_round_trip;
+          Alcotest.test_case "unresolvable host is a Unix_error" `Quick
+            test_addr_unresolvable_host;
+        ] );
+      ( "listener",
+        [
+          Alcotest.test_case "taken port leaks no fd" `Quick
+            test_listener_taken_port_leaks_nothing;
+          Alcotest.test_case "stale socket replaced, live one refused" `Quick
+            test_listener_stale_and_live_sockets;
+          Alcotest.test_case "drain lifecycle" `Quick
+            test_listener_drain_lifecycle;
+] );
     ]

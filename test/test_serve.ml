@@ -1,94 +1,11 @@
-(* Tests for the serving subsystem: the LRU cache, the async pool path,
-   model artifacts (round-trip bit-identity, strict load validation,
-   load-vs-retrain speed), the wire protocol, and the server itself —
-   concurrent end-to-end queries, the prediction cache, load shedding
-   and graceful drain. *)
+(* Tests for the serving subsystem: model artifacts (round-trip
+   bit-identity, strict load validation, load-vs-retrain speed), the
+   wire protocol, and the server itself — concurrent end-to-end
+   queries, the prediction cache, load shedding and graceful drain. *)
 
 module J = Obs.Json
 
 let check = Alcotest.check
-
-(* ---- LRU --------------------------------------------------------------- *)
-
-let test_lru_capacity_and_eviction () =
-  let l = Serve.Lru.create ~capacity:3 in
-  Serve.Lru.put l "a" 1;
-  Serve.Lru.put l "b" 2;
-  Serve.Lru.put l "c" 3;
-  check Alcotest.int "size" 3 (Serve.Lru.size l);
-  Serve.Lru.put l "d" 4;
-  check Alcotest.int "still at capacity" 3 (Serve.Lru.size l);
-  check Alcotest.(option int) "oldest evicted" None (Serve.Lru.get l "a");
-  check Alcotest.(option int) "newest kept" (Some 4) (Serve.Lru.get l "d")
-
-let test_lru_get_promotes () =
-  let l = Serve.Lru.create ~capacity:2 in
-  Serve.Lru.put l "a" 1;
-  Serve.Lru.put l "b" 2;
-  (* Touch "a" so "b" becomes the eviction victim. *)
-  ignore (Serve.Lru.get l "a");
-  Serve.Lru.put l "c" 3;
-  check Alcotest.(option int) "promoted key kept" (Some 1) (Serve.Lru.get l "a");
-  check Alcotest.(option int) "lru evicted" None (Serve.Lru.get l "b");
-  check
-    Alcotest.(list string)
-    "most-recent first" [ "a"; "c" ]
-    (Serve.Lru.keys_by_recency l)
-
-let test_lru_overwrite () =
-  let l = Serve.Lru.create ~capacity:2 in
-  Serve.Lru.put l "a" 1;
-  Serve.Lru.put l "a" 9;
-  check Alcotest.int "no duplicate" 1 (Serve.Lru.size l);
-  check Alcotest.(option int) "newest value" (Some 9) (Serve.Lru.get l "a")
-
-let test_lru_counters () =
-  let l = Serve.Lru.create ~capacity:2 in
-  Serve.Lru.put l "a" 1;
-  ignore (Serve.Lru.get l "a");
-  ignore (Serve.Lru.get l "a");
-  ignore (Serve.Lru.get l "nope");
-  check Alcotest.int "hits" 2 (Serve.Lru.hits l);
-  check Alcotest.int "misses" 1 (Serve.Lru.misses l)
-
-let test_lru_bad_capacity () =
-  Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Lru.create: capacity must be >= 1") (fun () ->
-      ignore (Serve.Lru.create ~capacity:0))
-
-(* ---- Pool async path --------------------------------------------------- *)
-
-let await_atomic ?(timeout = 5.0) a expected =
-  let t0 = Unix.gettimeofday () in
-  while
-    Atomic.get a <> expected && Unix.gettimeofday () -. t0 < timeout
-  do
-    Thread.yield ()
-  done;
-  Atomic.get a
-
-let test_pool_submit_runs_tasks () =
-  let pool = Prelude.Pool.create ~jobs:3 in
-  Fun.protect
-    ~finally:(fun () -> Prelude.Pool.shutdown pool)
-    (fun () ->
-      let hits = Atomic.make 0 in
-      for _ = 1 to 20 do
-        Prelude.Pool.submit pool (fun () -> Atomic.incr hits)
-      done;
-      check Alcotest.int "all async tasks ran" 20 (await_atomic hits 20);
-      check Alcotest.int "queue drained" 0 (Prelude.Pool.pending pool))
-
-let test_pool_submit_inline_when_sequential () =
-  let pool = Prelude.Pool.create ~jobs:1 in
-  Fun.protect
-    ~finally:(fun () -> Prelude.Pool.shutdown pool)
-    (fun () ->
-      let hit = Atomic.make 0 in
-      Prelude.Pool.submit pool (fun () -> Atomic.incr hit);
-      (* jobs=1 has no worker domains: the task ran before submit
-         returned. *)
-      check Alcotest.int "ran inline" 1 (Atomic.get hit))
 
 (* ---- datasets and artifacts -------------------------------------------- *)
 
@@ -830,7 +747,7 @@ let with_server ?(jobs = 2) ?(queue = 8) ?(cache = 256) ?(admin = false)
   let socket = tmp_path (Printf.sprintf "srv_%d.sock" (Random.bits ())) in
   let config =
     {
-      Serve.Server.address = Serve.Protocol.Unix_path socket;
+      Serve.Server.address = Net.Addr.Unix_path socket;
       jobs;
       queue;
       cache_capacity = cache;
@@ -1049,6 +966,50 @@ let test_server_engines_agree () =
       check_same_prediction ~msg:(Printf.sprintf "query %d" i) scan.(i) p)
     vptree
 
+let test_server_bind_failure_leaks_nothing () =
+  (* A server that cannot bind raises and leaves no socket behind. *)
+  let artifact = with_id (artifact_of (Lazy.force dataset42)) in
+  let config =
+    {
+      (Serve.Server.default_config (Net.Addr.Tcp ("127.0.0.1", 0))) with
+      Serve.Server.jobs = 1;
+    }
+  in
+  let server = Serve.Server.start ~artifact config in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.stop server;
+      Serve.Server.wait server)
+    (fun () ->
+      let taken =
+        { config with Serve.Server.address = Serve.Server.address server }
+      in
+      let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+      let before = open_fds () in
+      for _ = 1 to 5 do
+        match Serve.Server.start ~artifact taken with
+        | s ->
+          Serve.Server.stop s;
+          Serve.Server.wait s;
+          Alcotest.fail "bound a port that is in use"
+        | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ()
+      done;
+      check Alcotest.int "open fds unchanged" before (open_fds ()))
+
+(* A raw peer: dial, run [f] on the socket, always close it. *)
+let with_raw_conn address f =
+  let fd = Net.Addr.connect address in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> f fd)
+
+(* One newline-JSON frame out (a failed write is left for the read to
+   report), one frame back. *)
+let raw_exchange address line =
+  with_raw_conn address (fun fd ->
+      ignore (Net.Codec.write fd Net.Codec.Json line);
+      Result.map snd (Net.Codec.read (Net.Codec.reader fd)))
+
 let test_server_rejects_non_finite_query () =
   let artifact = artifact_of (Lazy.force dataset42) in
   with_server artifact (fun _server address ->
@@ -1072,29 +1033,17 @@ let test_server_rejects_non_finite_query () =
         in
         replace ~from:"\"NONFINITE\"" ~into:"1e999" (J.to_string j)
       in
-      let fd =
-        Unix.socket
-          (Unix.domain_of_sockaddr (Serve.Protocol.sockaddr address))
-          Unix.SOCK_STREAM 0
-      in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          Unix.connect fd (Serve.Protocol.sockaddr address);
-          Serve.Frame.write_line fd line;
-          let reader = Serve.Frame.reader fd in
-          match Serve.Frame.read reader with
-          | Error e ->
-            Alcotest.failf "no reply: %s" (Serve.Frame.error_to_string e)
-          | Ok reply -> (
-            match J.of_string reply with
-            | Error e -> Alcotest.failf "unparseable reply: %s" e
-            | Ok j -> (
-              match Serve.Protocol.check_response j with
-              | Ok _ -> Alcotest.fail "non-finite query accepted"
-              | Error (code, msg) ->
-                check Alcotest.int "typed 400, not a 500" 400 code;
-                check_error_mentions ~msg:"names the cause" "non-finite" msg)));
+      (match raw_exchange address line with
+      | Error e -> Alcotest.failf "no reply: %s" (Net.Codec.error_to_string e)
+      | Ok reply -> (
+        match J.of_string reply with
+        | Error e -> Alcotest.failf "unparseable reply: %s" e
+        | Ok j -> (
+          match Serve.Protocol.check_response j with
+          | Ok _ -> Alcotest.fail "non-finite query accepted"
+          | Error (code, msg) ->
+            check Alcotest.int "typed 400, not a 500" 400 code;
+            check_error_mentions ~msg:"names the cause" "non-finite" msg)));
       (* The connection error did not hurt the server. *)
       let client = Serve.Client.connect address in
       Fun.protect
@@ -1108,7 +1057,7 @@ let test_server_tcp_ephemeral_port () =
   let artifact = artifact_of (Lazy.force dataset42) in
   let config =
     {
-      (Serve.Server.default_config (Serve.Protocol.Tcp ("127.0.0.1", 0))) with
+      (Serve.Server.default_config (Net.Addr.Tcp ("127.0.0.1", 0))) with
       Serve.Server.jobs = 1;
     }
   in
@@ -1120,7 +1069,7 @@ let test_server_tcp_ephemeral_port () =
     (fun () ->
       let address = Serve.Server.address server in
       (match address with
-      | Serve.Protocol.Tcp (_, port) ->
+      | Net.Addr.Tcp (_, port) ->
         check Alcotest.bool "kernel assigned a real port" true (port > 0)
       | _ -> Alcotest.fail "expected a TCP address");
       let client = Serve.Client.connect address in
@@ -1131,96 +1080,13 @@ let test_server_tcp_ephemeral_port () =
           | Ok _ -> ()
           | Error (_, e) -> Alcotest.failf "health over TCP failed: %s" e))
 
-(* ---- framing robustness ------------------------------------------------ *)
-
-let with_socketpair f =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close a with Unix.Unix_error _ -> ());
-      try Unix.close b with Unix.Unix_error _ -> ())
-    (fun () -> f a b)
-
-let frame_error = function
-  | Ok (s : string) -> Printf.sprintf "ok %S" s
-  | Error e -> Serve.Frame.error_to_string e
-
-let test_frame_oversized () =
-  with_socketpair (fun a b ->
-      let reader = Serve.Frame.reader ~max_frame:16 a in
-      (* More than max_frame bytes without a newline: the reader must
-         report Oversized instead of buffering forever. *)
-      let writer =
-        Thread.create (fun () -> Serve.Frame.write_line b (String.make 64 'x')) ()
-      in
-      (match Serve.Frame.read reader with
-      | Error (Serve.Frame.Oversized n) ->
-        check Alcotest.int "reports its bound" 16 n
-      | other -> Alcotest.failf "expected oversized, got %s" (frame_error other));
-      Thread.join writer)
-
-let test_frame_eof_mid_frame () =
-  with_socketpair (fun a b ->
-      let reader = Serve.Frame.reader a in
-      (* A partial line then close: distinct from a clean close. *)
-      let n = Unix.write_substring b "partial without newline" 0 23 in
-      check Alcotest.int "wrote the fragment" 23 n;
-      Unix.close b;
-      match Serve.Frame.read reader with
-      | Error Serve.Frame.Eof_mid_frame -> ()
-      | other ->
-        Alcotest.failf "expected eof-mid-frame, got %s" (frame_error other))
-
-let test_frame_clean_close () =
-  with_socketpair (fun a b ->
-      let reader = Serve.Frame.reader a in
-      Serve.Frame.write_line b "one complete line";
-      Unix.close b;
-      (match Serve.Frame.read reader with
-      | Ok line -> check Alcotest.string "line" "one complete line" line
-      | Error e -> Alcotest.failf "read failed: %s" (Serve.Frame.error_to_string e));
-      match Serve.Frame.read reader with
-      | Error Serve.Frame.Closed -> ()
-      | other -> Alcotest.failf "expected closed, got %s" (frame_error other))
-
-let test_frame_poll_times_out () =
-  with_socketpair (fun a b ->
-      let reader = Serve.Frame.reader a in
-      (match Serve.Frame.poll reader ~timeout:0.05 with
-      | Ok None -> ()
-      | other -> Alcotest.failf "expected no line yet, got %s"
-                   (match other with
-                   | Ok (Some s) -> Printf.sprintf "ok %S" s
-                   | Ok None -> "ok none"
-                   | Error e -> Serve.Frame.error_to_string e));
-      Serve.Frame.write_line b "late";
-      match Serve.Frame.poll reader ~timeout:1.0 with
-      | Ok (Some line) -> check Alcotest.string "line arrives" "late" line
-      | Ok None -> Alcotest.fail "line not seen"
-      | Error e -> Alcotest.failf "poll failed: %s" (Serve.Frame.error_to_string e))
-
 let test_server_survives_garbage_and_oversized () =
   (* A client that violates the protocol gets a clean error (or a
      dropped connection for an oversized line) and the server keeps
      serving everyone else. *)
   let artifact = artifact_of (Lazy.force dataset42) in
   with_server artifact (fun _server address ->
-      let raw line =
-        let fd =
-          Unix.socket
-            (Unix.domain_of_sockaddr (Serve.Protocol.sockaddr address))
-            Unix.SOCK_STREAM 0
-        in
-        Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () ->
-            Unix.connect fd (Serve.Protocol.sockaddr address);
-            (try Serve.Frame.write_line fd line
-             with Unix.Unix_error _ -> ());
-            let reader = Serve.Frame.reader fd in
-            Serve.Frame.read reader)
-      in
-      (match raw "this is not json" with
+      (match raw_exchange address "this is not json" with
       | Ok reply ->
         (match J.of_string reply with
         | Ok j -> (
@@ -1230,11 +1096,12 @@ let test_server_survives_garbage_and_oversized () =
           | None -> Alcotest.fail "error reply lacks code")
         | Error e -> Alcotest.failf "unparseable error reply: %s" e)
       | Error e ->
-        Alcotest.failf "no reply to garbage: %s"
-          (Serve.Frame.error_to_string e));
+        Alcotest.failf "no reply to garbage: %s" (Net.Codec.error_to_string e));
       (* An oversized line: the server must not die.  It may answer or
          just drop the connection; either way the next client works. *)
-      ignore (raw (String.make (Serve.Frame.default_max_frame + 64) 'j'));
+      ignore
+        (raw_exchange address
+           (String.make (Net.Codec.default_max_frame + 64) 'j'));
       let client = Serve.Client.connect address in
       Fun.protect
         ~finally:(fun () -> Serve.Client.close client)
@@ -1264,15 +1131,7 @@ let test_server_wire_interop () =
       in
       check Alcotest.bool "wire format does not change the answer" true
         (via Net.Codec.Json = via Net.Codec.Binary);
-      let fd =
-        Unix.socket
-          (Unix.domain_of_sockaddr (Serve.Protocol.sockaddr address))
-          Unix.SOCK_STREAM 0
-      in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          Unix.connect fd (Serve.Protocol.sockaddr address);
+      with_raw_conn address (fun fd ->
           (match
              Net.Codec.write fd Net.Codec.Json
                (J.to_string (J.Obj [ ("op", J.Str "health") ]))
@@ -1297,15 +1156,7 @@ let test_server_hostile_binary_header () =
   let artifact = artifact_of (Lazy.force dataset42) in
   with_server artifact (fun _server address ->
       let hostile bytes =
-        let fd =
-          Unix.socket
-            (Unix.domain_of_sockaddr (Serve.Protocol.sockaddr address))
-            Unix.SOCK_STREAM 0
-        in
-        Fun.protect
-          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () ->
-            Unix.connect fd (Serve.Protocol.sockaddr address);
+        with_raw_conn address (fun fd ->
             (try ignore (Unix.write_substring fd bytes 0 (String.length bytes))
              with Unix.Unix_error _ -> ());
             (* Half-close so a mid-frame stall is an EOF, not a client
@@ -1574,7 +1425,7 @@ let test_server_graceful_drain () =
   let socket = tmp_path "drain.sock" in
   let config =
     {
-      Serve.Server.address = Serve.Protocol.Unix_path socket;
+      Serve.Server.address = Net.Addr.Unix_path socket;
       jobs = 1;
       queue = 4;
       cache_capacity = 0;
@@ -1884,7 +1735,7 @@ let test_client_reconnects_idempotent_ops () =
   let socket = tmp_path "reconnect.sock" in
   let config =
     {
-      Serve.Server.address = Serve.Protocol.Unix_path socket;
+      Serve.Server.address = Net.Addr.Unix_path socket;
       jobs = 1;
       queue = 4;
       cache_capacity = 16;
@@ -1952,22 +1803,6 @@ let test_server_watch_swaps_in_background () =
 let () =
   Alcotest.run "serve"
     [
-      ( "lru",
-        [
-          Alcotest.test_case "capacity and eviction" `Quick
-            test_lru_capacity_and_eviction;
-          Alcotest.test_case "get promotes" `Quick test_lru_get_promotes;
-          Alcotest.test_case "overwrite" `Quick test_lru_overwrite;
-          Alcotest.test_case "hit/miss counters" `Quick test_lru_counters;
-          Alcotest.test_case "bad capacity" `Quick test_lru_bad_capacity;
-        ] );
-      ( "pool-async",
-        [
-          Alcotest.test_case "submit runs tasks" `Quick
-            test_pool_submit_runs_tasks;
-          Alcotest.test_case "inline when sequential" `Quick
-            test_pool_submit_inline_when_sequential;
-        ] );
       ( "artifact",
         [
           Alcotest.test_case "round-trip is bit-identical (seeds 42/43)"
@@ -2007,14 +1842,6 @@ let () =
           Alcotest.test_case "batch round-trip and limits" `Slow
             test_protocol_batch_roundtrip_and_limits;
         ] );
-      ( "frame",
-        [
-          Alcotest.test_case "oversized frame" `Quick test_frame_oversized;
-          Alcotest.test_case "eof mid-frame" `Quick test_frame_eof_mid_frame;
-          Alcotest.test_case "clean close" `Quick test_frame_clean_close;
-          Alcotest.test_case "poll times out" `Quick
-            test_frame_poll_times_out;
-        ] );
       ( "server",
         [
           Alcotest.test_case "concurrent queries, bit-identical" `Slow
@@ -2031,6 +1858,8 @@ let () =
             test_server_rejects_non_finite_query;
           Alcotest.test_case "tcp ephemeral port" `Slow
             test_server_tcp_ephemeral_port;
+          Alcotest.test_case "bind failure leaks no fd" `Slow
+            test_server_bind_failure_leaks_nothing;
           Alcotest.test_case "survives garbage and oversized frames" `Slow
             test_server_survives_garbage_and_oversized;
           Alcotest.test_case "json and binary wire interop" `Slow

@@ -696,5 +696,5 @@ let () =
             test_listener_stale_and_live_sockets;
           Alcotest.test_case "drain lifecycle" `Quick
             test_listener_drain_lifecycle;
-] );
+        ] );
     ]

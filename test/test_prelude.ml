@@ -1,6 +1,6 @@
-(* Tests for the prelude: RNG, the domain pool and its asynchronous
-   submit, the LRU map, Fenwick tree, reuse-distance analysis,
-   statistics, vectors, text rendering and the int buffer. *)
+(* Tests for the prelude: RNG, the domain pool, the LRU map, Fenwick
+   tree, reuse-distance analysis, statistics, vectors, text rendering
+   and the int buffer. *)
 
 open Prelude
 
@@ -205,72 +205,6 @@ let test_pool_shutdown_drains_queue () =
   Pool.shutdown pool;
   check Alcotest.int "every accepted task ran" 30 (Atomic.get hits);
   check Alcotest.int "nothing left queued" 0 (Pool.pending pool)
-
-(* ---- Pool: asynchronous submit -------------------------------------- *)
-
-(* Poll [pred] until it holds or [timeout] passes: a latch that cannot
-   hang the suite when the contract under test is broken. *)
-let await ?(timeout = 2.0) pred =
-  let deadline = Unix.gettimeofday () +. timeout in
-  while (not (pred ())) && Unix.gettimeofday () < deadline do
-    Thread.delay 0.001
-  done;
-  pred ()
-
-let test_pool_submit_runs_tasks () =
-  let pool = Pool.create ~jobs:3 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let hits = Atomic.make 0 in
-      for _ = 1 to 20 do
-        Pool.submit pool (fun () -> Atomic.incr hits)
-      done;
-      ignore (await ~timeout:5.0 (fun () -> Atomic.get hits = 20));
-      check Alcotest.int "all async tasks ran" 20 (Atomic.get hits);
-      check Alcotest.int "queue drained" 0 (Pool.pending pool))
-
-let test_pool_submit_async_when_sequential () =
-  let pool = Pool.create ~jobs:1 in
-  let ran = ref [] and m = Mutex.create () in
-  let record i = Mutex.protect m (fun () -> ran := i :: !ran) in
-  let ran_so_far () = Mutex.protect m (fun () -> List.rev !ran) in
-  (* A task that holds the pool's only runner until [gate] opens. *)
-  let blocker ?started gate i () =
-    Option.iter (fun s -> Atomic.set s true) started;
-    ignore (await (fun () -> Atomic.get gate));
-    record i
-  in
-  let gate = Atomic.make false and started = Atomic.make false in
-  Pool.submit pool (blocker ~started gate 0);
-  check Alcotest.(list int) "submit returned before the task ran" []
-    (ran_so_far ());
-  check Alcotest.bool "the task started off the caller's thread" true
-    (await (fun () -> Atomic.get started));
-  List.iter (fun i -> Pool.submit pool (fun () -> record i)) [ 1; 2; 3 ];
-  check Alcotest.int "pending counts the queued tasks" 3 (Pool.pending pool);
-  Atomic.set gate true;
-  ignore (await (fun () -> List.length (ran_so_far ()) = 4));
-  check Alcotest.(list int) "submission order" [ 0; 1; 2; 3 ] (ran_so_far ());
-  (* Hold the runner again, queue two more, and shut down while they
-     wait: shutdown must run them before it returns. *)
-  let gate = Atomic.make false in
-  Pool.submit pool (blocker gate 4);
-  List.iter (fun i -> Pool.submit pool (fun () -> record i)) [ 5; 6 ];
-  let opener =
-    Thread.create
-      (fun () ->
-        Thread.delay 0.05;
-        Atomic.set gate true)
-      ()
-  in
-  Pool.shutdown pool;
-  Thread.join opener;
-  check Alcotest.(list int) "shutdown ran the queued tasks"
-    [ 0; 1; 2; 3; 4; 5; 6 ] (ran_so_far ());
-  check Alcotest.int "nothing left queued" 0 (Pool.pending pool);
-  Alcotest.check_raises "submit after shutdown" Pool.Closed (fun () ->
-      Pool.submit pool ignore)
 
 (* ---- Lru ------------------------------------------------------------ *)
 
@@ -738,12 +672,6 @@ let () =
           quick "submit after shutdown raises Closed"
             test_pool_submit_after_shutdown_raises;
           quick "shutdown drains the queue" test_pool_shutdown_drains_queue;
-        ] );
-      ( "pool-async",
-        [
-          quick "submit runs tasks" test_pool_submit_runs_tasks;
-          quick "submit is asynchronous at jobs 1"
-            test_pool_submit_async_when_sequential;
         ] );
       ( "lru",
         [

@@ -1,11 +1,80 @@
-(* Tests for the serving subsystem: model artifacts (round-trip
-   bit-identity, strict load validation, load-vs-retrain speed), the
-   wire protocol, and the server itself — concurrent end-to-end
-   queries, the prediction cache, load shedding and graceful drain. *)
+(* Tests for the serving subsystem: the pool's asynchronous submit the
+   server dispatches through, model artifacts (round-trip bit-identity,
+   strict load validation, load-vs-retrain speed), the wire protocol,
+   and the server itself — concurrent end-to-end queries, the
+   prediction cache, load shedding and graceful drain. *)
 
 module J = Obs.Json
 
 let check = Alcotest.check
+
+(* ---- Pool: asynchronous submit -------------------------------------- *)
+
+module Pool = Prelude.Pool
+
+(* Poll [pred] until it holds or [timeout] passes: a latch that cannot
+   hang the suite when the contract under test is broken. *)
+let await ?(timeout = 2.0) pred =
+  let deadline = Unix.gettimeofday () +. timeout in
+  while (not (pred ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done;
+  pred ()
+
+let test_pool_submit_runs_tasks () =
+  let pool = Pool.create ~jobs:3 in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let hits = Atomic.make 0 in
+      for _ = 1 to 20 do
+        Pool.submit pool (fun () -> Atomic.incr hits)
+      done;
+      ignore (await ~timeout:5.0 (fun () -> Atomic.get hits = 20));
+      check Alcotest.int "all async tasks ran" 20 (Atomic.get hits);
+      check Alcotest.int "queue drained" 0 (Pool.pending pool))
+
+let test_pool_submit_async_when_sequential () =
+  let pool = Pool.create ~jobs:1 in
+  let ran = ref [] and m = Mutex.create () in
+  let record i = Mutex.protect m (fun () -> ran := i :: !ran) in
+  let ran_so_far () = Mutex.protect m (fun () -> List.rev !ran) in
+  (* A task that holds the pool's only runner until [gate] opens. *)
+  let blocker ?started gate i () =
+    Option.iter (fun s -> Atomic.set s true) started;
+    ignore (await (fun () -> Atomic.get gate));
+    record i
+  in
+  let gate = Atomic.make false and started = Atomic.make false in
+  Pool.submit pool (blocker ~started gate 0);
+  check Alcotest.(list int) "submit returned before the task ran" []
+    (ran_so_far ());
+  check Alcotest.bool "the task started off the caller's thread" true
+    (await (fun () -> Atomic.get started));
+  List.iter (fun i -> Pool.submit pool (fun () -> record i)) [ 1; 2; 3 ];
+  check Alcotest.int "pending counts the queued tasks" 3 (Pool.pending pool);
+  Atomic.set gate true;
+  ignore (await (fun () -> List.length (ran_so_far ()) = 4));
+  check Alcotest.(list int) "submission order" [ 0; 1; 2; 3 ] (ran_so_far ());
+  (* Hold the runner again, queue two more, and shut down while they
+     wait: shutdown must run them before it returns. *)
+  let gate = Atomic.make false in
+  Pool.submit pool (blocker gate 4);
+  List.iter (fun i -> Pool.submit pool (fun () -> record i)) [ 5; 6 ];
+  let opener =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.05;
+        Atomic.set gate true)
+      ()
+  in
+  Pool.shutdown pool;
+  Thread.join opener;
+  check Alcotest.(list int) "shutdown ran the queued tasks"
+    [ 0; 1; 2; 3; 4; 5; 6 ] (ran_so_far ());
+  check Alcotest.int "nothing left queued" 0 (Pool.pending pool);
+  Alcotest.check_raises "submit after shutdown" Pool.Closed (fun () ->
+      Pool.submit pool ignore)
 
 (* ---- datasets and artifacts -------------------------------------------- *)
 
@@ -1803,6 +1872,13 @@ let test_server_watch_swaps_in_background () =
 let () =
   Alcotest.run "serve"
     [
+      ( "pool-async",
+        [
+          Alcotest.test_case "submit runs tasks" `Quick
+            test_pool_submit_runs_tasks;
+          Alcotest.test_case "submit is asynchronous at jobs 1" `Quick
+            test_pool_submit_async_when_sequential;
+        ] );
       ( "artifact",
         [
           Alcotest.test_case "round-trip is bit-identical (seeds 42/43)"
@@ -1858,8 +1934,6 @@ let () =
             test_server_rejects_non_finite_query;
           Alcotest.test_case "tcp ephemeral port" `Slow
             test_server_tcp_ephemeral_port;
-          Alcotest.test_case "bind failure leaks no fd" `Slow
-            test_server_bind_failure_leaks_nothing;
           Alcotest.test_case "survives garbage and oversized frames" `Slow
             test_server_survives_garbage_and_oversized;
           Alcotest.test_case "json and binary wire interop" `Slow
@@ -1876,6 +1950,8 @@ let () =
             test_top_render_synthetic;
           Alcotest.test_case "graceful drain" `Slow
             test_server_graceful_drain;
+          Alcotest.test_case "bind failure leaks no fd" `Slow
+            test_server_bind_failure_leaks_nothing;
         ] );
       ( "swap",
         [

@@ -250,10 +250,13 @@ let flags_cmd =
 
 let exec_cmd =
   let run () file u =
-    let ic = open_in file in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
+    let text =
+      match Prelude.Envelope.read_file file with
+      | Ok text -> text
+      | Error e ->
+        Printf.eprintf "portopt: %s\n" e;
+        exit 1
+    in
     match Ir.Parse.program text with
     | exception Ir.Parse.Error (line, msg) ->
       Printf.eprintf "%s:%d: %s\n" file line msg;

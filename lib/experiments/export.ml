@@ -10,18 +10,6 @@ let write_file dir name contents =
     (fun () -> output_string oc contents);
   path
 
-(* [Sys.mkdir] only creates one level; build intermediate directories
-   so callers can export straight into e.g. results/2026-08/base. *)
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    (* A concurrent creator is fine — only a still-missing dir is an
-       error. *)
-    try Sys.mkdir dir 0o755
-    with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 let csv_of_rows header rows =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (String.concat "," header);
@@ -113,7 +101,7 @@ let fig7 ctx =
 
 (** Write all exports; returns the paths. *)
 let all ctx ~dir =
-  mkdir_p dir;
+  Prelude.Envelope.mkdir_p dir;
   [
     write_file dir "fig4.csv" (fig4 ctx);
     write_file dir "fig5.csv" (fig5 ctx);

@@ -234,10 +234,6 @@ let price_pairs ~pool ~objective ~space ~good_fraction ~specs ~uarchs
         (price_pair ~objective ~space ~good_fraction ~sizes ~uarchs
            ~settings ~o3_runs ~runs ~parent))
 
-let space_name = function
-  | Features.Base -> "base"
-  | Features.Extended -> "extended"
-
 type backend =
   | In_process
   | Offload of
@@ -258,7 +254,7 @@ let generate ?store ?pool ?(backend = In_process)
         ("uarchs", Obs.Json.Int scale.n_uarchs);
         ("opts", Obs.Json.Int scale.n_opts);
         ("seed", Obs.Json.Int scale.seed);
-        ("space", Obs.Json.Str (space_name scale.space));
+        ("space", Obs.Json.Str (Features.space_to_string scale.space));
         ("objective", Obs.Json.Str (Objective.Spec.to_string objective));
         ("jobs", Obs.Json.Int (Pool.size pool));
         ( "backend",

@@ -11,6 +11,13 @@ open Prelude
 
 type space = Base | Extended
 
+let space_to_string = function Base -> "base" | Extended -> "extended"
+
+let space_of_string = function
+  | "base" -> Ok Base
+  | "extended" -> Ok Extended
+  | s -> Error (Printf.sprintf "unknown feature space %S" s)
+
 let descriptor_dim = function Base -> 8 | Extended -> 10
 
 let dim space = Sim.Counters.dim + descriptor_dim space

@@ -9,6 +9,13 @@
 
 type space = Base | Extended
 
+val space_to_string : space -> string
+(** ["base"] or ["extended"]: the name artifacts, lineage records, trace
+    attributes and the server's health reply carry. *)
+
+val space_of_string : string -> (space, string) result
+(** The inverse of {!space_to_string}; [Error] names any other string. *)
+
 val descriptor_dim : space -> int
 val dim : space -> int
 

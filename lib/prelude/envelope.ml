@@ -1,0 +1,100 @@
+(** Checksummed two-line files and atomic file IO — see envelope.mli. *)
+
+module J = Obs.Json
+
+type format = {
+  magic : string;
+  oldest : int;
+  current : int;
+  noun : string;
+  kind : string;
+}
+
+type contents = { version : int; digest : string; payload : string }
+
+let ( let* ) = Result.bind
+
+let header fmt payload =
+  J.to_string
+    (J.Obj
+       [
+         ("magic", J.Str fmt.magic);
+         ("version", J.Int fmt.current);
+         ("checksum", J.Str (Fnv.tagged_string payload));
+         ("bytes", J.Int (String.length payload));
+       ])
+
+let read_file path =
+  try
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
+  with
+  | Sys_error e -> Error e
+  | End_of_file -> Error (path ^ ": file shrank while being read")
+
+let header_fields line =
+  let* j = J.of_string line in
+  let* magic = J.field "magic" J.to_str j in
+  let* version = J.field "version" J.to_int j in
+  let* checksum = J.field "checksum" J.to_str j in
+  let* bytes = J.field "bytes" J.to_int j in
+  Ok (magic, version, checksum, bytes)
+
+let read fmt ~path =
+  let* text = read_file path in
+  let err m = Printf.ksprintf (fun m -> Error (path ^ ": " ^ m)) m in
+  match String.index_opt text '\n' with
+  | None -> err "truncated record (no header line)"
+  | Some nl -> (
+    let line_end =
+      Option.value ~default:(String.length text)
+        (String.index_from_opt text (nl + 1) '\n')
+    in
+    match header_fields (String.sub text 0 nl) with
+    | Error e -> err "malformed header: %s" e
+    | Ok (m, _, _, _) when m <> fmt.magic ->
+      err "not a portopt %s (magic %S)" fmt.noun m
+    | Ok (_, v, _, _) when v < fmt.oldest || v > fmt.current ->
+      err "unsupported %s version %d (this build reads versions %d-%d)"
+        fmt.kind v fmt.oldest fmt.current
+    | Ok (_, _, _, bytes) when bytes < 0 ->
+      err "malformed header: negative payload length %d" bytes
+    | Ok (_, _, _, bytes) when line_end - (nl + 1) < bytes ->
+      err "truncated record (header promises %d payload bytes, found %d)"
+        bytes (line_end - (nl + 1))
+    | Ok (_, version, sum, bytes) ->
+      let payload = String.sub text (nl + 1) bytes in
+      let digest = Fnv.digest_string payload in
+      if "fnv1a64:" ^ digest <> sum then
+        err "checksum mismatch (record corrupt?): header %s, payload fnv1a64:%s"
+          sum digest
+      else Ok { version; digest; payload })
+
+(* Unique per process (pid) and per write within it (seq). *)
+let tmp_seq = Atomic.make 0
+
+let write_atomic path chunks =
+  let tmp =
+    Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
+      (Atomic.fetch_and_add tmp_seq 1)
+  in
+  let oc = open_out_bin tmp in
+  try
+    List.iter (output_string oc) chunks;
+    close_out oc;
+    Sys.rename tmp path
+  with e ->
+    close_out_noerr oc;
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
+let write ~path (header, payload) =
+  write_atomic path [ header; "\n"; payload; "\n" ]
+
+let rec mkdir_p path =
+  if not (Sys.file_exists path) then begin
+    mkdir_p (Filename.dirname path);
+    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end

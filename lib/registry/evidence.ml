@@ -114,22 +114,10 @@ let render records =
 let digest records = Prelude.Fnv.digest_string (render records)
 
 let write ~path records =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (render records));
-  Sys.rename tmp path
+  Prelude.Envelope.write_atomic path [ render records ]
 
 let read ~path =
-  let* text =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-    with Sys_error e -> Error e
-  in
+  let* text = Prelude.Envelope.read_file path in
   let lines = String.split_on_char '\n' text in
   let rec parse lineno acc = function
     | [] -> Ok (List.rev acc)

@@ -38,7 +38,9 @@ val of_json : Obs.Json.t -> (record, string) result
     rejects non-finite features and empty good sets. *)
 
 val write : path:string -> record list -> unit
-(** Serialise as JSONL, atomically (write to [path ^ ".tmp"], rename). *)
+(** Serialise as JSONL, atomically: a unique temp name beside [path],
+    then a rename ({!Prelude.Envelope.write_atomic}), so concurrent
+    writers of one ledger never collide. *)
 
 val read : path:string -> (record list, string) result
 (** Strict parse; errors carry the path and 1-based line number. *)

@@ -9,16 +9,6 @@ type t = { root : string }
 
 let default_dir = ".portopt-registry"
 
-let mkdir_p path =
-  let rec go path =
-    if not (Sys.file_exists path) then begin
-      go (Filename.dirname path);
-      try Unix.mkdir path 0o755
-      with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  go path
-
 let objects_dir t = Filename.concat t.root "objects"
 let lineage_dir t = Filename.concat t.root "lineage"
 let evidence_dir t = Filename.concat t.root "evidence"
@@ -31,10 +21,8 @@ let channel_path t name = Filename.concat (channels_dir t) name
 
 let open_ ~dir =
   let t = { root = dir } in
-  mkdir_p (objects_dir t);
-  mkdir_p (lineage_dir t);
-  mkdir_p (evidence_dir t);
-  mkdir_p (channels_dir t);
+  List.iter Prelude.Envelope.mkdir_p
+    [ objects_dir t; lineage_dir t; evidence_dir t; channels_dir t ];
   t
 
 let dir t = t.root
@@ -44,32 +32,6 @@ let dir t = t.root
 let m_publishes = Obs.Metrics.counter "registry.publishes"
 let m_resolves = Obs.Metrics.counter "registry.resolves"
 let m_gc_deleted = Obs.Metrics.counter "registry.gc.deleted"
-
-(* ---- small file helpers ----------------------------------------------- *)
-
-(* Unique temp names + atomic rename, as in {!Store}: concurrent
-   publishers of the same content race benignly — both write identical
-   bytes, whichever rename lands last wins. *)
-let tmp_seq = Atomic.make 0
-
-let write_atomic path text =
-  let tmp =
-    Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
-      (Atomic.fetch_and_add tmp_seq 1)
-  in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc text);
-  Sys.rename tmp path
-
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error e -> Error e
 
 (* ---- identifiers and channels ----------------------------------------- *)
 
@@ -103,7 +65,7 @@ let ids t =
 let channel t name =
   if not (valid_channel_name name) then None
   else
-    match read_file (channel_path t name) with
+    match Prelude.Envelope.read_file (channel_path t name) with
     | Error _ -> None
     | Ok text ->
       let id = String.trim text in
@@ -133,7 +95,7 @@ let set_channel t ~name ~id =
     (* One line, atomically renamed into place: a reader (the server's
        registry watch, a concurrent resolve) sees either the old or the
        new pointer, never a torn one. *)
-    write_atomic (channel_path t name) (id ^ "\n");
+    Prelude.Envelope.write_atomic (channel_path t name) [ id; "\n" ];
     Ok ()
   end
 
@@ -252,7 +214,9 @@ let lineage_of_json j =
 let lineage t id =
   let path = lineage_path t id in
   let* text =
-    Result.map_error (fun e -> path ^ ": " ^ e) (read_file path)
+    Result.map_error
+      (fun e -> path ^ ": " ^ e)
+      (Prelude.Envelope.read_file path)
   in
   let* j =
     Result.map_error (fun e -> path ^ ": not valid JSON: " ^ e)
@@ -303,10 +267,6 @@ let resolve t name =
   end
 
 (* ---- publish ---------------------------------------------------------- *)
-
-let space_to_string = function
-  | Ml_model.Features.Base -> "base"
-  | Ml_model.Features.Extended -> "extended"
 
 let publish ?k ?beta ?parent ?channel
     ?(objective = Objective.Spec.default) ~created t delta =
@@ -360,7 +320,7 @@ let publish ?k ?beta ?parent ?channel
         l_created = created;
         l_k = Ml_model.Model.k model;
         l_beta = Ml_model.Model.beta model;
-        l_space = space_to_string space;
+        l_space = Ml_model.Features.space_to_string space;
         l_pairs = Refit.pairs state;
         l_records = Refit.records state;
         l_evidence_digest = Evidence.digest union;
@@ -372,15 +332,20 @@ let publish ?k ?beta ?parent ?channel
     (* Content-addressed dedup: republishing identical content is a
        no-op for the object and ledger; the first lineage record wins
        (two derivations of the same bytes are equally true — the stored
-       one simply documents the first).  Channel pointers always move. *)
+       one simply documents the first).  Channel pointers always move.
+       Every file is written to a unique temp name and renamed
+       ({!Prelude.Envelope.write_atomic}), so concurrent publishers of
+       the same content race benignly: both write identical bytes and
+       whichever rename lands last wins. *)
     if not (Sys.file_exists (object_path t id)) then
-      write_atomic (object_path t id) (header ^ "\n" ^ payload ^ "\n");
+      Prelude.Envelope.write ~path:(object_path t id) (header, payload);
     if not (Sys.file_exists (evidence_path t id)) then
       Evidence.write ~path:(evidence_path t id) union;
     let* l =
       if Sys.file_exists (lineage_path t id) then lineage t id
       else begin
-        write_atomic (lineage_path t id) (J.to_string (lineage_to_json l));
+        Prelude.Envelope.write_atomic (lineage_path t id)
+          [ J.to_string (lineage_to_json l) ];
         Ok l
       end
     in

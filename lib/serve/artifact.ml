@@ -3,7 +3,8 @@
     Freezes a trained {!Ml_model.Model} — per-pair multinomial
     distributions (equations 2–5), normalised feature rows, the feature
     scaler, the K/beta hyperparameters and (since version 2) the
-    VP-tree metric index — into a two-line file:
+    VP-tree metric index — into a two-line {!Prelude.Envelope} file,
+    the format store records use too:
 
     {v
     {"magic":"portopt-model","version":2,"checksum":"fnv1a64:...","bytes":N}
@@ -35,15 +36,14 @@ type t = {
           echoed by the server's health endpoint, never interpreted. *)
 }
 
-let magic = "portopt-model"
-let version = 2
-
-(* ---- checksum --------------------------------------------------------- *)
-
-(** FNV-1a, 64-bit — the shared {!Prelude.Fnv} digest: tiny,
-    dependency-free, and plenty to detect the bit-rot and truncation an
-    artifact file can suffer (not a cryptographic signature). *)
-let fnv1a64 = Prelude.Fnv.tagged_string
+let format =
+  {
+    Prelude.Envelope.magic = "portopt-model";
+    oldest = 1;
+    current = 2;
+    noun = "model artifact";
+    kind = "artifact";
+  }
 
 (* ---- provenance ------------------------------------------------------- *)
 
@@ -77,15 +77,6 @@ let objective t =
   | _ -> Objective.Spec.default
 
 (* ---- encoding --------------------------------------------------------- *)
-
-let space_to_string = function
-  | Ml_model.Features.Base -> "base"
-  | Ml_model.Features.Extended -> "extended"
-
-let space_of_string = function
-  | "base" -> Ok Ml_model.Features.Base
-  | "extended" -> Ok Ml_model.Features.Extended
-  | s -> Error (Printf.sprintf "unknown feature space %S" s)
 
 (* The payload is printed straight into one buffer by the same printer
    as [J.to_string], in the order the tree rendering always had, so the
@@ -131,7 +122,7 @@ let payload t =
   lit ",\"beta\":";
   J.add_float buf r.Ml_model.Model.r_beta;
   lit ",\"space\":";
-  J.add_string buf (space_to_string t.space);
+  J.add_string buf (Ml_model.Features.space_to_string t.space);
   lit ",\"mask\":";
   (match r.Ml_model.Model.r_mask with
   | None -> lit "null"
@@ -163,17 +154,7 @@ let payload t =
     the version id) and write the object file itself. *)
 let encode t =
   let payload = payload t in
-  let header =
-    J.to_string
-      (J.Obj
-         [
-           ("magic", J.Str magic);
-           ("version", J.Int version);
-           ("checksum", J.Str (fnv1a64 payload));
-           ("bytes", J.Int (String.length payload));
-         ])
-  in
-  (header, payload)
+  (Prelude.Envelope.header format payload, payload)
 
 (** Content identity: the payload digest as 16 hex characters.  Two
     artifacts have equal [version_id] iff their payload lines are
@@ -181,20 +162,9 @@ let encode t =
     assertions both rest on this. *)
 let version_id t = Prelude.Fnv.digest_string (payload t)
 
-let save ~path t =
-  let header, payload = encode t in
-  (* Write-then-rename so a crash mid-save never leaves a half-written
-     artifact under the final name. *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc header;
-      output_char oc '\n';
-      output_string oc payload;
-      output_char oc '\n');
-  Sys.rename tmp path
+(* Write-then-rename ({!Prelude.Envelope.write}), so a crash mid-save
+   never leaves a half-written artifact under the final name. *)
+let save ~path t = Prelude.Envelope.write ~path (encode t)
 
 (* ---- decoding --------------------------------------------------------- *)
 
@@ -289,7 +259,7 @@ let payload_of c =
   let r_k = get "k" k in
   let r_beta = get "beta" beta in
   let space =
-    match space_of_string (get "space" space) with
+    match Ml_model.Features.space_of_string (get "space" space) with
     | Ok s -> s
     | Error e -> raise (Bad e)
   in
@@ -323,68 +293,15 @@ let parse_payload text =
       (fun model -> { model; space; meta })
       (Ml_model.Model.import repr)
 
-(* The header line: (magic, version, checksum, bytes). *)
-let header_of c =
-  let magic = ref None and version = ref None in
-  let checksum = ref None and bytes = ref None in
-  let member = function
-    | "magic" -> once magic (field "magic" J.string) c
-    | "version" -> once version (field "version" J.int) c
-    | "checksum" -> once checksum (field "checksum" J.string) c
-    | "bytes" -> once bytes (field "bytes" J.int) c
-    | _ -> skip c
-  in
-  if not (J.members c member) then skip c;
-  let magic = get "magic" magic in
-  let version = get "version" version in
-  let checksum = get "checksum" checksum in
-  (magic, version, checksum, get "bytes" bytes)
-
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-  with Sys_error e -> Error e
-
 let read ~path =
-  let err fmt = Printf.ksprintf (fun m -> Error (path ^ ": " ^ m)) fmt in
-  match read_file path with
+  match Prelude.Envelope.read format ~path with
   | Error e -> Error e
-  | Ok text -> (
-    match String.index_opt text '\n' with
-    | None -> err "truncated file (no header line)"
-    | Some nl -> (
-      let line_end =
-        Option.value ~default:(String.length text)
-          (String.index_from_opt text (nl + 1) '\n')
-      in
-      match J.parse (String.sub text 0 nl) header_of with
-      | exception Bad e -> err "malformed header: %s" e
-      | Error e -> err "malformed header: %s" e
-      | Ok (m, _, _, _) when m <> magic ->
-        err "not a portopt model artifact (magic %S)" m
-      | Ok (_, v, _, _) when v < 1 || v > version ->
-        err "unsupported artifact version %d (this build reads versions 1-%d)"
-          v version
-      | Ok (_, _, _, bytes) when bytes < 0 ->
-        err "malformed header: negative payload length %d" bytes
-      | Ok (_, _, _, bytes) when line_end - (nl + 1) < bytes ->
-        err "truncated file (header promises %d payload bytes, found %d)"
-          bytes (line_end - (nl + 1))
-      | Ok (_, v, sum, bytes) -> (
-        let payload = String.sub text (nl + 1) bytes in
-        let digest = Prelude.Fnv.digest_string payload in
-        if "fnv1a64:" ^ digest <> sum then
-          err "checksum mismatch (file corrupt?): header %s, payload fnv1a64:%s"
-            sum digest
-        else
-          match parse_payload payload with
-          | Error e -> err "%s" e
-          (* A version-1 payload differs from what this build writes
-             (it has no index), so its id is the re-encoding's digest —
-             the id the file has always been served under. *)
-          | Ok t -> Ok ((if v = 1 then version_id t else digest), t))))
+  | Ok { Prelude.Envelope.version; digest; payload } -> (
+    match parse_payload payload with
+    | Error e -> Error (path ^ ": " ^ e)
+    (* A version-1 payload differs from what this build writes (it has
+       no index), so its id is the re-encoding's digest — the id the
+       file has always been served under. *)
+    | Ok t -> Ok ((if version = 1 then version_id t else digest), t))
 
 let load ~path = Result.map snd (read ~path)

@@ -3,14 +3,15 @@
     A `.pcm` (portable compiler model) file freezes one trained
     {!Ml_model.Model} — per-pair multinomial distributions, normalised
     feature rows, the feature scaler, K/beta and (since version 2) the
-    VP-tree metric index — as two JSON lines: a header carrying magic,
-    schema version, FNV-1a 64 checksum and payload byte length, then
-    the payload itself.  Floats round-trip bit-exactly, so a loaded
-    model predicts bit-identically to the one that was saved; loading
-    is pure deserialisation and runs orders of magnitude faster than
-    retraining.  Version-1 files (no frozen index) still load — the
-    index build is deterministic, so it is simply rebuilt from the
-    feature rows. *)
+    VP-tree metric index — as a {!Prelude.Envelope} file, the format
+    store records use too: a header line carrying magic
+    (["portopt-model"]), schema version, FNV-1a 64 checksum and payload
+    byte length, then the JSON payload line.  Floats round-trip
+    bit-exactly, so a loaded model predicts bit-identically to the one
+    that was saved; loading is pure deserialisation and runs orders of
+    magnitude faster than retraining.  [save] writes version 2;
+    version-1 files (no frozen index) still load — the index build is
+    deterministic, so it is simply rebuilt from the feature rows. *)
 
 type t = {
   model : Ml_model.Model.t;
@@ -21,16 +22,6 @@ type t = {
       (** Provenance (seed, scale, git, creation time); echoed by the
           server's health endpoint, never interpreted. *)
 }
-
-val magic : string
-
-val version : int
-(** The version [save] writes (2).  [load] accepts versions 1 to
-    [version]. *)
-
-val fnv1a64 : string -> string
-(** ["fnv1a64:<16 hex digits>"] ({!Prelude.Fnv.tagged_string}) —
-    exposed for tests. *)
 
 val provenance :
   ?store_dir:string ->
@@ -64,7 +55,9 @@ val version_id : t -> string
     comes from {!read} instead. *)
 
 val save : path:string -> t -> unit
-(** Serialise atomically (write to [path ^ ".tmp"], then rename). *)
+(** Serialise atomically: write to a unique temp name beside [path],
+    then rename ({!Prelude.Envelope.write}), so concurrent saves of one
+    path never collide. *)
 
 val read : path:string -> (string * t, string) result
 (** Strict load, returning the artifact's version id with it: rejects

@@ -391,9 +391,8 @@ let health_json t =
             );
             ( "space",
               J.Str
-                (match stable.arm_artifact.Artifact.space with
-                | Ml_model.Features.Base -> "base"
-                | Ml_model.Features.Extended -> "extended") );
+                (Ml_model.Features.space_to_string
+                   stable.arm_artifact.Artifact.space) );
             ( "index",
               J.Str (Ml_model.Predict.engine_to_string t.config.engine) );
             ( "provenance",

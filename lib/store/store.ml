@@ -3,14 +3,19 @@
 
 module J = Obs.Json
 
-let magic = "portopt-store"
-
 (* v2 added the static post-pipeline instruction count ("size") to the
    run payload so multi-objective training reads warm with zero
    recompiles; v1 records (no size) still load, the size recomputed by
    the consumer on that miss. *)
-let version = 2
-let min_version = 1
+let format =
+  {
+    Prelude.Envelope.magic = "portopt-store";
+    oldest = 1;
+    current = 2;
+    noun = "store record";
+    kind = "store";
+  }
+
 let default_dir = ".portopt-store"
 
 (* ---- digests and keys ------------------------------------------------- *)
@@ -49,16 +54,6 @@ type stats = { entries : int; bytes : int }
 let dir t = t.root
 let objects_dir root = Filename.concat root "objects"
 let record_suffix = ".rec"
-
-let mkdir_p path =
-  let rec go path =
-    if not (Sys.file_exists path) then begin
-      go (Filename.dirname path);
-      try Unix.mkdir path 0o755
-      with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  go path
 
 (* Records live two levels deep, fanned out on the first two key
    characters so no single directory grows unboundedly. *)
@@ -100,7 +95,7 @@ let publish (t : t) =
   Obs.Metrics.set g_bytes (float_of_int t.bytes)
 
 let open_ ~dir =
-  mkdir_p (objects_dir dir);
+  Prelude.Envelope.mkdir_p (objects_dir dir);
   let records, _ = scan dir in
   let t =
     {
@@ -127,83 +122,18 @@ let stats t =
 
 let ( let* ) = Result.bind
 
-let encode_record ~key run =
-  let payload =
-    J.to_string (J.Obj [ ("key", J.Str key); ("run", Sim.Xtrem.export run) ])
-  in
-  let header =
-    J.to_string
-      (J.Obj
-         [
-           ("magic", J.Str magic);
-           ("version", J.Int version);
-           ("checksum", J.Str (Prelude.Fnv.tagged_string payload));
-           ("bytes", J.Int (String.length payload));
-         ])
-  in
-  header ^ "\n" ^ payload ^ "\n"
-
 let load_record ~path =
-  let* text =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-    with Sys_error e -> Error e
-  in
-  let err fmt = Printf.ksprintf (fun m -> Error (path ^ ": " ^ m)) fmt in
-  match String.index_opt text '\n' with
-  | None -> err "truncated record (no header line)"
-  | Some nl -> (
-    let header_line = String.sub text 0 nl in
-    let rest = String.sub text (nl + 1) (String.length text - nl - 1) in
-    let payload =
-      match String.index_opt rest '\n' with
-      | Some nl2 -> String.sub rest 0 nl2
-      | None -> rest
-    in
-    match J.of_string header_line with
-    | Error e -> err "malformed header: %s" e
-    | Ok header -> (
-      match
-        let* m = J.field "magic" J.to_str header in
-        let* v = J.field "version" J.to_int header in
-        let* sum = J.field "checksum" J.to_str header in
-        let* bytes = J.field "bytes" J.to_int header in
-        Ok (m, v, sum, bytes)
-      with
-      | Error e -> err "malformed header: %s" e
-      | Ok (m, _, _, _) when m <> magic ->
-        err "not a portopt store record (magic %S)" m
-      | Ok (_, v, _, _) when v < min_version || v > version ->
-        err "unsupported store version %d (this build reads versions %d-%d)"
-          v min_version version
-      | Ok (_, _, _, bytes) when String.length payload < bytes ->
-        err "truncated record (header promises %d payload bytes, found %d)"
-          bytes (String.length payload)
-      | Ok (_, _, sum, bytes) -> (
-        let payload = String.sub payload 0 bytes in
-        let actual = Prelude.Fnv.tagged_string payload in
-        if actual <> sum then
-          err "checksum mismatch (record corrupt?): header %s, payload %s"
-            sum actual
-        else
-          match J.of_string payload with
-          | Error e -> err "malformed payload: %s" e
-          | Ok j -> (
-            match
-              let* key = J.field "key" J.to_str j in
-              let* run_j = J.field "run" Option.some j in
-              let* run =
-                Result.map_error
-                  (fun e -> "malformed run: " ^ e)
-                  (Sim.Xtrem.import run_j)
-              in
-              Ok (key, run)
-            with
-            | Error e -> err "%s" e
-            | Ok kv -> Ok kv))))
+  let* { Prelude.Envelope.payload; _ } = Prelude.Envelope.read format ~path in
+  Result.map_error (fun e -> path ^ ": " ^ e)
+    (let* j =
+       Result.map_error (( ^ ) "malformed payload: ") (J.of_string payload)
+     in
+     let* key = J.field "key" J.to_str j in
+     let* run_j = J.field "run" Option.some j in
+     let* run =
+       Result.map_error (( ^ ) "malformed run: ") (Sim.Xtrem.import run_j)
+     in
+     Ok (key, run))
 
 (* Touch a record's mtime so GC's oldest-first eviction approximates
    LRU.  Best-effort: a raced eviction just means the next lookup
@@ -237,11 +167,6 @@ let find_run t ~key =
         [ ("key", J.Str key); ("error", J.Str e) ];
       None
 
-(* Unique temp names keep concurrent writers (threads, domains or whole
-   processes) from colliding before their atomic renames; whichever
-   rename lands last wins, and both wrote identical content. *)
-let tmp_seq = Atomic.make 0
-
 let put_run t ~key run =
   let path = object_path t.root key in
   Mutex.lock t.mutex;
@@ -250,23 +175,20 @@ let put_run t ~key run =
     (fun () ->
       if Sys.file_exists path then touch path
       else begin
-        mkdir_p (Filename.dirname path);
-        let text = encode_record ~key run in
-        let tmp =
-          Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ())
-            (Atomic.fetch_and_add tmp_seq 1)
+        Prelude.Envelope.mkdir_p (Filename.dirname path);
+        let payload =
+          J.to_string
+            (J.Obj [ ("key", J.Str key); ("run", Sim.Xtrem.export run) ])
         in
-        let oc = open_out_bin tmp in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc text);
-        Sys.rename tmp path;
+        let header = Prelude.Envelope.header format payload in
+        Prelude.Envelope.write ~path (header, payload);
+        let bytes = String.length header + String.length payload + 2 in
         t.entries <- t.entries + 1;
-        t.bytes <- t.bytes + String.length text;
+        t.bytes <- t.bytes + bytes;
         publish t;
         Obs.Metrics.add m_writes 1;
         Obs.Span.event ~level:Obs.Trace.Debug "store.write"
-          [ ("key", J.Str key); ("bytes", J.Int (String.length text)) ]
+          [ ("key", J.Str key); ("bytes", J.Int bytes) ]
       end)
 
 (* ---- maintenance ------------------------------------------------------ *)

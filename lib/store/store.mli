@@ -15,14 +15,17 @@
     semantically different setting, or rebuilding with a different
     pipeline therefore misses instead of serving a stale profile.
 
-    {b Records} follow the [lib/serve] artifact conventions: a two-line
-    file — a JSON header carrying magic, version, FNV-1a 64 checksum
-    and payload byte length, then one JSON payload line
-    ({!Sim.Xtrem.export}) — written to a temporary name and atomically
-    renamed, so a crash mid-write never leaves a half-written record
-    under a live name.  Loads are strict, with distinct error cases for
-    truncation, corruption, wrong magic, future versions and key
-    mismatches; readers treat any unreadable record as a miss.
+    {b Records} are {!Prelude.Envelope} files, the format model
+    artifacts use too: a JSON header line carrying magic
+    (["portopt-store"]), version (this build writes 2 and reads 1 and
+    2), FNV-1a 64 checksum and payload byte length, then one JSON
+    payload line holding the key and the run ({!Sim.Xtrem.export}).  They are
+    written to a unique temporary name and atomically renamed, so a
+    crash mid-write never leaves a half-written record under a live
+    name.  Loads are strict, with distinct error cases for truncation,
+    corruption, wrong magic, unsupported versions, a negative length
+    and key mismatches; readers treat any unreadable record as a
+    miss.
 
     {b GC} is LRU-style: every hit touches the record's mtime, and
     {!gc} deletes oldest-first until the store fits the byte bound.  It
@@ -32,9 +35,6 @@
     Telemetry: [store.{hits,misses,writes,evictions,errors}] counters
     and [store.{bytes,entries}] gauges in {!Obs.Metrics}, plus
     [store.*] trace events at debug level. *)
-
-val magic : string
-val version : int
 
 (** {1 Digests and keys} *)
 
@@ -71,8 +71,10 @@ val dir : t -> string
 val find_run : t -> key:string -> Sim.Xtrem.run option
 (** Read the record back, touch its mtime (LRU) and count a hit.  A
     missing, unreadable or mismatched record counts a miss (unreadable
-    additionally [store.errors]) and returns [None] — the caller
-    recomputes and overwrites. *)
+    and mismatched ones also [store.errors]) and returns [None]; the
+    caller recomputes.  {!put_run} leaves an existing file in place, so
+    an unreadable record stays, and keeps missing, until {!gc} evicts
+    it or it is removed. *)
 
 val put_run : t -> key:string -> Sim.Xtrem.run -> unit
 (** Serialise and atomically install the record.  Re-putting an

@@ -2,9 +2,10 @@
 # Evaluation-store smoke test against the real binary: a cold `train
 # --store` populates the store, a warm rerun must reproduce the .pcm
 # artifact byte for byte, and the store subcommands (stats, verify, gc)
-# must maintain it without corrupting readable records.  Also regression
-# checks for graceful one-line CLI errors on missing or truncated input
-# files.
+# must maintain it without corrupting readable records.  A record whose
+# header claims a negative payload length must be flagged by verify and
+# read as a miss by train.  Also regression checks for graceful one-line
+# CLI errors on missing or truncated input files.
 #
 # Invokes the built binary directly rather than via `dune exec`:
 # concurrent `dune exec` processes would contend on the build lock.
@@ -35,6 +36,27 @@ echo "store-smoke: stats + verify..."
 echo "store-smoke: gc respects the bound and keeps records readable..."
 "$BIN" store gc --store "$STORE" --max-mb 0.1
 "$BIN" store verify --store "$STORE" | grep -q "errors   0"
+
+echo "store-smoke: a record with a negative length is flagged and misses..."
+REC=$(find "$STORE/objects" -name '*.rec' | sort | head -n 1)
+[ -n "$REC" ]
+sed '1s/"bytes":[0-9]*/"bytes":-1/' "$REC" >"$DIR/corrupt.rec"
+mv "$DIR/corrupt.rec" "$REC"
+rc=0
+"$BIN" store verify --store "$STORE" >"$DIR/verify_corrupt.out" 2>&1 || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "store-smoke: verify of a corrupt record exited $rc, expected 1" >&2
+  cat "$DIR/verify_corrupt.out" >&2
+  exit 1
+fi
+grep -q "negative payload length" "$DIR/verify_corrupt.out"
+if grep -q "internal error" "$DIR/verify_corrupt.out"; then
+  echo "store-smoke: verify crashed on a corrupt record" >&2
+  exit 1
+fi
+env REPRO_UARCHS=2 REPRO_OPTS=8 SOURCE_DATE_EPOCH=0 \
+  "$BIN" train --store "$STORE" -o "$DIR/after_corrupt.pcm" --log-level quiet
+cmp "$DIR/cold.pcm" "$DIR/after_corrupt.pcm"
 
 echo "store-smoke: graceful errors..."
 # Missing store directory: one-line diagnostic, nonzero exit.

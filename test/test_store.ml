@@ -75,15 +75,11 @@ let record_paths dir =
 (* ---- digests ---------------------------------------------------------- *)
 
 let test_fnv_vectors () =
-  (* Published FNV-1a 64 test vectors, plus agreement with the artifact
-     checksummer the record format mirrors. *)
+  (* Published FNV-1a 64 test vectors. *)
   check Alcotest.string "empty" "cbf29ce484222325" (Prelude.Fnv.digest_string "");
   check Alcotest.string "a" "af63dc4c8601ec8c" (Prelude.Fnv.digest_string "a");
   check Alcotest.string "foobar" "85944171f73967e8"
     (Prelude.Fnv.digest_string "foobar");
-  check Alcotest.string "artifact checksummer agrees"
-    (Serve.Artifact.fnv1a64 "portable optimisation")
-    (Prelude.Fnv.tagged_string "portable optimisation");
   (* Streaming = one-shot. *)
   let d = Prelude.Fnv.create () in
   Prelude.Fnv.add_string d "foo";
@@ -312,6 +308,28 @@ let test_corrupt_key_mismatch () =
         check Alcotest.bool "reason is key mismatch" true
           (contains reason "key mismatch")
       | _ -> Alcotest.fail "unexpected verify report")
+
+(* A header whose length is negative must read as an error, not crash
+   the reader: [find_run] misses and counts [store.errors], [verify]
+   flags the record. *)
+let test_corrupt_negative_length () =
+  with_record "negative" (fun st key path ->
+      let text = read_file path in
+      let nl = String.index text '\n' in
+      let bytes = String.length text - nl - 2 in
+      write_file path
+        (replace text
+           ~sub:(Printf.sprintf "\"bytes\":%d}" bytes)
+           ~by:"\"bytes\":-1}");
+      let errors = Obs.Metrics.counter "store.errors" in
+      let before = Obs.Metrics.value errors in
+      expect_load_error st key path "negative payload length";
+      check Alcotest.int "find_run counts one store.errors" (before + 1)
+        (Obs.Metrics.value errors);
+      check
+        Alcotest.(list string)
+        "verify flags exactly this record" [ path ]
+        (List.map fst (Store.verify st).Store.errors))
 
 (* ---- concurrent writers ----------------------------------------------- *)
 
@@ -578,6 +596,202 @@ let test_warm_dataset_zero_interps () =
   check Alcotest.bool "saved artifacts byte-identical" true
     (save "cold" d1 = save "warm" d2)
 
+(* ---- the shared envelope ---------------------------------------------- *)
+
+(* Each case carries every later fault too, so the error names the first
+   check in [Prelude.Envelope.read]'s order. *)
+let test_envelope_check_order () =
+  let fmt =
+    {
+      Prelude.Envelope.magic = "test-format";
+      oldest = 1;
+      current = 2;
+      noun = "test file";
+      kind = "test";
+    }
+  in
+  let dir = tmp_dir "envelope_order" in
+  Prelude.Envelope.mkdir_p dir;
+  let path = Filename.concat dir "f" in
+  let payload = "{\"x\":1}" in
+  let header ?(magic = "test-format") ?(version = 2) ?(checksum = "fnv1a64:0")
+      bytes =
+    Obs.Json.to_string
+      (Obs.Json.Obj
+         [
+           ("magic", Obs.Json.Str magic);
+           ("version", Obs.Json.Int version);
+           ("checksum", Obs.Json.Str checksum);
+           ("bytes", Obs.Json.Int bytes);
+         ])
+  in
+  let expect text sub =
+    write_file path text;
+    match Prelude.Envelope.read fmt ~path with
+    | Ok _ -> Alcotest.failf "read %S, expected an error with %S" text sub
+    | Error e ->
+      if not (String.starts_with ~prefix:(path ^ ": ") e && contains e sub)
+      then Alcotest.failf "error %S is not %S prefixed by the path" e sub
+  in
+  expect "" "truncated record (no header line)";
+  expect "{\"magic\":" "truncated record (no header line)";
+  expect ("{\"magic\":\"other\"}\n" ^ payload) "malformed header";
+  expect
+    (header ~magic:"other" ~version:9 (-1) ^ "\n")
+    "not a portopt test file (magic \"other\")";
+  expect
+    (header ~version:9 (-1) ^ "\n")
+    "unsupported test version 9 (this build reads versions 1-2)";
+  expect (header ~version:0 (-1) ^ "\n") "unsupported test version 0";
+  expect (header (-1) ^ "\n" ^ payload) "negative payload length -1";
+  expect
+    (header 8 ^ "\n" ^ payload ^ "\n")
+    "truncated record (header promises 8 payload bytes, found 7)";
+  expect
+    (header 7 ^ "\n" ^ payload ^ "\n")
+    "checksum mismatch (record corrupt?): header fnv1a64:0, payload \
+     fnv1a64:";
+  (* The two lines the writer installs read back; bytes after the
+     payload are ignored. *)
+  let good = Prelude.Envelope.header fmt payload in
+  Prelude.Envelope.write ~path (good, payload);
+  check Alcotest.string "written as two lines" (good ^ "\n" ^ payload ^ "\n")
+    (read_file path);
+  write_file path (good ^ "\n" ^ payload ^ "trailing\nmore");
+  (match Prelude.Envelope.read fmt ~path with
+  | Ok c ->
+    check Alcotest.int "version" 2 c.Prelude.Envelope.version;
+    check Alcotest.string "payload" payload c.Prelude.Envelope.payload;
+    check Alcotest.string "digest"
+      (Prelude.Fnv.digest_string payload)
+      c.Prelude.Envelope.digest
+  | Error e -> Alcotest.fail e);
+  (* A missing file is an error too, naming the path. *)
+  Sys.remove path;
+  match Prelude.Envelope.read fmt ~path with
+  | Ok _ -> Alcotest.fail "read a missing file"
+  | Error e ->
+    check Alcotest.bool "missing file names the path" true (contains e path)
+
+let dataset_2x8 =
+  lazy
+    (Ml_model.Dataset.generate
+       { tiny_scale with Ml_model.Dataset.n_opts = 8 })
+
+let artifact_of d =
+  {
+    Serve.Artifact.model = Ml_model.Model.train d;
+    space = tiny_scale.Ml_model.Dataset.space;
+    meta = [ ("suite", Obs.Json.Str "store-test") ];
+  }
+
+(* Two domains write one path 300 times each.  No write may raise, the
+   file left behind must be one whole write (equal to [write] of a fresh
+   path), and no temp file may be left over. *)
+let race_writes name write =
+  let dir = tmp_dir name in
+  Prelude.Envelope.mkdir_p dir;
+  let path = Filename.concat dir "target" in
+  let reference = Filename.concat dir "reference" in
+  write reference;
+  let writer () =
+    let failed = ref 0 and first = ref "" in
+    for _ = 1 to 300 do
+      try write path
+      with e ->
+        if !failed = 0 then first := Printexc.to_string e;
+        incr failed
+    done;
+    (!failed, !first)
+  in
+  let other = Domain.spawn writer in
+  let mine = writer () in
+  List.iter
+    (fun (failed, first) ->
+      if failed > 0 then
+        Alcotest.failf "%s: %d of one domain's 300 writes raised, first %s"
+          name failed first)
+    [ mine; Domain.join other ];
+  check Alcotest.bool (name ^ ": the file is one whole write") true
+    (read_file path = read_file reference);
+  check
+    Alcotest.(list string)
+    (name ^ ": no temp file left")
+    [ "reference"; "target" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
+  path
+
+let test_concurrent_writers_one_path () =
+  let d = Lazy.force dataset_2x8 in
+  let artifact = artifact_of d in
+  let path =
+    race_writes "race_artifact" (fun path -> Serve.Artifact.save ~path artifact)
+  in
+  (match Serve.Artifact.read ~path with
+  | Ok (id, _) ->
+    check Alcotest.string "artifact reads back under its id"
+      (Serve.Artifact.version_id artifact) id
+  | Error e -> Alcotest.fail e);
+  let ledger = Registry.Evidence.of_dataset d in
+  let path =
+    race_writes "race_ledger" (fun path -> Registry.Evidence.write ~path ledger)
+  in
+  match Registry.Evidence.read ~path with
+  | Ok back -> check Alcotest.bool "ledger reads back" true (back = ledger)
+  | Error e -> Alcotest.fail e
+
+(* Every truncation point of the header line, with and without the
+   payload after it, and every single-byte mutation the payload test in
+   test_serve uses, at every header position: [read] answers [Ok] or
+   [Error], never an exception. *)
+let hostile_headers name ~path read =
+  let text = read_file path in
+  let nl = String.index text '\n' in
+  let header = String.sub text 0 nl in
+  let rest = String.sub text nl (String.length text - nl) in
+  let ok = ref 0 and rejected = ref 0 in
+  let attempt what contents =
+    write_file path contents;
+    match read () with
+    | Ok _ -> incr ok
+    | Error _ -> incr rejected
+    | exception e ->
+      Alcotest.failf "%s: %s raised %s" name what (Printexc.to_string e)
+  in
+  for i = 0 to nl - 1 do
+    let cut = String.sub header 0 i in
+    attempt (Printf.sprintf "header cut at %d" i) (cut ^ rest);
+    attempt (Printf.sprintf "file cut at %d" i) cut
+  done;
+  let structural =
+    [| '0'; '-'; 'e'; '.'; '"'; ','; ':'; '['; ']'; '{'; '}'; 'n'; ' ' |]
+  in
+  for i = 0 to nl - 1 do
+    let with_byte c =
+      let b = Bytes.of_string header in
+      Bytes.set b i c;
+      attempt
+        (Printf.sprintf "header byte %d set to %C" i c)
+        (Bytes.to_string b ^ rest)
+    in
+    with_byte (Char.chr (Char.code header.[i] lxor 0x01));
+    with_byte (Char.chr (Char.code header.[i] lxor 0x80));
+    Array.iter (fun c -> if c <> header.[i] then with_byte c) structural
+  done;
+  check Alcotest.bool (name ^ ": most mutations are rejected") true
+    (!rejected > !ok)
+
+let test_hostile_headers () =
+  with_record "hostile" (fun st key path ->
+      hostile_headers "store record" ~path (fun () ->
+          ignore (Store.find_run st ~key);
+          Store.load_record ~path));
+  let dir = tmp_dir "hostile_artifact" in
+  Prelude.Envelope.mkdir_p dir;
+  let path = Filename.concat dir "m.pcm" in
+  Serve.Artifact.save ~path (artifact_of (Lazy.force dataset_2x8));
+  hostile_headers "artifact" ~path (fun () -> Serve.Artifact.read ~path)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "store"
@@ -603,6 +817,7 @@ let () =
           quick "wrong magic" test_corrupt_wrong_magic;
           quick "key mismatch" test_corrupt_key_mismatch;
           quick "concurrent writers" test_concurrent_writers;
+          quick "negative payload length" test_corrupt_negative_length;
         ] );
       ( "gc",
         [
@@ -616,4 +831,11 @@ let () =
         ] );
       ( "warm dataset",
         [ quick "zero interps, bit-identical" test_warm_dataset_zero_interps ] );
+      ( "envelope",
+        [
+          quick "checks run in order" test_envelope_check_order;
+          quick "concurrent writers of one path"
+            test_concurrent_writers_one_path;
+          quick "hostile headers: Ok or Error" test_hostile_headers;
+        ] );
     ]

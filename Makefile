@@ -7,9 +7,9 @@
 # `portopt report` (see docs/observability.md); `serve-smoke` does a
 # full train -> serve -> concurrent query -> shutdown round trip
 # against a real server process (see docs/serving.md); `index-smoke`
-# serves the same model under --index scan and --index vptree and
-# diffs the predictions — the VP-tree path must be byte-identical to
-# the exhaustive scan (see docs/model.md); `store-smoke`
+# serves a tiny model and diffs its single and batch answers against
+# `portopt predict --model` in-process — the served kNN search must be
+# byte-identical (see docs/model.md); `store-smoke`
 # proves a warm evaluation store reruns `train` incrementally with a
 # byte-identical artifact (see docs/architecture.md); `cluster-smoke`
 # proves `train --workers N` over real worker processes is

@@ -72,8 +72,9 @@ let experiments : (string * string * (unit -> unit)) list =
       fun () -> print_string (Experiments.Validation.render ()) );
     ("micro", "bechamel micro-benchmarks of the pipeline", Micro.run);
     ( "predict",
-      "prediction core: legacy scan vs flat scan vs vptree vs batch, \
-       self-checking (results/BENCH_predict.json)",
+      "prediction core: full sort vs flat scan vs grouped kNN on \
+       deployment-shaped and clustered rows, self-checking \
+       (results/BENCH_predict.json)",
       fun () -> Predict_bench.run () );
     ( "serve",
       "serving: artifact save/load + server latency/throughput \

@@ -1,9 +1,10 @@
-(** Prediction-core benchmark: single-query throughput of the legacy
-    row-matrix scan, the flat-kernel scan and the VP-tree search, plus
-    the batch API's amortisation win, at several training-set sizes.
-    Self-checking — every engine must agree bit-for-bit on every query
-    before its numbers count.  Writes results/BENCH_predict.json
-    (schema "portopt-predict/1"). *)
+(** Prediction-core benchmark: single-query throughput of the full sort
+    ({!Ml_model.Predict.run}), the flat scan and the grouped {!Ml_model.Knn}
+    search, on two row shapes at several training-set sizes, plus the
+    serving layer's batch amortisation.  Self-checking: every query's
+    prediction through each index must equal the full sort's bit for bit
+    before any number counts.  Writes results/BENCH_predict.json (schema
+    "portopt-predict/2"). *)
 
 module J = Obs.Json
 
@@ -14,20 +15,57 @@ let k = 7
 let beta = 1.0
 let n_queries = 256
 let n_centers = 32
+let dim = Ml_model.Features.dim Ml_model.Features.Base
+let descriptors = Ml_model.Features.descriptor_dim Ml_model.Features.Base
 
-(* Synthetic normalised-feature rows, clustered: real training rows
-   cluster by program (one program's counter vector moves only mildly
-   across configurations), and cluster structure is exactly what a
-   metric tree exploits — uniform random data would understate the
-   pruning a deployment sees.  Deterministic (fixed seed). *)
-let clustered_rows rng ~n ~dim =
+(* The shape a trained model has: [u] configurations x [p] programs, one
+   row per pair, program-major as a dataset lays its pairs out.  A row is
+   its configuration's descriptors ({!Uarch.Config.descriptors} of a
+   configuration drawn from the base space) followed by its program's
+   counters, which move mildly with the configuration; rows and queries
+   are z-score normalised over the rows, as a model's are.  Queries pair
+   a program with a configuration no row was trained on, as the served
+   stream does.  Deterministic (fixed seeds). *)
+let deployment rng ~u ~p =
+  let configs =
+    Array.map Uarch.Config.descriptors
+      (Uarch.Space.sample Uarch.Space.Base ~seed:(17 + u) (u + n_queries))
+  in
+  let programs =
+    Array.init p (fun _ ->
+        Array.init (dim - descriptors) (fun _ -> Prelude.Rng.float rng 4.0 -. 2.0))
+  in
+  let row d prog =
+    Array.append d
+      (Array.map (fun c -> c +. (0.2 *. Prelude.Rng.gaussian rng)) programs.(prog))
+  in
+  let rows = Array.init (u * p) (fun i -> row configs.(i mod u) (i / u)) in
+  let queries = Array.init n_queries (fun i -> row configs.(u + i) (i mod p)) in
+  let normaliser = Ml_model.Features.fit_normaliser rows in
+  let normalise = Array.map (Ml_model.Features.normalise normaliser) in
+  (normalise rows, normalise queries)
+
+(* No shared columns: rows scattered round 32 tight Gaussian centres.
+   Every row is its own group, so the search is a flat scan that skips a
+   row once its descriptor columns alone are too far. *)
+let clustered rng ~n =
   let centers =
     Array.init n_centers (fun _ ->
         Array.init dim (fun _ -> Prelude.Rng.float rng 4.0 -. 2.0))
   in
-  Array.init n (fun i ->
-      let c = centers.(i mod n_centers) in
-      Array.init dim (fun j -> c.(j) +. (0.15 *. Prelude.Rng.gaussian rng)))
+  let rows =
+    Array.init n (fun i ->
+        let c = centers.(i mod n_centers) in
+        Array.init dim (fun j -> c.(j) +. (0.15 *. Prelude.Rng.gaussian rng)))
+  in
+  (* Queries near (but not on) training rows. *)
+  let queries =
+    Array.init n_queries (fun i ->
+        Array.map
+          (fun v -> v +. (0.05 *. Prelude.Rng.gaussian rng))
+          rows.(i * 7919 mod n))
+  in
+  (rows, queries)
 
 (* Per-row distributions with the real shape (one multinomial row per
    optimisation dimension), randomised so the mixture stage does real
@@ -40,104 +78,80 @@ let random_distribution rng =
       Array.map (fun v -> v /. s) r)
     (Ml_model.Distribution.uniform ())
 
-(* Queries near (but not on) training rows — the cache-miss mix a
-   server computes. *)
-let queries_of rng rows =
-  let n = Array.length rows in
-  Array.init n_queries (fun i ->
-      Array.map
-        (fun v -> v +. (0.05 *. Prelude.Rng.gaussian rng))
-        rows.(i * 7919 mod n))
+let bits a = Array.map Int64.bits_of_float a
 
 let same_result (a : Ml_model.Predict.result) (b : Ml_model.Predict.result) =
-  a.Ml_model.Predict.neighbours = b.Ml_model.Predict.neighbours
-  && a.Ml_model.Predict.distribution = b.Ml_model.Predict.distribution
+  let ns (r : Ml_model.Predict.result) =
+    Array.map
+      (fun (nb : Ml_model.Predict.neighbour) ->
+        (nb.index, Int64.bits_of_float nb.distance, Int64.bits_of_float nb.weight))
+      r.Ml_model.Predict.neighbours
+  in
+  ns a = ns b
+  && Array.map bits a.Ml_model.Predict.distribution
+     = Array.map bits b.Ml_model.Predict.distribution
   && a.Ml_model.Predict.setting = b.Ml_model.Predict.setting
 
-(* Calls [f] on the whole query vector, whole passes, for >= [budget]
-   seconds; returns queries per second.  Every measured shape maps the
-   query vector to a result vector (callers keep predictions), so the
-   single-call and batch paths allocate identically and differ only in
-   what the batch API amortises. *)
+(* Calls [f] on every query, whole passes, for >= [budget] seconds;
+   returns queries per second. *)
 let qps ?(budget = 0.4) queries f =
   let t0 = Unix.gettimeofday () in
   let passes = ref 0 in
   while Unix.gettimeofday () -. t0 < budget do
-    ignore (f queries : Ml_model.Predict.result array);
+    Array.iter (fun q -> ignore (f q : Ml_model.Predict.result)) queries;
     incr passes
   done;
   float_of_int (!passes * Array.length queries)
   /. (Unix.gettimeofday () -. t0)
 
-let bench_size ~dim n =
-  let rng = Prelude.Rng.create (42 + n) in
-  let rows = clustered_rows rng ~n ~dim in
+let bench_shape ~shape ~n (rows, queries) =
+  let rng = Prelude.Rng.create (7 + n) in
   let distributions = Array.init n (fun _ -> random_distribution rng) in
-  let index = Ml_model.Vptree.build rows in
-  let queries = queries_of rng rows in
-
-  (* Every engine must agree bit-for-bit before any number counts. *)
-  Array.iter
-    (fun q ->
-      let legacy =
-        Ml_model.Predict.run ~k ~beta ~points:rows ~distributions q
-      in
-      let scan =
-        Ml_model.Predict.run_indexed ~engine:Ml_model.Predict.Scan ~k ~beta
-          ~index ~distributions q
-      in
-      let tree =
-        Ml_model.Predict.run_indexed ~engine:Ml_model.Predict.Vptree ~k ~beta
-          ~index ~distributions q
-      in
-      if not (same_result legacy scan && same_result legacy tree) then
+  let grouped = Ml_model.Knn.build ~prefix:descriptors rows in
+  let flat = Ml_model.Knn.build ~prefix:0 rows in
+  let full = Ml_model.Predict.run ~k ~beta ~points:rows ~distributions in
+  let through index =
+    Ml_model.Predict.run_indexed ~k ~beta ~index ~distributions
+  in
+  (* Every index must agree bit for bit before any number counts. *)
+  Array.iteri
+    (fun qi q ->
+      let want = full q in
+      if not (same_result want (through flat q) && same_result want (through grouped q))
+      then
         failwith
-          (Printf.sprintf "predict bench: engines diverge at n=%d" n))
+          (Printf.sprintf "predict bench: %s n=%d query %d diverges from the full sort"
+             shape n qi))
     queries;
-
-  let legacy_qps =
-    qps queries
-      (Array.map (Ml_model.Predict.run ~k ~beta ~points:rows ~distributions))
-  in
-  let scan_qps =
-    qps queries
-      (Array.map
-         (Ml_model.Predict.run_indexed ~engine:Ml_model.Predict.Scan ~k ~beta
-            ~index ~distributions))
-  in
-  let tree_qps =
-    qps queries
-      (Array.map
-         (Ml_model.Predict.run_indexed ~engine:Ml_model.Predict.Vptree ~k
-            ~beta ~index ~distributions))
-  in
-  (* Batch: whole query vector per call, one scratch across it. *)
-  let batch_qps =
-    qps queries
-      (Ml_model.Predict.run_batch ~engine:Ml_model.Predict.Vptree ~k ~beta
-         ~index ~distributions)
-  in
+  let full_qps = qps queries full in
+  let flat_qps = qps queries (through flat) in
+  let grouped_qps = qps queries (through grouped) in
   Printf.printf
-    "n=%5d: legacy scan %7.0f q/s, flat scan %7.0f q/s, vptree %7.0f q/s \
-     (%.1fx over legacy), batch %7.0f q/s (%.2fx over single vptree)\n%!"
-    n legacy_qps scan_qps tree_qps (tree_qps /. legacy_qps) batch_qps
-    (batch_qps /. tree_qps);
+    "%-10s n=%5d (%5d groups): full sort %7.0f q/s, flat scan %7.0f q/s, \
+     grouped %7.0f q/s (%.1fx over the full sort, %.1fx over the flat scan)\n%!"
+    shape n (Ml_model.Knn.groups grouped) full_qps flat_qps grouped_qps
+    (grouped_qps /. full_qps) (grouped_qps /. flat_qps);
   J.Obj
     [
+      ("shape", J.Str shape);
       ("n", J.Int n);
       ("dim", J.Int dim);
+      ("groups", J.Int (Ml_model.Knn.groups grouped));
       ("k", J.Int k);
       ("queries", J.Int n_queries);
-      ("legacy_qps", J.Float legacy_qps);
-      ("flat_scan_qps", J.Float scan_qps);
-      ("vptree_qps", J.Float tree_qps);
-      ("batch_qps", J.Float batch_qps);
-      ("vptree_speedup", J.Float (tree_qps /. legacy_qps));
-      ("batch_amortisation", J.Float (batch_qps /. tree_qps));
+      ("full_sort_qps", J.Float full_qps);
+      ("flat_scan_qps", J.Float flat_qps);
+      ("grouped_qps", J.Float grouped_qps);
+      ("grouped_speedup", J.Float (grouped_qps /. full_qps));
     ]
 
-(* The batch API's real win is not in the search kernel (both paths run
-   the same engine) but at the serving layer: one wire round-trip and
+let bench_size (u, p) =
+  let n = u * p in
+  let rng = Prelude.Rng.create (42 + n) in
+  let deployed = bench_shape ~shape:"deployment" ~n (deployment rng ~u ~p) in
+  [ deployed; bench_shape ~shape:"clustered" ~n (clustered rng ~n) ]
+
+(* The batch API's win is at the serving layer: one wire round-trip and
    one pool task instead of N.  Measure it end to end against a real
    server on a Unix socket, comparing N sequential single predicts with
    one predict_batch of the same N queries — once cold (cache off,
@@ -289,14 +303,14 @@ let bench_serving () =
 
 let run () =
   ensure_results ();
-  let dim = Ml_model.Features.dim Ml_model.Features.Base in
-  let sizes = [ 1000; 5000; 20000 ] in
-  let results = List.map (bench_size ~dim) sizes in
+  (* 7,000 pairs is the paper's 200 configurations x 35 programs. *)
+  let sizes = [ (40, 25); (200, 35); (800, 25) ] in
+  let results = List.concat_map bench_size sizes in
   let serving = bench_serving () in
   let out =
     J.Obj
       [
-        ("schema", J.Str "portopt-predict/1");
+        ("schema", J.Str "portopt-predict/2");
         ("unix_time", J.Float (Unix.gettimeofday ()));
         ("git", J.Str (Obs.Trace.git_describe ()));
         ("ocaml", J.Str Sys.ocaml_version);

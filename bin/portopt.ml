@@ -1038,7 +1038,7 @@ let parse_ab spec =
 
 let serve_cmd =
   let run () model_path registry_dir channel ab watch address jobs queue
-      cache admin engine =
+      cache admin =
     let split, candidate_channel =
       match ab with
       | None -> (0.0, None)
@@ -1083,7 +1083,6 @@ let serve_cmd =
         queue;
         cache_capacity = cache;
         admin;
-        engine;
         split;
         source;
         watch;
@@ -1097,12 +1096,11 @@ let serve_cmd =
     Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
     Printf.printf
-      "portopt serve: listening on %s (%d training pairs, index %s, jobs \
-       %d, queue %d, cache %d%s%s%s)\n\
+      "portopt serve: listening on %s (%d training pairs, jobs %d, queue \
+       %d, cache %d%s%s%s)\n\
        %!"
       (Net.Addr.to_string (Serve.Server.address server))
       (Ml_model.Model.n_points (snd artifact).Serve.Artifact.model)
-      (Ml_model.Predict.engine_to_string engine)
       jobs queue cache
       (if admin then ", admin" else "")
       (match registry_dir with
@@ -1176,22 +1174,6 @@ let serve_cmd =
          & info [ "admin" ]
              ~doc:"Honour the shutdown and sleep ops (otherwise 403).")
   in
-  let engine =
-    Arg.(value
-         & opt
-             (enum
-                [
-                  ("vptree", Ml_model.Predict.Vptree);
-                  ("scan", Ml_model.Predict.Scan);
-                ])
-             Ml_model.Predict.Vptree
-         & info [ "index" ] ~docv:"KIND"
-             ~doc:
-               "k-nearest-neighbour engine: $(b,vptree) (the metric index \
-                frozen in the artifact; default) or $(b,scan) (flat linear \
-                scan fallback).  Answers are bit-identical either way; \
-                only throughput differs.")
-  in
   let man =
     [
       `S Manpage.s_description;
@@ -1203,12 +1185,12 @@ let serve_cmd =
          beyond $(b,--jobs) + $(b,--queue) concurrently admitted \
          requests the server answers 429 instead of queueing unboundedly.";
       `P
-        "Neighbour search runs on the VP-tree metric index frozen in the \
-         artifact ($(b,--index vptree), the default) or on a flat linear \
-         scan ($(b,--index scan)); the two are bit-identical, so the \
-         flag only trades throughput.  A $(b,predict_batch) request \
-         carries a vector of queries, occupies one admission slot and is \
-         computed as one worker-pool task.";
+        "The K nearest training pairs are found by one exact search over \
+         the training rows grouped by their microarchitecture \
+         descriptors, built when the model loads; its answers are \
+         bit-identical to a full sort of every distance.  A \
+         $(b,predict_batch) request carries a vector of queries, occupies \
+         one admission slot and is computed as one worker-pool task.";
       `P
         "With $(b,--registry), the served model comes from a model \
          registry's channel pointers instead of a fixed file: the \
@@ -1232,7 +1214,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Serve predictions from a model artifact or registry" ~man)
     Term.(const run $ obs_term "serve" $ model $ registry $ channel $ ab
-          $ watch $ address_term $ jobs $ queue $ cache $ admin $ engine)
+          $ watch $ address_term $ jobs $ queue $ cache $ admin)
 
 let query_cmd =
   let print_prediction name u (p : Serve.Protocol.prediction) =

@@ -84,18 +84,22 @@ let mix (weighted : (float * t) list) : t =
   match weighted with
   | [] -> invalid_arg "Distribution.mix: empty mixture"
   | (_, first) :: _ ->
-    let z =
-      List.fold_left (fun acc (w, _) -> acc +. w) 0.0 weighted
-    in
+    let z = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 weighted in
     if z <= 0.0 then invalid_arg "Distribution.mix: non-positive weights";
+    (* Every cell adds up w /. z *. g from 0.0 in list order — the float
+       operations of a fold over the list per cell — one row of one
+       component at a time, in a loop that boxes no float. *)
     Array.mapi
       (fun l row ->
-        Array.mapi
-          (fun j _ ->
-            List.fold_left
-              (fun acc (w, g) -> acc +. (w /. z *. g.(l).(j)))
-              0.0 weighted)
-          row)
+        let out = Array.make (Array.length row) 0.0 in
+        List.iter
+          (fun (w, g) ->
+            let c = w /. z and gl = g.(l) in
+            for j = 0 to Array.length out - 1 do
+              out.(j) <- out.(j) +. (c *. gl.(j))
+            done)
+          weighted;
+        out)
       first
 
 (** Equation (1): the setting with maximal probability, i.e. the

@@ -46,19 +46,14 @@ let normalise (n : normaliser) row = Stats.zscore_apply n row
 
 let distance = Vec.l2_distance
 
-(** Flat-storage distance kernel for the metric index: the euclidean
-    distance of {!distance} between row [row] of the row-major
-    flattened matrix [data] ([dim] floats per row) and [q] — same
-    subtraction and accumulation order as {!Vec.l2_distance}, so the
-    result is bit-identical to [distance rows.(row) q].  Bounds are the
-    caller's contract ([Vptree] validates the query dimension once per
-    search); the unsafe reads keep the hot loop free of per-element
-    checks. *)
-let distance_to_row (data : float array) ~dim ~row (q : float array) =
-  let base = row * dim in
-  let acc = ref 0.0 in
-  for j = 0 to dim - 1 do
-    let d = Array.unsafe_get data (base + j) -. Array.unsafe_get q j in
-    acc := !acc +. (d *. d)
-  done;
-  sqrt !acc
+let shared_prefix ?mask width =
+  let width = match mask with Some m -> Array.length m | None -> width in
+  match List.find_opt (fun s -> dim s = width) [ Base; Extended ] with
+  | None -> 0
+  | Some space ->
+    let d = descriptor_dim space in
+    (match mask with
+    | None -> d
+    | Some m ->
+      Array.fold_left (fun acc keep -> if keep then acc + 1 else acc) 0
+        (Array.sub m 0 d))

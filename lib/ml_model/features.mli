@@ -34,14 +34,16 @@ val fit_normaliser : float array array -> normaliser
 val normalise : normaliser -> float array -> float array
 
 val distance : float array -> float array -> float
-(** Euclidean — the d(.,.) of equation (6). *)
+(** Euclidean — the d(.,.) of equation (6): the squared differences
+    summed left to right from [0.0], then the root.  {!Knn} resumes this
+    accumulation from a prefix sum its rows share, so the order is part
+    of the bit-identity contract. *)
 
-val distance_to_row : float array -> dim:int -> row:int -> float array -> float
-(** [distance_to_row data ~dim ~row q] — {!distance} between the
-    [row]-th row of the row-major flattened matrix [data] and [q],
-    bit-identical to the unflattened form (same float-op order).  The
-    flat kernel behind {!Vptree}'s leaf visits and scan fallback: no
-    tuple allocation, no polymorphic compare, no per-row array
-    indirection.  Unsafe reads — the caller must guarantee
-    [Array.length q = dim] and [(row + 1) * dim <= Array.length data]
-    (the index validates both once per search). *)
+val shared_prefix : ?mask:bool array -> int -> int
+(** [shared_prefix ?mask width] — how many leading columns of a model
+    row are microarchitecture descriptors, the columns every program
+    trained on one configuration shares ({!Knn} groups rows by them).
+    Rows of [width] columns are in the space of that {!dim}, rows under
+    [mask] in the space of the mask's length (which then decides alone);
+    the count is that space's {!descriptor_dim} less the descriptors the
+    mask drops, or 0 when no space matches. *)

@@ -16,9 +16,12 @@ type t = {
   normaliser : Features.normaliser;
   features : float array array;  (** Normalised; one row per point. *)
   distributions : Distribution.t array;
-  index : Vptree.t;
-      (** Metric index over [features], built once here (or reloaded
-          from the artifact) and shared by every prediction. *)
+  knn : Knn.t;
+      (** Neighbour index over [features], built whenever the model is
+          assembled or loaded and shared by every prediction. *)
+  tree : Vptree.node option;
+      (** The VP-tree a version-2 artifact carried, written back
+          unchanged by {!export}; [None] builds it there. *)
 }
 
 let default_k = 7
@@ -32,13 +35,18 @@ let apply_mask mask row =
     Array.iteri (fun i keep -> if keep then out := row.(i) :: !out) m;
     Array.of_list (List.rev !out)
 
+let knn_of ~mask features =
+  Knn.build
+    ~prefix:(Features.shared_prefix ?mask (Array.length features.(0)))
+    features
+
 (** Assemble a model from raw training rows and their fitted
-    distributions: fit the normaliser, normalise, build the metric
-    index.  This is the {e single} construction path — {!train} selects
-    rows out of a dataset and [Registry.Refit] derives them from an
-    evidence ledger, but both funnel through here, so the two ways of
-    reaching the same (rows, distributions) produce bit-identical
-    models. *)
+    distributions: fit the normaliser, normalise, group the rows for the
+    neighbour search.  This is the {e single} construction path —
+    {!train} selects rows out of a dataset and [Registry.Refit] derives
+    them from an evidence ledger, but both funnel through here, so the
+    two ways of reaching the same (rows, distributions) produce
+    bit-identical models. *)
 let of_parts ?(k = default_k) ?(beta = default_beta) ?mask ~features_raw
     ~distributions () =
   let n = Array.length features_raw in
@@ -56,8 +64,9 @@ let of_parts ?(k = default_k) ?(beta = default_beta) ?mask ~features_raw
     mask;
     normaliser;
     features;
-    index = Vptree.build features;
     distributions;
+    knn = knn_of ~mask features;
+    tree = None;
   }
 
 (** Train on all dataset pairs for which [include_pair] holds (the
@@ -79,23 +88,14 @@ let train ?k ?beta ?mask ?(include_pair = fun ~prog:_ ~uarch:_ -> true)
 
 (** Full prediction (neighbours, mixture, mode) for raw features [x].
     The kNN/softmax math lives in {!Predict}; this is the single entry
-    every consumer — cross-validation, CLI, server — funnels through.
-    [engine] picks the neighbour search (default the VP-tree; [Scan] is
-    the linear fallback) — both are bit-identical by contract. *)
-let predict_full ?(engine = Predict.Vptree) t x =
+    every consumer — cross-validation, CLI, server — funnels through. *)
+let predict_full t x =
   let xn = Features.normalise t.normaliser (apply_mask t.mask x) in
-  Predict.run_indexed ~engine ~k:t.k ~beta:t.beta ~index:t.index
+  Predict.run_indexed ~k:t.k ~beta:t.beta ~index:t.knn
     ~distributions:t.distributions xn
 
-(** Batch prediction: one normalisation pass and one shared search
-    scratch over the whole query vector.  Element [i] is bit-identical
-    to [predict_full t xs.(i)]. *)
-let predict_batch ?(engine = Predict.Vptree) t xs =
-  let normalised =
-    Array.map (fun x -> Features.normalise t.normaliser (apply_mask t.mask x)) xs
-  in
-  Predict.run_batch ~engine ~k:t.k ~beta:t.beta ~index:t.index
-    ~distributions:t.distributions normalised
+(** [predict_full] over a vector of queries. *)
+let predict_batch t xs = Array.map (predict_full t) xs
 
 (** The predictive distribution q(y|x) at the test point, for raw
     features [x]. *)
@@ -114,10 +114,9 @@ type repr = {
   r_features : float array array;
   r_distributions : Distribution.t array;
   r_index : Vptree.node option;
-      (** Frozen metric-tree shape.  [None] (a version-1 artifact, or a
-          hand-built repr) rebuilds the index deterministically from
-          [r_features] on import — structurally identical, just paying
-          the build again. *)
+      (** Frozen VP-tree shape.  {!export} always sets it; [None] (a
+          version-1 artifact, or a hand-built repr) leaves the
+          deterministic build to the next export. *)
 }
 
 let export t =
@@ -128,7 +127,11 @@ let export t =
     r_normaliser = t.normaliser;
     r_features = t.features;
     r_distributions = t.distributions;
-    r_index = Some (Vptree.root t.index);
+    r_index =
+      Some
+        (match t.tree with
+        | Some root -> root
+        | None -> Vptree.build t.features);
   }
 
 (** Validate a deserialised representation and rebuild the model.
@@ -152,6 +155,11 @@ let import r =
     else if Array.length means <> dim || Array.length stds <> dim then
       fail "normaliser dimension %d does not match features (%d)"
         (Array.length means) dim
+    else if Array.exists (fun m -> not (Float.is_finite m)) means then
+      fail "non-finite normaliser mean"
+    else if
+      Array.exists (fun sd -> not (Float.is_finite sd) || sd <= 0.0) stds
+    then fail "normaliser std must be finite and positive"
     else if
       Array.exists
         (fun row -> Array.exists (fun v -> not (Float.is_finite v)) row)
@@ -200,15 +208,19 @@ let import r =
         | Some m when Array.length m <> Features.dim Features.Base
                       && Array.length m <> Features.dim Features.Extended ->
           fail "mask length %d matches no feature space" (Array.length m)
+        | Some m
+          when Array.fold_left (fun c keep -> if keep then c + 1 else c) 0 m
+               <> dim ->
+          fail "mask keeps a column count other than the features' %d" dim
         | _ -> (
-          let index =
+          let tree =
             match r.r_index with
-            | None -> Ok (Vptree.build r.r_features)
-            | Some root -> Vptree.of_root ~rows:r.r_features root
+            | None -> Ok None
+            | Some root -> Result.map Option.some (Vptree.of_root ~n root)
           in
-          match index with
+          match tree with
           | Error m -> Error ("model: " ^ m)
-          | Ok index ->
+          | Ok tree ->
             Ok
               {
                 k = r.r_k;
@@ -217,7 +229,8 @@ let import r =
                 normaliser = r.r_normaliser;
                 features = r.r_features;
                 distributions = r.r_distributions;
-                index;
+                knn = knn_of ~mask:r.r_mask r.r_features;
+                tree;
               }))
     end
   end
@@ -225,4 +238,3 @@ let import r =
 let n_points t = Array.length t.features
 let k t = t.k
 let beta t = t.beta
-let index t = t.index

@@ -26,7 +26,8 @@ val of_parts :
   t
 (** Assemble a model from raw (unnormalised) training rows and their
     fitted per-pair distributions: fit the z-score normaliser over the
-    rows, normalise, build the metric index.  The single construction
+    rows, normalise, group the rows for the neighbour search
+    ({!Knn}).  The single construction
     path shared by {!train} and the registry's incremental refit
     ([Registry.Refit]) — two callers presenting the same rows and
     distributions get bit-identical models.  Raises [Invalid_argument]
@@ -46,20 +47,16 @@ val train :
     normalised against the selected training pairs.  Raises
     [Invalid_argument] if no pair is selected. *)
 
-val predict_full : ?engine:Predict.engine -> t -> float array -> Predict.result
+val predict_full : t -> float array -> Predict.result
 (** Full prediction — nearest neighbours, mixture distribution and its
     mode — for {e raw} (unnormalised) features [x].  The single shared
     kNN/softmax implementation ({!Predict}) behind {!predict},
-    cross-validation and the prediction server.  [engine] selects the
-    neighbour search (default [Vptree]; [Scan] is the linear fallback);
-    results are bit-identical either way. *)
+    cross-validation and the prediction server; the neighbours come from
+    the model's {!Knn} index, bit-identical to {!Predict.neighbours}. *)
 
-val predict_batch :
-  ?engine:Predict.engine -> t -> float array array -> Predict.result array
-(** Predict a vector of raw feature queries, amortising the search
-    scratch across the batch.  Element [i] is bit-identical to
-    [predict_full t xs.(i)] — batching changes throughput, never
-    answers. *)
+val predict_batch : t -> float array array -> Predict.result array
+(** [predict_full] over a vector of raw feature queries: element [i] is
+    [predict_full t xs.(i)]. *)
 
 val predictive_distribution : t -> float array -> Distribution.t
 (** The predictive distribution q(y|x) for {e raw} (unnormalised)
@@ -82,24 +79,25 @@ type repr = {
   r_features : float array array;  (** Normalised rows, one per pair. *)
   r_distributions : Distribution.t array;
   r_index : Vptree.node option;
-      (** Frozen metric-tree shape.  [None] — a version-1 artifact —
-          rebuilds the (deterministic, structurally identical) index
-          from [r_features] on import. *)
+      (** Frozen VP-tree shape.  {!export} always sets it: a loaded
+          tree is written back unchanged, and a model without one (newly
+          trained, or imported from a version-1 artifact, where this is
+          [None]) builds it — deterministically, so the bytes are those
+          of every earlier build. *)
 }
 
 val export : t -> repr
 
 val import : repr -> (t, string) result
 (** Validate every structural invariant (shapes, cardinalities against
-    {!Passes.Flags.dims}, finiteness) and rebuild the model; the error
-    carries a human-readable reason for artifact-load diagnostics. *)
+    {!Passes.Flags.dims}, finite features, a finite normaliser mean and
+    a finite positive std, a mask keeping as many columns as the rows
+    have, a tree holding every row once) and rebuild the model; the
+    error, prefixed ["model: "], carries a human-readable reason for
+    artifact-load diagnostics. *)
 
 val n_points : t -> int
 (** Training pairs retained (rows of the feature matrix). *)
 
 val k : t -> int
 val beta : t -> float
-
-val index : t -> Vptree.t
-(** The model's metric index — exposed for the prediction bench and the
-    scan-vs-tree property tests. *)

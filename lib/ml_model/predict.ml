@@ -12,13 +12,12 @@
     float operation in the same order, so predictions stay bit-identical
     to the pre-refactor code path.
 
-    Neighbour search runs on one of two engines over the model's
-    {!Vptree} index: [Scan], a flat linear sweep, and [Vptree], the
-    pruned metric-tree search.  Both rank candidates under the same
-    (distance, then index) total order and compute distances with the
-    same flat kernel, so their results — and therefore the predictions
-    built from them — are bit-identical; the property tests enforce
-    this on every tested query. *)
+    The model searches its {!Knn} index; {!neighbours} is the full-sort
+    reference.  Both rank candidates under the same (distance, then
+    index) total order and accumulate every distance in the same order,
+    so their results — and therefore the predictions built from them —
+    are bit-identical; the property tests enforce this on every tested
+    query. *)
 
 type neighbour = {
   index : int;  (** Row into the training matrix / distribution array. *)
@@ -34,18 +33,9 @@ type result = {
   setting : Passes.Flags.setting;  (** Its mode — equation (1). *)
 }
 
-type engine = Scan | Vptree
-
-let engine_to_string = function Scan -> "scan" | Vptree -> "vptree"
-
-let engine_of_string = function
-  | "scan" -> Some Scan
-  | "vptree" -> Some Vptree
-  | _ -> None
-
 (** K nearest rows of [points] to the (already normalised) query [xn] —
-    the row-matrix reference implementation the indexed engines are
-    tested against.  The sort tie-breaks on index with an explicit
+    the row-matrix reference implementation the {!Knn} search is tested
+    against.  The sort tie-breaks on index with an explicit
     [Float.compare]-then-index comparator: the order the historical
     polymorphic [compare] on [(float, int)] tuples produced on finite
     data, minus the NaN hazard and the boxing. *)
@@ -82,28 +72,16 @@ let result_of ns distributions =
 let run ~k ~beta ~points ~distributions xn =
   result_of (neighbours ~k ~beta points xn) distributions
 
-(** Full prediction through the metric index: identical math as {!run},
-    with the neighbour search delegated to the chosen {!Vptree}
-    engine. *)
-let run_indexed ?scratch ~engine ~k ~beta ~index ~distributions xn =
-  let search = match engine with Scan -> Vptree.scan_knn | Vptree -> Vptree.knn in
-  let idxs, dists = search ?scratch index ~k xn in
+(** Full prediction through the {!Knn} index: identical math as {!run},
+    with the neighbour search delegated to {!Knn.search}. *)
+let run_indexed ~k ~beta ~index ~distributions xn =
+  let idxs, dists = Knn.search index ~k xn in
   let dmin = dists.(0) in
   let ns =
-    Array.init (Array.length idxs) (fun j ->
+    Array.mapi
+      (fun j i ->
         let d = dists.(j) in
-        { index = idxs.(j); distance = d; weight = exp (-.beta *. (d -. dmin)) })
+        { index = i; distance = d; weight = exp (-.beta *. (d -. dmin)) })
+      idxs
   in
   result_of ns distributions
-
-(** Predict a vector of queries, amortising the search scratch (the
-    candidate heap the engines fill) across the whole batch.  Each
-    query is predicted independently, so the results are bit-identical
-    to mapping {!run_indexed} — or {!run} — over the queries one by
-    one; the batch form exists to cut allocation here and, via the
-    server, to feed the worker pool one task instead of N. *)
-let run_batch ~engine ~k ~beta ~index ~distributions queries =
-  let scratch = Vptree.scratch () in
-  Array.map
-    (fun xn -> run_indexed ~scratch ~engine ~k ~beta ~index ~distributions xn)
-    queries

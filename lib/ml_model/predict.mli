@@ -4,7 +4,7 @@
 
     Operates on the model's internal representation: a matrix of
     normalised training feature rows (directly, or through the model's
-    {!Vptree} metric index) and the parallel array of fitted per-pair
+    {!Knn} index) and the parallel array of fitted per-pair
     distributions. *)
 
 type neighbour = {
@@ -23,26 +23,13 @@ type result = {
   setting : Passes.Flags.setting;  (** Its mode — equation (1). *)
 }
 
-(** Neighbour-search engine.  [Scan] sweeps the flat row storage
-    linearly; [Vptree] walks the metric tree with triangle-inequality
-    pruning.  Both produce bit-identical results (same neighbour set,
-    same distances, same distance-then-index order) — [Scan] is the
-    always-correct fallback and the reference the property tests pit
-    the tree against. *)
-type engine = Scan | Vptree
-
-val engine_to_string : engine -> string
-(** ["scan"] / ["vptree"] — the [--index] spelling. *)
-
-val engine_of_string : string -> engine option
-
 val neighbours :
   k:int -> beta:float -> float array array -> float array -> neighbour array
 (** [neighbours ~k ~beta points xn] — the [min k n] training rows
     nearest to the {e normalised} query [xn], nearest first, ties
     broken on the lower row index (explicit [Float.compare]-then-index
-    comparator).  The row-matrix reference path; raises
-    [Invalid_argument] when [points] is empty. *)
+    comparator).  The full-sort reference the {!Knn} search is tested
+    against; raises [Invalid_argument] when [points] is empty. *)
 
 val mixture : neighbour array -> Distribution.t array -> Distribution.t
 (** Softmax-weighted convex combination of the neighbours'
@@ -55,28 +42,14 @@ val run :
   distributions:Distribution.t array ->
   float array ->
   result
-(** Full prediction for a normalised query point (reference scan). *)
+(** Full prediction for a normalised query point (reference sort). *)
 
 val run_indexed :
-  ?scratch:Vptree.scratch ->
-  engine:engine ->
   k:int ->
   beta:float ->
-  index:Vptree.t ->
+  index:Knn.t ->
   distributions:Distribution.t array ->
   float array ->
   result
-(** Full prediction through the metric index with the chosen engine —
-    bit-identical to {!run} over the rows the index was built from. *)
-
-val run_batch :
-  engine:engine ->
-  k:int ->
-  beta:float ->
-  index:Vptree.t ->
-  distributions:Distribution.t array ->
-  float array array ->
-  result array
-(** Predict a vector of normalised queries, reusing one search scratch
-    across the batch.  Queries are independent: element [i] is
-    bit-identical to [run_indexed] (and {!run}) on query [i]. *)
+(** Full prediction through the {!Knn} index — bit-identical to {!run}
+    over the rows the index was built from. *)

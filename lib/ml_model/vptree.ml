@@ -1,77 +1,30 @@
-(** Vantage-point tree over the normalised training rows.
+(** Vantage-point tree over the normalised training rows — the shape
+    a version-2 [.pcm] artifact carries in its ["index"] field.
 
-    Everything here is in service of one contract: [knn] must return
-    {e exactly} what a full scan returns — the same neighbour set, the
-    same distances bit-for-bit, in the same distance-then-index order.
-    Three ingredients deliver that:
-
-    - every distance (build-time vantage distances, leaf visits, scan
-      fallback) goes through the one flat {!Features.distance_to_row}
-      kernel, whose per-dimension accumulation order matches
-      {!Features.distance} on the unflattened rows;
-    - candidates are ranked under the total order (distance, then row
-      index) — the order the historical polymorphic tuple sort
-      produced — so ties at the k-th place resolve identically;
-    - triangle-inequality pruning is slackened by a hair (1e-9
-      relative), several orders of magnitude beyond the worst rounding
-      error a computed bound can carry, so a true neighbour is never
-      pruned on a float technicality.
-
-    Construction is deterministic (no randomness): vantage point =
-    lowest row index of the subset, median split with the same
-    distance-then-index tie-break.  Two builds over the same matrix, or
-    a build and an artifact reload, yield structurally equal trees. *)
+    Prediction searches with {!Knn}; the tree is kept so that an
+    artifact's bytes, and therefore its version id, stay those of every
+    earlier build: a model loaded from a version-2 file writes its
+    frozen tree back unchanged, and any other model builds one when it
+    is exported.  Construction is deterministic (no randomness): vantage
+    point = lowest row index of the subset, children split at the median
+    vantage distance with a distance-then-index tie-break.  Two builds
+    over the same matrix yield structurally equal trees. *)
 
 type node =
   | Leaf of int array
   | Split of { vp : int; mu : float; inner : node; outer : node }
 
-type t = {
-  dim : int;
-  n : int;
-  data : float array;  (** Row-major flattened rows, [n * dim] floats. *)
-  root : node;
-}
-
-let n t = t.n
-let dim t = t.dim
-let root t = t.root
-
-(* Subsets smaller than this are kept as leaves and scanned flat; at
-   ~19-21 dimensions a leaf visit costs about as much as the split
-   distance that would replace it, so deeper trees stop paying. *)
+(* Subsets of at most this many rows stay leaves.  It shapes the frozen
+   tree, so it is part of the artifact format. *)
 let leaf_size = 12
 
-let flatten rows ~n ~dim =
-  let data = Array.make (n * dim) 0.0 in
-  Array.iteri (fun i row -> Array.blit row 0 data (i * dim) dim) rows;
-  data
-
-let check_rows ~what rows =
+let build rows =
   let n = Array.length rows in
-  if n = 0 then invalid_arg (Printf.sprintf "Vptree.%s: empty matrix" what);
+  if n = 0 then invalid_arg "Vptree.build: empty matrix";
   let dim = Array.length rows.(0) in
   if Array.exists (fun r -> Array.length r <> dim) rows then
-    invalid_arg (Printf.sprintf "Vptree.%s: ragged matrix" what);
-  (n, dim)
-
-let build rows =
-  let n, dim = check_rows ~what:"build" rows in
-  let data = flatten rows ~n ~dim in
-  (* Row-to-row distance, same kernel shape as the query-side one so
-     build-time [mu] values and query-time distances live on the same
-     metric (the triangle inequality the search prunes with). *)
-  let dist_rr i j =
-    let bi = i * dim and bj = j * dim in
-    let acc = ref 0.0 in
-    for l = 0 to dim - 1 do
-      let d =
-        Array.unsafe_get data (bi + l) -. Array.unsafe_get data (bj + l)
-      in
-      acc := !acc +. (d *. d)
-    done;
-    sqrt !acc
-  in
+    invalid_arg "Vptree.build: ragged matrix";
+  let dist_rr i j = Features.distance rows.(i) rows.(j) in
   let rec split idxs =
     let m = Array.length idxs in
     if m <= leaf_size then begin
@@ -103,142 +56,32 @@ let build rows =
       let mid = (m1 - 1) / 2 in
       let mu = od.(ord.(mid)) in
       (* Members at positions <= mid have vantage distance <= mu (the
-         inner ball), the rest >= mu — exactly the invariants the two
-         pruning bounds below rely on. *)
+         inner ball), the rest >= mu. *)
       let inner = Array.init (mid + 1) (fun x -> oi.(ord.(x))) in
       let outer = Array.init (m1 - mid - 1) (fun x -> oi.(ord.(mid + 1 + x))) in
       Split { vp; mu; inner = split inner; outer = split outer }
     end
   in
-  { dim; n; data; root = split (Array.init n (fun i -> i)) }
+  split (Array.init n (fun i -> i))
 
-let of_root ~rows root =
-  match check_rows ~what:"of_root" rows with
-  | exception Invalid_argument m -> Error m
-  | n, dim ->
-    let seen = Array.make n false in
-    let err = ref None in
-    let fail fmt = Printf.ksprintf (fun m -> if !err = None then err := Some m) fmt in
-    let mark i =
-      if i < 0 || i >= n then fail "vptree: row index %d out of range (n=%d)" i n
-      else if seen.(i) then fail "vptree: row index %d appears twice" i
-      else seen.(i) <- true
-    in
-    let rec walk = function
-      | Leaf idxs -> Array.iter mark idxs
-      | Split { vp; mu; inner; outer } ->
-        mark vp;
-        if not (Float.is_finite mu) || mu < 0.0 then
-          fail "vptree: invalid split radius";
-        walk inner;
-        walk outer
-    in
-    walk root;
-    Array.iteri (fun i s -> if not s then fail "vptree: row index %d missing" i) seen;
-    (match !err with
-    | Some m -> Error m
-    | None -> Ok { dim; n; data = flatten rows ~n ~dim; root })
-
-(* ---- search ------------------------------------------------------------ *)
-
-type scratch = {
-  mutable bd : float array;  (** Candidate distances, (d, idx)-sorted. *)
-  mutable bi : int array;  (** Parallel candidate row indices. *)
-  mutable len : int;
-}
-
-let scratch () = { bd = Array.make 16 0.0; bi = Array.make 16 0; len = 0 }
-
-let reset sc ~k =
-  if Array.length sc.bd < k then begin
-    sc.bd <- Array.make k 0.0;
-    sc.bi <- Array.make k 0
-  end;
-  sc.len <- 0
-
-(* (d, i) strictly before (d', i') under the distance-then-index total
-   order.  Float.compare (not polymorphic compare, not <) so NaN cannot
-   wreck the order's totality. *)
-let before d i d' i' =
-  let c = Float.compare d d' in
-  c < 0 || (c = 0 && i < i')
-
-(** Offer candidate row [i] at distance [d]; keep the [k] best. *)
-let consider sc ~k d i =
-  if sc.len < k then begin
-    let p = ref sc.len in
-    while !p > 0 && before d i sc.bd.(!p - 1) sc.bi.(!p - 1) do
-      sc.bd.(!p) <- sc.bd.(!p - 1);
-      sc.bi.(!p) <- sc.bi.(!p - 1);
-      decr p
-    done;
-    sc.bd.(!p) <- d;
-    sc.bi.(!p) <- i;
-    sc.len <- sc.len + 1
-  end
-  else if before d i sc.bd.(k - 1) sc.bi.(k - 1) then begin
-    let p = ref (k - 1) in
-    while !p > 0 && before d i sc.bd.(!p - 1) sc.bi.(!p - 1) do
-      sc.bd.(!p) <- sc.bd.(!p - 1);
-      sc.bi.(!p) <- sc.bi.(!p - 1);
-      decr p
-    done;
-    sc.bd.(!p) <- d;
-    sc.bi.(!p) <- i
-  end
-
-let check_query t ~what ~k q =
-  if k < 1 then
-    invalid_arg (Printf.sprintf "Vptree.%s: k must be >= 1 (got %d)" what k);
-  if Array.length q <> t.dim then
-    invalid_arg
-      (Printf.sprintf "Vptree.%s: query dimension %d, index dimension %d" what
-         (Array.length q) t.dim)
-
-let take sc ~k = (Array.sub sc.bi 0 k, Array.sub sc.bd 0 k)
-
-let knn ?scratch:sc t ~k q =
-  check_query t ~what:"knn" ~k q;
-  let sc = match sc with Some s -> s | None -> scratch () in
-  let k = min k t.n in
-  reset sc ~k;
-  let dist i = Features.distance_to_row t.data ~dim:t.dim ~row:i q in
-  (* Current pruning radius: the k-th best distance once the candidate
-     set is full, padded by a sliver so a bound that ties the radius —
-     where a lower row index could still win the tie-break — or misses
-     it by mere rounding never prunes a subtree that matters. *)
-  let radius () =
-    if sc.len < k then Float.infinity
-    else
-      let tau = sc.bd.(k - 1) in
-      tau +. (1e-9 *. (1.0 +. tau))
+let of_root ~n root =
+  let seen = Array.make (max n 0) false in
+  let err = ref None in
+  let fail fmt = Printf.ksprintf (fun m -> if !err = None then err := Some m) fmt in
+  let mark i =
+    if i < 0 || i >= n then fail "vptree: row index %d out of range (n=%d)" i n
+    else if seen.(i) then fail "vptree: row index %d appears twice" i
+    else seen.(i) <- true
   in
-  let rec visit = function
-    | Leaf idxs -> Array.iter (fun i -> consider sc ~k (dist i) i) idxs
+  let rec walk = function
+    | Leaf idxs -> Array.iter mark idxs
     | Split { vp; mu; inner; outer } ->
-      let d = dist vp in
-      consider sc ~k d vp;
-      if d < mu then begin
-        (* Query inside the vantage ball: the inner child can hold
-           arbitrarily close points, the outer child nothing closer
-           than mu - d. *)
-        visit inner;
-        if mu -. d <= radius () then visit outer
-      end
-      else begin
-        visit outer;
-        if d -. mu <= radius () then visit inner
-      end
+      mark vp;
+      if not (Float.is_finite mu) || mu < 0.0 then
+        fail "vptree: invalid split radius";
+      walk inner;
+      walk outer
   in
-  visit t.root;
-  take sc ~k
-
-let scan_knn ?scratch:sc t ~k q =
-  check_query t ~what:"scan_knn" ~k q;
-  let sc = match sc with Some s -> s | None -> scratch () in
-  let k = min k t.n in
-  reset sc ~k;
-  for i = 0 to t.n - 1 do
-    consider sc ~k (Features.distance_to_row t.data ~dim:t.dim ~row:i q) i
-  done;
-  take sc ~k
+  walk root;
+  Array.iteri (fun i s -> if not s then fail "vptree: row index %d missing" i) seen;
+  match !err with Some m -> Error m | None -> Ok root

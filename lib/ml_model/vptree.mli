@@ -1,73 +1,27 @@
-(** Vantage-point tree over the normalised training rows — the metric
-    index behind {!Predict}'s sub-linear k-nearest-neighbour search.
+(** Vantage-point tree over the normalised training rows: the shape a
+    version-2 [.pcm] artifact carries in its ["index"] field.
 
-    The tree is built once at model construction and frozen into the
-    model artifact; construction is fully deterministic (vantage point =
-    lowest row index of the subset, children split at the median
-    vantage distance with a distance-then-index tie-break), so two
-    builds over the same feature matrix — or a build and a reload —
-    produce structurally identical trees.
-
-    Search prunes on the triangle inequality and computes every
-    distance with the same flat {!Features.distance_to_row} kernel, in
-    the same per-dimension accumulation order, as the linear scan —
-    which is what keeps the returned neighbours {e bit-identical} to
-    {!scan_knn} (and to the historical per-row scan): same neighbour
-    set, same distances, same distance-then-index order. *)
+    Prediction does not search it ({!Knn} does); it is kept so that an
+    artifact's bytes, and therefore its version id, stay those of every
+    earlier build.  Construction is fully deterministic (vantage point =
+    lowest row index of the subset, children split at the median vantage
+    distance with a distance-then-index tie-break), so two builds over
+    the same feature matrix produce structurally identical trees. *)
 
 type node =
-  | Leaf of int array
-      (** Row indices, ascending; visited with the flat distance
-          kernel. *)
+  | Leaf of int array  (** Row indices, ascending. *)
   | Split of { vp : int; mu : float; inner : node; outer : node }
       (** [inner] holds the rows within vantage distance [mu] of row
-          [vp], [outer] the rest; [vp] belongs to neither child.
-          Exposed (with {!root}/{!of_root}) so [Serve.Artifact] can
-          freeze the tree into the [.pcm] payload and reload it without
-          rebuilding. *)
+          [vp], [outer] the rest; [vp] belongs to neither child. *)
 
-type t
+val build : float array array -> node
+(** [build rows] — the tree over the (already normalised) feature
+    matrix.  Deterministic; raises [Invalid_argument] if [rows] is empty
+    or ragged. *)
 
-val build : float array array -> t
-(** [build rows] indexes the (already normalised) feature matrix.
-    Deterministic; raises [Invalid_argument] if [rows] is empty or
-    ragged. *)
-
-val n : t -> int
-(** Number of indexed rows. *)
-
-val dim : t -> int
-val root : t -> node
-
-val of_root : rows:float array array -> node -> (t, string) result
-(** Rebuild an index from a deserialised tree shape and the feature
-    matrix it was built over.  Validates that the node's leaves and
-    vantage points form exactly one occurrence of every row index and
-    that every [mu] is finite and non-negative; a tree whose {e shape}
-    was corrupted without tripping these checks is caught by the
-    artifact checksum upstream. *)
-
-type scratch
-(** Reusable per-thread search state — lets {!Predict.run_batch}
-    amortise allocation across a vector of queries.  Not thread-safe;
-    use one scratch per thread. *)
-
-val scratch : unit -> scratch
-
-val knn :
-  ?scratch:scratch -> t -> k:int -> float array -> int array * float array
-(** [knn t ~k q] — the [min k n] row indices nearest to the normalised
-    query [q] and their distances, sorted by (distance, then row index)
-    ascending: exactly the prefix the full scan's sort produces.
-    Prunes subtrees whose triangle-inequality lower bound exceeds the
-    current k-th distance by more than a tiny slack (the slack absorbs
-    float rounding in the computed bounds, so pruning never drops a
-    true neighbour).  Raises [Invalid_argument] when [k < 1] or the
-    query dimension does not match. *)
-
-val scan_knn :
-  ?scratch:scratch -> t -> k:int -> float array -> int array * float array
-(** Same contract as {!knn} via an index-free linear scan over the flat
-    row storage — the scan fallback (and the reference the property
-    tests pit {!knn} against).  No tuple allocation, no polymorphic
-    compare. *)
+val of_root : n:int -> node -> (node, string) result
+(** Validate a deserialised tree over [n] rows: its leaves and vantage
+    points must hold every row index exactly once and every [mu] must be
+    finite and non-negative.  A tree whose {e shape} was corrupted
+    without tripping these checks is caught by the artifact checksum
+    upstream. *)

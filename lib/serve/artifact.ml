@@ -2,8 +2,8 @@
 
     Freezes a trained {!Ml_model.Model} — per-pair multinomial
     distributions (equations 2–5), normalised feature rows, the feature
-    scaler, the K/beta hyperparameters and (since version 2) the
-    VP-tree metric index — into a two-line {!Prelude.Envelope} file,
+    scaler, the K/beta hyperparameters and (since version 2) a VP-tree
+    over the rows — into a two-line {!Prelude.Envelope} file,
     the format store records use too:
 
     {v
@@ -22,9 +22,11 @@
     checksum digest as the artifact's version id.
 
     Versioning is minor-compatible downwards: this build writes
-    version 2 and still loads version-1 files (no ["index"] field),
-    rebuilding the — deterministic, hence structurally identical —
-    index from the feature rows on load. *)
+    version 2 and still loads version-1 files (no ["index"] field); the
+    tree is deterministic, so encoding such a model builds the one a
+    version-2 file of it holds.  Prediction does not search the tree
+    ({!Ml_model.Knn} does): it stays so that the bytes, hence version
+    ids, are those of every earlier build. *)
 
 module J = Obs.Json
 
@@ -96,7 +98,7 @@ let add_array buf add a =
 
 let add_floats buf a = add_array buf J.add_float a
 
-(* The frozen VP-tree, shape-for-shape: a JSON list is a leaf (its row
+(* The VP-tree, shape-for-shape: a JSON list is a leaf (its row
    indices), an object is a split.  Only the tree shape is stored — the
    row data is the "features" matrix the tree indexes. *)
 let rec add_index buf = function
@@ -276,9 +278,9 @@ let payload_of c =
       r_normaliser = (means, stds);
       r_features;
       r_distributions;
-      (* Absent (version 1) and explicit null both mean "rebuild": the
-         build is deterministic, so the reloaded model is structurally
-         identical either way, it just pays the construction again. *)
+      (* Absent (version 1) and explicit null both mean "build it at
+         encode": the build is deterministic, so the bytes are the same
+         either way. *)
       r_index = Option.join !index;
     },
     space,

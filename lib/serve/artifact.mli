@@ -2,16 +2,16 @@
 
     A `.pcm` (portable compiler model) file freezes one trained
     {!Ml_model.Model} — per-pair multinomial distributions, normalised
-    feature rows, the feature scaler, K/beta and (since version 2) the
-    VP-tree metric index — as a {!Prelude.Envelope} file, the format
+    feature rows, the feature scaler, K/beta and (since version 2) a
+    VP-tree over the rows — as a {!Prelude.Envelope} file, the format
     store records use too: a header line carrying magic
     (["portopt-model"]), schema version, FNV-1a 64 checksum and payload
     byte length, then the JSON payload line.  Floats round-trip
     bit-exactly, so a loaded model predicts bit-identically to the one
     that was saved; loading is pure deserialisation and runs orders of
     magnitude faster than retraining.  [save] writes version 2;
-    version-1 files (no frozen index) still load — the index build is
-    deterministic, so it is simply rebuilt from the feature rows. *)
+    version-1 files (no tree) still load, and the deterministic tree is
+    built when such a model is next encoded. *)
 
 type t = {
   model : Ml_model.Model.t;

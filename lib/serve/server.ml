@@ -60,9 +60,6 @@ type config = {
   queue : int;  (** Admitted requests beyond [jobs] before shedding. *)
   cache_capacity : int;  (** LRU entries; 0 disables the cache. *)
   admin : bool;  (** Honour [shutdown]/[sleep]/[reload] ops. *)
-  engine : Ml_model.Predict.engine;
-      (** Neighbour-search engine ([--index]); answers are bit-identical
-          either way, only throughput differs. *)
   split : float;
       (** Fraction of queries routed to the candidate arm when one is
           installed (clamped to [0, 1]). *)
@@ -82,7 +79,6 @@ let default_config address =
     queue = 64;
     cache_capacity = 512;
     admin = false;
-    engine = Ml_model.Predict.Vptree;
     split = 0.0;
     source = None;
     watch = None;
@@ -393,8 +389,6 @@ let health_json t =
               J.Str
                 (Ml_model.Features.space_to_string
                    stable.arm_artifact.Artifact.space) );
-            ( "index",
-              J.Str (Ml_model.Predict.engine_to_string t.config.engine) );
             ( "provenance",
               J.Obj (provenance_of_meta stable.arm_artifact.Artifact.meta) );
           ] );
@@ -504,7 +498,7 @@ let predict_outcome t ~id ~t0 ~objective counters uarch =
             ~finally:(fun () -> release t)
             (fun () ->
               match
-                Ml_model.Model.predict_full ~engine:t.config.engine
+                Ml_model.Model.predict_full
                   arm.arm_artifact.Artifact.model features
               with
               | r ->
@@ -630,7 +624,7 @@ let predict_batch_outcome t ~id ~t0 ~objective queries =
                   if Array.length idxs = 0 then (idxs, [||])
                   else
                     ( idxs,
-                      Ml_model.Model.predict_batch ~engine:t.config.engine
+                      Ml_model.Model.predict_batch
                         arm.arm_artifact.Artifact.model
                         (Array.map (fun i -> features.(i)) idxs) ))
                 groups

@@ -30,11 +30,6 @@ type config = {
   admin : bool;
       (** Honour the [shutdown], [sleep] and [reload] ops
           (otherwise 403). *)
-  engine : Ml_model.Predict.engine;
-      (** Neighbour-search engine behind predictions ([--index] on the
-          CLI): the VP-tree metric index or the flat linear scan.
-          Answers are bit-identical either way; only throughput
-          differs. *)
   split : float;
       (** Fraction of queries routed to the candidate arm when one is
           installed; clamped to [0, 1].  Assignment is a deterministic
@@ -53,8 +48,8 @@ type config = {
 }
 
 val default_config : Net.Addr.t -> config
-(** jobs 2, queue 64, cache 512 entries, admin off, VP-tree engine,
-    split 0, no source, no watch. *)
+(** jobs 2, queue 64, cache 512 entries, admin off, split 0, no
+    source, no watch. *)
 
 val quantise : float array -> string
 (** The LRU cache key body: the raw feature vector on a 1e-6 grid.

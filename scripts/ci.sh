@@ -2,8 +2,8 @@
 # Full CI gate, in dependency order: build everything, run the unit
 # suites, then the end-to-end smokes — bench (sequential and parallel
 # engine), trace (JSONL schema round-trip), serve (train -> serve ->
-# query -> drain against a real server), index (scan vs VP-tree
-# predictions byte-identical through the binary), store (cold -> warm
+# query -> drain against a real server), index (served predictions
+# byte-identical to in-process ones through the binary), store (cold -> warm
 # incremental rerun with byte-identical artifacts) and cluster
 # (multi-process train with chaos and a mid-run worker kill, artifact
 # byte-identical to single-process), obs (traced multi-process

@@ -118,6 +118,20 @@ let test_normaliser_roundtrip () =
   checkf "centred x" 0.0 z.(0);
   checkf "centred y" 0.0 z.(1)
 
+let test_shared_prefix () =
+  let module Fe = Ml_model.Features in
+  let base = Fe.dim Fe.Base and ext = Fe.dim Fe.Extended in
+  check Alcotest.int "base" 8 (Fe.shared_prefix base);
+  check Alcotest.int "extended" 10 (Fe.shared_prefix ext);
+  check Alcotest.int "no space" 0 (Fe.shared_prefix 5);
+  let drop cols width = Array.init width (fun i -> not (List.mem i cols)) in
+  check Alcotest.int "mask drops two descriptors" 6
+    (Fe.shared_prefix ~mask:(drop [ 0; 7 ] base) (base - 2));
+  check Alcotest.int "mask drops counters only" 10
+    (Fe.shared_prefix ~mask:(drop [ 12; 20 ] ext) (ext - 2));
+  check Alcotest.int "mask of no space" 0
+    (Fe.shared_prefix ~mask:(drop [] 7) 7)
+
 (* ---- End-to-end on a tiny dataset -------------------------------------- *)
 
 let tiny_dataset =
@@ -359,10 +373,11 @@ let test_static_features_distinguish_programs () =
   check Alcotest.bool "different programs, different features" true
     (Prelude.Vec.l2_distance a b > 0.5)
 
-(* ---- Prediction core: comparator regression, VP-tree vs scan ---------- *)
+(* ---- Prediction core: comparator regression, kNN search vs full sort -- *)
 
 module P = Ml_model.Predict
 module V = Ml_model.Vptree
+module Knn = Ml_model.Knn
 
 (* The pre-fix neighbour selection, verbatim: polymorphic [compare] on
    (distance, index) tuples.  On finite data the explicit
@@ -402,10 +417,27 @@ let golden_scale seed =
 let golden42 = lazy (Ml_model.Dataset.generate (golden_scale 42))
 let golden43 = lazy (Ml_model.Dataset.generate (golden_scale 43))
 
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* Bit for bit, so a NaN weight (every distance +inf) compares equal to
+   itself. *)
 let check_same_result ~msg (got : P.result) ns distribution setting =
-  if got.P.neighbours <> ns then Alcotest.failf "%s: neighbours differ" msg;
-  if got.P.distribution <> distribution then
-    Alcotest.failf "%s: distribution differs" msg;
+  let fields f ns = Array.map f ns in
+  if
+    fields (fun nb -> nb.P.index) got.P.neighbours <> fields (fun nb -> nb.P.index) ns
+    || not (same_bits (fields (fun nb -> nb.P.distance) got.P.neighbours)
+              (fields (fun nb -> nb.P.distance) ns))
+    || not (same_bits (fields (fun nb -> nb.P.weight) got.P.neighbours)
+              (fields (fun nb -> nb.P.weight) ns))
+  then Alcotest.failf "%s: neighbours differ" msg;
+  if
+    Array.length got.P.distribution <> Array.length distribution
+    || not (Array.for_all2 same_bits got.P.distribution distribution)
+  then Alcotest.failf "%s: distribution differs" msg;
   if got.P.setting <> setting then Alcotest.failf "%s: setting differs" msg
 
 let test_comparator_matches_historical_sort () =
@@ -427,21 +459,15 @@ let test_comparator_matches_historical_sort () =
             reference_predict ~k ~beta points distributions xn
           in
           check_same_result
-            ~msg:(Printf.sprintf "seed %d, scan" seed)
+            ~msg:(Printf.sprintf "seed %d, full sort" seed)
             (P.run ~k ~beta ~points ~distributions xn)
             ns g mode;
-          (* The golden answers hold straight through both engines and
+          (* The golden answers hold straight through the kNN search and
              the model entry point. *)
-          List.iter
-            (fun engine ->
-              check_same_result
-                ~msg:
-                  (Printf.sprintf "seed %d, %s" seed
-                     (P.engine_to_string engine))
-                (Ml_model.Model.predict_full ~engine model
-                   p.Ml_model.Dataset.features_raw)
-                ns g mode)
-            [ P.Scan; P.Vptree ])
+          check_same_result
+            ~msg:(Printf.sprintf "seed %d, model" seed)
+            (Ml_model.Model.predict_full model p.Ml_model.Dataset.features_raw)
+            ns g mode)
         d.Ml_model.Dataset.pairs)
     [ (42, golden42); (43, golden43) ]
 
@@ -458,32 +484,27 @@ let rows_with_duplicates rng ~n ~dim =
   done;
   rows
 
-let test_vptree_equals_scan_property () =
-  let rng = Prelude.Rng.create 123 in
-  let dim = Ml_model.Features.dim Ml_model.Features.Base in
-  List.iter
-    (fun n ->
-      let rows = rows_with_duplicates rng ~n ~dim in
-      let index = V.build rows in
-      let queries =
-        Array.init 50 (fun qi ->
-            (* Every fifth query sits exactly on a training row: zero
-               distance, maximal tie pressure. *)
-            if qi mod 5 = 0 then Array.copy rows.(qi * 13 mod n)
-            else Array.init dim (fun _ -> Prelude.Rng.float rng 2.0 -. 1.0))
-      in
-      List.iter
-        (fun k ->
-          Array.iteri
-            (fun qi q ->
-              let si, sd = V.scan_knn index ~k q in
-              let ti, td = V.knn index ~k q in
-              if si <> ti || sd <> td then
-                Alcotest.failf
-                  "n=%d k=%d query %d: vptree diverges from scan" n k qi)
-            queries)
-        [ 1; 2; 3; 7; 13; 40 ])
-    [ 10; 64; 300 ]
+(* Deployment-shaped rows: [u] configurations x [p] programs, laid out
+   program-major as a dataset's pairs are, the rows of one configuration
+   sharing their first [shared] columns (the descriptors, which
+   {!Ml_model.Features.raw} puts first); every eleventh row repeats the
+   row before it exactly.  Returns the rows and each configuration's
+   shared prefix. *)
+let blocked_rows rng ~u ~p ~shared ~dim =
+  let uniform () = Prelude.Rng.float rng 2.0 -. 1.0 in
+  let descriptors =
+    Array.init u (fun _ -> Array.init shared (fun _ -> uniform ()))
+  in
+  let rows =
+    Array.init (u * p) (fun i ->
+        let row = Array.init dim (fun _ -> uniform ()) in
+        Array.blit descriptors.(i mod u) 0 row 0 shared;
+        row)
+  in
+  for i = 0 to (u * p) - 1 do
+    if i mod 11 = 10 then rows.(i) <- Array.copy rows.(i - 1)
+  done;
+  (rows, descriptors)
 
 (* Random per-row distributions with the real (dimension, cardinality)
    shape, so mixtures do real work. *)
@@ -495,13 +516,113 @@ let random_distribution rng =
       Array.map (fun v -> v /. s) r)
     (Ml_model.Distribution.uniform ())
 
+(* Every shape, index prefix, query kind and k: the search returns the
+   full sort's neighbours (indices and distance bits), and a prediction
+   through it is the full sort's prediction. *)
+let test_knn_equals_full_sort_property () =
+  let rng = Prelude.Rng.create 123 in
+  let dim = Ml_model.Features.dim Ml_model.Features.Base in
+  let shared = Ml_model.Features.descriptor_dim Ml_model.Features.Base in
+  let kth_zero = ref 0 and kth_inf = ref 0 in
+  List.iter
+    (fun (u, p) ->
+      let rows, descriptors = blocked_rows rng ~u ~p ~shared ~dim in
+      let n = u * p in
+      let distributions = Array.init n (fun _ -> random_distribution rng) in
+      let uniform () = Prelude.Rng.float rng 2.0 -. 1.0 in
+      let queries =
+        List.concat
+          [
+            (* On a training row, on a duplicated one, and on a group's
+               prefix with a fresh tail. *)
+            List.map (fun i -> ("row", Array.copy rows.(i mod n))) [ 0; 10; 7 * p ];
+            List.map
+              (fun b ->
+                let q = Array.init dim (fun _ -> uniform ()) in
+                Array.blit descriptors.(b mod u) 0 q 0 shared;
+                ("prefix", q))
+              [ 0; u - 1 ];
+            [
+              ("near", Array.init dim (fun _ -> uniform ()));
+              ("far", Array.init dim (fun _ -> 1e3 +. uniform ()));
+              (* Every squared difference overflows: all distances +inf. *)
+              ("overflow", Array.make dim 1e200);
+            ];
+          ]
+      in
+      List.iter
+        (fun prefix ->
+          let index = Knn.build ~prefix rows in
+          if prefix = 0 then check Alcotest.int "prefix 0: one group" 1 (Knn.groups index);
+          if prefix = shared then
+            check Alcotest.bool "descriptor prefix: one group per configuration"
+              true (Knn.groups index <= u);
+          List.iter
+            (fun (kind, q) ->
+              for k = 1 to n + 3 do
+                let want = P.neighbours ~k ~beta:1.0 rows q in
+                let idxs, dists = Knn.search index ~k q in
+                let msg =
+                  Printf.sprintf "u=%d p=%d prefix=%d %s query, k=%d" u p prefix
+                    kind k
+                in
+                if
+                  idxs <> Array.map (fun nb -> nb.P.index) want
+                  || not (same_bits dists (Array.map (fun nb -> nb.P.distance) want))
+                then Alcotest.failf "%s: search diverges from the full sort" msg;
+                let kth = dists.(Array.length dists - 1) in
+                if kth = 0.0 then incr kth_zero;
+                if kth = Float.infinity then incr kth_inf;
+                if k = 1 || k = 7 || k = n then begin
+                  let r = P.run ~k ~beta:1.0 ~points:rows ~distributions q in
+                  check_same_result ~msg
+                    (P.run_indexed ~k ~beta:1.0 ~index ~distributions q)
+                    r.P.neighbours r.P.distribution r.P.setting
+                end
+              done)
+            queries)
+        [ 0; shared; dim ])
+    (* One group; groups smaller than k; many groups of several rows. *)
+    [ (1, 12); (6, 3); (9, 8) ];
+  check Alcotest.bool "some k-th distance is 0" true (!kth_zero > 0);
+  check Alcotest.bool "some k-th distance is +inf" true (!kth_inf > 0);
+  (* A tie at the k-th distance across groups, where only the lower
+     index decides: row 1's group is nearer on the prefix (1 against 3)
+     and is finished first, but both rows end at exactly 3.0 under the
+     root, and row 0, with its whole distance in the prefix, must still
+     win.  sqrt 3.0 squared rounds below 3.0, so without the padding the
+     skip rule would drop row 0. *)
+  let row0 = Array.make dim 0.0 and row1 = Array.make dim 0.0 in
+  Array.fill row0 0 3 1.0;
+  row1.(0) <- 1.0;
+  row1.(shared) <- 1.0;
+  row1.(shared + 1) <- 1.0;
+  let rows = [| row0; row1 |] and q = Array.make dim 0.0 in
+  let index = Knn.build ~prefix:shared rows in
+  List.iter
+    (fun k ->
+      let want = P.neighbours ~k ~beta:1.0 rows q in
+      let idxs, dists = Knn.search index ~k q in
+      check Alcotest.(array int) (Printf.sprintf "tie, k=%d" k)
+        (Array.map (fun nb -> nb.P.index) want)
+        idxs;
+      check Alcotest.bool (Printf.sprintf "tie, k=%d: distances" k) true
+        (same_bits dists (Array.map (fun nb -> nb.P.distance) want)))
+    [ 1; 2 ];
+  check Alcotest.int "the lower index wins the tie" 0
+    (fst (Knn.search index ~k:1 q)).(0)
+
 let test_predict_engines_bit_identical () =
   let rng = Prelude.Rng.create 321 in
   let dim = Ml_model.Features.dim Ml_model.Features.Base in
   let n = 120 in
   let rows = rows_with_duplicates rng ~n ~dim in
   let distributions = Array.init n (fun _ -> random_distribution rng) in
-  let index = V.build rows in
+  let index =
+    Knn.build
+      ~prefix:(Ml_model.Features.descriptor_dim Ml_model.Features.Base)
+      rows
+  in
   let queries =
     Array.init 25 (fun qi ->
         if qi mod 5 = 0 then Array.copy rows.(qi * 7 mod n)
@@ -514,50 +635,13 @@ let test_predict_engines_bit_identical () =
           Array.iteri
             (fun qi q ->
               let want = P.run ~k ~beta ~points:rows ~distributions q in
-              List.iter
-                (fun engine ->
-                  check_same_result
-                    ~msg:
-                      (Printf.sprintf "k=%d beta=%g query %d %s" k beta qi
-                         (P.engine_to_string engine))
-                    (P.run_indexed ~engine ~k ~beta ~index ~distributions q)
-                    want.P.neighbours want.P.distribution want.P.setting)
-                [ P.Scan; P.Vptree ])
+              check_same_result
+                ~msg:(Printf.sprintf "k=%d beta=%g query %d" k beta qi)
+                (P.run_indexed ~k ~beta ~index ~distributions q)
+                want.P.neighbours want.P.distribution want.P.setting)
             queries)
         [ 0.25; 1.0; 4.0 ])
     [ 1; 3; 7 ]
-
-let test_run_batch_matches_singles () =
-  let rng = Prelude.Rng.create 555 in
-  let dim = Ml_model.Features.dim Ml_model.Features.Base in
-  let n = 90 in
-  let rows = rows_with_duplicates rng ~n ~dim in
-  let distributions = Array.init n (fun _ -> random_distribution rng) in
-  let index = V.build rows in
-  let queries =
-    Array.init 40 (fun qi ->
-        if qi mod 4 = 0 then Array.copy rows.(qi mod n)
-        else Array.init dim (fun _ -> Prelude.Rng.float rng 2.0 -. 1.0))
-  in
-  List.iter
-    (fun engine ->
-      let batch =
-        P.run_batch ~engine ~k:7 ~beta:1.0 ~index ~distributions queries
-      in
-      check Alcotest.int "one result per query" (Array.length queries)
-        (Array.length batch);
-      Array.iteri
-        (fun qi q ->
-          let single =
-            P.run_indexed ~engine ~k:7 ~beta:1.0 ~index ~distributions q
-          in
-          check_same_result
-            ~msg:
-              (Printf.sprintf "query %d %s" qi (P.engine_to_string engine))
-            batch.(qi) single.P.neighbours single.P.distribution
-            single.P.setting)
-        queries)
-    [ P.Scan; P.Vptree ]
 
 let test_model_batch_matches_predict_full () =
   let d = Lazy.force tiny_dataset in
@@ -580,17 +664,14 @@ let test_vptree_build_deterministic_and_reloadable () =
   let rng = Prelude.Rng.create 77 in
   let rows = rows_with_duplicates rng ~n:100 ~dim:5 in
   let a = V.build rows and b = V.build rows in
-  check Alcotest.bool "two builds, one structure" true (V.root a = V.root b);
-  (* of_root round-trips the frozen shape. *)
-  (match V.of_root ~rows (V.root a) with
+  check Alcotest.bool "two builds, one structure" true (a = b);
+  (* of_root accepts the frozen shape as it is. *)
+  (match V.of_root ~n:100 a with
   | Error e -> Alcotest.failf "of_root rejected its own tree: %s" e
-  | Ok c ->
-    let q = rows.(3) in
-    check Alcotest.bool "reloaded tree answers identically" true
-      (V.knn a ~k:5 q = V.knn c ~k:5 q));
+  | Ok c -> check Alcotest.bool "validated tree unchanged" true (c = a));
   (* Structural validation catches bad frozen trees. *)
   let reject ~msg root =
-    match V.of_root ~rows root with
+    match V.of_root ~n:100 root with
     | Ok _ -> Alcotest.failf "%s: accepted" msg
     | Error _ -> ()
   in
@@ -613,17 +694,80 @@ let test_vptree_rejects_bad_input () =
       ignore (V.build [||]));
   Alcotest.check_raises "ragged matrix"
     (Invalid_argument "Vptree.build: ragged matrix") (fun () ->
-      ignore (V.build [| [| 1.0 |]; [| 1.0; 2.0 |] |]));
-  let t = V.build [| [| 0.0 |]; [| 1.0 |] |] in
+      ignore (V.build [| [| 1.0 |]; [| 1.0; 2.0 |] |]))
+
+(* A masked model groups on the descriptors its mask keeps and still
+   predicts exactly what the full sort over its rows predicts. *)
+let test_masked_model_matches_full_sort () =
+  let rng = Prelude.Rng.create 909 in
+  let dim = Ml_model.Features.dim Ml_model.Features.Base in
+  let shared = Ml_model.Features.descriptor_dim Ml_model.Features.Base in
+  let raw, descriptors = blocked_rows rng ~u:5 ~p:6 ~shared ~dim in
+  let n = Array.length raw in
+  let distributions = Array.init n (fun _ -> random_distribution rng) in
+  let mask = Array.init dim (fun i -> i <> 1 && i <> 5 && i <> 12) in
+  check Alcotest.int "prefix under the mask" (shared - 2)
+    (Ml_model.Features.shared_prefix ~mask dim);
+  let keep x =
+    Array.of_list
+      (List.filteri (fun i _ -> mask.(i)) (Array.to_list x))
+  in
+  List.iter
+    (fun mask ->
+      let model =
+        Ml_model.Model.of_parts ?mask ~features_raw:raw ~distributions ()
+      in
+      let r = Ml_model.Model.export model in
+      let points = r.Ml_model.Model.r_features in
+      let masked x = match mask with Some _ -> keep x | None -> x in
+      let queries =
+        [ Array.copy raw.(3); Array.copy raw.(10) ]
+        @ List.map
+            (fun b ->
+              let q = Array.init dim (fun _ -> Prelude.Rng.float rng 2.0 -. 1.0) in
+              Array.blit descriptors.(b) 0 q 0 shared;
+              q)
+            [ 0; 4 ]
+        @ [ Array.init dim (fun _ -> 50.0 +. Prelude.Rng.float rng 1.0) ]
+      in
+      List.iteri
+        (fun qi x ->
+          let xn =
+            Ml_model.Features.normalise r.Ml_model.Model.r_normaliser (masked x)
+          in
+          let want =
+            P.run ~k:(Ml_model.Model.k model) ~beta:(Ml_model.Model.beta model)
+              ~points ~distributions xn
+          in
+          check_same_result
+            ~msg:
+              (Printf.sprintf "%s query %d"
+                 (if mask = None then "unmasked" else "masked") qi)
+            (Ml_model.Model.predict_full model x)
+            want.P.neighbours want.P.distribution want.P.setting)
+        queries)
+    [ Some mask; None ]
+
+let test_knn_rejects_bad_input () =
+  Alcotest.check_raises "empty matrix"
+    (Invalid_argument "Knn.build: empty matrix") (fun () ->
+      ignore (Knn.build ~prefix:0 [||]));
+  Alcotest.check_raises "ragged matrix"
+    (Invalid_argument "Knn.build: ragged matrix") (fun () ->
+      ignore (Knn.build ~prefix:0 [| [| 1.0 |]; [| 1.0; 2.0 |] |]));
+  Alcotest.check_raises "prefix beyond the row"
+    (Invalid_argument "Knn.build: prefix 2 outside 0..1") (fun () ->
+      ignore (Knn.build ~prefix:2 [| [| 1.0 |] |]));
+  let t = Knn.build ~prefix:1 [| [| 0.0 |]; [| 1.0 |] |] in
   Alcotest.check_raises "k < 1"
-    (Invalid_argument "Vptree.knn: k must be >= 1 (got 0)") (fun () ->
-      ignore (V.knn t ~k:0 [| 0.5 |]));
+    (Invalid_argument "Knn.search: k must be >= 1 (got 0)") (fun () ->
+      ignore (Knn.search t ~k:0 [| 0.5 |]));
   Alcotest.check_raises "wrong query dimension"
-    (Invalid_argument "Vptree.knn: query dimension 2, index dimension 1")
-    (fun () -> ignore (V.knn t ~k:1 [| 0.5; 0.5 |]));
+    (Invalid_argument "Knn.search: query dimension 2, index dimension 1")
+    (fun () -> ignore (Knn.search t ~k:1 [| 0.5; 0.5 |]));
   (* k > n clamps to n rather than erroring. *)
-  let idxs, _ = V.knn t ~k:10 [| 0.2 |] in
-  check Alcotest.(array int) "k clamps to n" [| 0; 1 |] idxs
+  let idxs, _ = Knn.search t ~k:10 [| 0.7 |] in
+  check Alcotest.(array int) "k clamps to n" [| 1; 0 |] idxs
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -648,6 +792,7 @@ let () =
         [
           quick "dimensions" test_feature_dimensions;
           quick "normaliser" test_normaliser_roundtrip;
+          quick "shared prefix" test_shared_prefix;
         ] );
       ( "extensions",
         [
@@ -679,16 +824,18 @@ let () =
           Alcotest.test_case
             "explicit comparator matches historical sort (seeds 42/43)"
             `Slow test_comparator_matches_historical_sort;
-          quick "vptree equals scan (property sweep)"
-            test_vptree_equals_scan_property;
+          quick "knn equals the full sort (property sweep)"
+            test_knn_equals_full_sort_property;
           quick "engines bit-identical across k and beta"
             test_predict_engines_bit_identical;
-          quick "run_batch matches singles" test_run_batch_matches_singles;
           quick "model batch matches predict_full"
             test_model_batch_matches_predict_full;
           quick "vptree build deterministic and reloadable"
             test_vptree_build_deterministic_and_reloadable;
           quick "vptree rejects bad input" test_vptree_rejects_bad_input;
+          quick "masked model matches the full sort"
+            test_masked_model_matches_full_sort;
+          quick "knn rejects bad input" test_knn_rejects_bad_input;
         ] );
     ]
 

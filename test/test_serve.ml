@@ -634,6 +634,84 @@ let test_artifact_hostile_payloads () =
   Sys.remove path;
   check Alcotest.bool "most mutations are rejected" true (!rejected > !ok)
 
+(* A re-signed payload whose normaliser would turn every query into
+   infinities or NaNs is refused at load with a typed error.  JSON has
+   no infinity literal, but 1e999 reads as one. *)
+let test_artifact_rejects_bad_normaliser () =
+  let artifact = artifact_of (Lazy.force dataset42) in
+  let means, stds =
+    (Ml_model.Model.export artifact.Serve.Artifact.model)
+      .Ml_model.Model.r_normaliser
+  in
+  let path = tmp_path "badnorm.pcm" in
+  Serve.Artifact.save ~path artifact;
+  let payload = payload_of_file path in
+  (* The payload with the first entry of [field] printed as [lit]. *)
+  let first field values lit =
+    let at v = Printf.sprintf "\"%s\":[%s," field v in
+    let text =
+      replace ~from:(at (J.to_string (J.Float values.(0)))) ~into:(at lit)
+        payload
+    in
+    if text = payload then Alcotest.failf "no %s entry to replace" field;
+    text
+  in
+  write_signed ~path ~version:2 (first "std" stds "2.5");
+  ignore (read_ok path);
+  List.iter
+    (fun (what, text) ->
+      write_signed ~path ~version:2 text;
+      let e = load_error path in
+      check_error_mentions ~msg:what "model:" e;
+      check_error_mentions ~msg:what "normaliser" e)
+    [
+      ("zero std", first "std" stds "0.0");
+      ("negative std", first "std" stds "-1.5");
+      ("infinite std", first "std" stds "1e999");
+      ("infinite mean", first "mean" means "1e999");
+      ("negative infinite mean", first "mean" means "-1e999");
+    ];
+  Sys.remove path
+
+(* The bytes [encode] writes do not depend on how the model was obtained:
+   trained in-process, read back from a version-2 file (its frozen tree
+   written back as it was) or from a version-1 file (the tree built at
+   encode). *)
+let test_artifact_encode_same_bytes_across_loads () =
+  let d = Lazy.force dataset42 in
+  let ext = Ml_model.Features.Extended in
+  let mask = Array.init (Ml_model.Features.dim ext) (fun i -> i mod 4 <> 1) in
+  let path = tmp_path "encode.pcm" in
+  List.iter
+    (fun (name, a) ->
+      let fresh = Serve.Artifact.encode a in
+      Serve.Artifact.save ~path a;
+      let header, payload = fresh in
+      check Alcotest.string (name ^ ": the file is the encoding")
+        (header ^ "\n" ^ payload ^ "\n")
+        (read_file path);
+      let _, v2 = read_ok path in
+      rewrite_artifact ~path ~version:1 (function
+        | J.Obj fields -> J.Obj (List.filter (fun (k, _) -> k <> "index") fields)
+        | j -> j);
+      let _, v1 = read_ok path in
+      check
+        Alcotest.(pair string string)
+        (name ^ ": a loaded version-2 file") fresh (Serve.Artifact.encode v2);
+      check
+        Alcotest.(pair string string)
+        (name ^ ": a loaded version-1 file") fresh (Serve.Artifact.encode v1))
+    [
+      ("trained", artifact_of d);
+      ( "extended, masked",
+        {
+          Serve.Artifact.model = model_of_pairs ~mask ext (pairs_of d);
+          space = ext;
+          meta = [ ("suite", J.Str "test") ];
+        } );
+    ];
+  Sys.remove path
+
 (* ---- quantise: the cache-key kernel ------------------------------------ *)
 
 let test_quantise_signed_zero_and_nan () =
@@ -811,8 +889,7 @@ let test_protocol_batch_roundtrip_and_limits () =
 let with_id a = (Serve.Artifact.version_id a, a)
 
 let with_server ?(jobs = 2) ?(queue = 8) ?(cache = 256) ?(admin = false)
-    ?(engine = Ml_model.Predict.Vptree) ?(split = 0.0) ?source ?watch
-    ?candidate artifact f =
+    ?(split = 0.0) ?source ?watch ?candidate artifact f =
   let socket = tmp_path (Printf.sprintf "srv_%d.sock" (Random.bits ())) in
   let config =
     {
@@ -821,7 +898,6 @@ let with_server ?(jobs = 2) ?(queue = 8) ?(cache = 256) ?(admin = false)
       queue;
       cache_capacity = cache;
       admin;
-      engine;
       split;
       source;
       watch;
@@ -998,42 +1074,50 @@ let test_server_batch_cache_hits () =
                   true p.Serve.Protocol.cached)
               results))
 
-let test_server_engines_agree () =
+let test_server_answers_equal_in_process () =
   let dataset = Lazy.force dataset42 in
   let artifact = artifact_of dataset in
+  let model = artifact.Serve.Artifact.model in
   let queries = queries_of dataset 8 in
-  let ask engine =
-    with_server ~cache:0 ~engine artifact (fun _server address ->
-        let client = Serve.Client.connect address in
-        Fun.protect
-          ~finally:(fun () -> Serve.Client.close client)
-          (fun () ->
-            (* Health reports which engine is serving. *)
-            (match Serve.Client.health client with
-            | Error (_, e) -> Alcotest.failf "health failed: %s" e
-            | Ok h ->
-              let index =
-                Option.bind (J.member "model" h) (fun m ->
-                    Option.bind (J.member "index" m) J.to_str)
-              in
-              check
-                Alcotest.(option string)
-                "health names the engine"
-                (Some (Ml_model.Predict.engine_to_string engine))
-                index);
-            Array.map
-              (fun (counters, uarch) ->
+  with_server ~cache:0 artifact (fun _server address ->
+      let client = Serve.Client.connect address in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close client)
+        (fun () ->
+          (* Health no longer names a search engine: there is one. *)
+          (match Serve.Client.health client with
+          | Error (_, e) -> Alcotest.failf "health failed: %s" e
+          | Ok h ->
+            let m = Option.get (J.member "model" h) in
+            check Alcotest.bool "health has no model.index" true
+              (J.member "index" m = None);
+            check Alcotest.(option int) "health counts the pairs"
+              (Some (Ml_model.Model.n_points model))
+              (Option.bind (J.member "pairs" m) J.to_int));
+          Array.iteri
+            (fun i (counters, uarch) ->
+              let served =
                 match Serve.Client.predict client ~counters ~uarch with
                 | Ok p -> p
-                | Error (_, e) -> Alcotest.failf "predict failed: %s" e)
-              queries))
-  in
-  let scan = ask Ml_model.Predict.Scan in
-  let vptree = ask Ml_model.Predict.Vptree in
-  Array.iteri
-    (fun i p ->
-      check_same_prediction ~msg:(Printf.sprintf "query %d" i) scan.(i) p)
-    vptree
+                | Error (_, e) -> Alcotest.failf "predict failed: %s" e
+              in
+              let local =
+                Ml_model.Model.predict_full model
+                  (Ml_model.Features.raw artifact.Serve.Artifact.space counters
+                     uarch)
+              in
+              let msg = Printf.sprintf "query %d" i in
+              check Alcotest.bool (msg ^ ": setting") true
+                (served.Serve.Protocol.setting = local.Ml_model.Predict.setting);
+              let pairs ns f = Array.to_list (Array.map f ns) in
+              check
+                Alcotest.(list (pair int (float 0.0)))
+                (msg ^ ": neighbours and distances")
+                (pairs local.Ml_model.Predict.neighbours (fun nb ->
+                     (nb.Ml_model.Predict.index, nb.Ml_model.Predict.distance)))
+                (pairs served.Serve.Protocol.neighbours (fun nb ->
+                     (nb.Serve.Protocol.index, nb.Serve.Protocol.distance))))
+            queries))
 
 let test_server_bind_failure_leaks_nothing () =
   (* A server that cannot bind raises and leaves no socket behind. *)
@@ -1499,7 +1583,6 @@ let test_server_graceful_drain () =
       queue = 4;
       cache_capacity = 0;
       admin = true;
-      engine = Ml_model.Predict.Vptree;
       split = 0.0;
       source = None;
       watch = None;
@@ -1809,7 +1892,6 @@ let test_client_reconnects_idempotent_ops () =
       queue = 4;
       cache_capacity = 16;
       admin = false;
-      engine = Ml_model.Predict.Vptree;
       split = 0.0;
       source = None;
       watch = None;
@@ -1899,6 +1981,10 @@ let () =
             test_artifact_reads_noncanonical_payloads;
           Alcotest.test_case "hostile payloads: Ok or Error, never raise"
             `Slow test_artifact_hostile_payloads;
+          Alcotest.test_case "rejects a bad normaliser" `Slow
+            test_artifact_rejects_bad_normaliser;
+          Alcotest.test_case "encodes trained, v2 and v1 models alike" `Slow
+            test_artifact_encode_same_bytes_across_loads;
         ] );
       ( "quantise",
         [
@@ -1928,8 +2014,8 @@ let () =
             (test_server_batch_matches_singles ~jobs:4);
           Alcotest.test_case "batch cache hits" `Slow
             test_server_batch_cache_hits;
-          Alcotest.test_case "scan and vptree engines agree" `Slow
-            test_server_engines_agree;
+          Alcotest.test_case "answers equal in-process predictions" `Slow
+            test_server_answers_equal_in_process;
           Alcotest.test_case "rejects non-finite query with a 400" `Slow
             test_server_rejects_non_finite_query;
           Alcotest.test_case "tcp ephemeral port" `Slow

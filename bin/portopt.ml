@@ -649,17 +649,32 @@ let worker_cmd =
     Term.(const run $ obs_term "worker" $ connect $ store_term $ chaos
           $ name_arg $ wire_term)
 
-let train_cmd =
-  let run () store out evidence_out uarchs opts objective cluster =
+(* The dataset scale of train, crossval and evidence: the REPRO_*
+   defaults, overridden per option. *)
+let scale_term =
+  let uarchs =
+    Arg.(value & opt (some int) None
+         & info [ "train-uarchs" ]
+             ~doc:"Training configurations (default: \\$REPRO_UARCHS or 24).")
+  in
+  let opts =
+    Arg.(value & opt (some int) None
+         & info [ "train-opts" ]
+             ~doc:"Training settings (default: \\$REPRO_OPTS or 120).")
+  in
+  let scale uarchs opts =
     let scale = Ml_model.Dataset.default_scale () in
-    let scale =
-      {
-        scale with
-        Ml_model.Dataset.n_uarchs =
-          Option.value ~default:scale.Ml_model.Dataset.n_uarchs uarchs;
-        n_opts = Option.value ~default:scale.Ml_model.Dataset.n_opts opts;
-      }
-    in
+    {
+      scale with
+      Ml_model.Dataset.n_uarchs =
+        Option.value ~default:scale.Ml_model.Dataset.n_uarchs uarchs;
+      n_opts = Option.value ~default:scale.Ml_model.Dataset.n_opts opts;
+    }
+  in
+  Term.(const scale $ uarchs $ opts)
+
+let train_cmd =
+  let run () store out evidence_out scale objective cluster =
     Obs.Span.log
       (Printf.sprintf "training (%d configurations x %d settings)..."
          scale.Ml_model.Dataset.n_uarchs scale.Ml_model.Dataset.n_opts);
@@ -723,16 +738,6 @@ let train_cmd =
                 publish), which can refit the model incrementally from \
                 it.")
   in
-  let uarchs =
-    Arg.(value & opt (some int) None
-         & info [ "train-uarchs" ]
-             ~doc:"Training configurations (default: \\$REPRO_UARCHS or 24).")
-  in
-  let opts =
-    Arg.(value & opt (some int) None
-         & info [ "train-opts" ]
-             ~doc:"Training settings (default: \\$REPRO_OPTS or 120).")
-  in
   let man =
     [
       `S Manpage.s_description;
@@ -772,19 +777,10 @@ let train_cmd =
   Cmd.v
     (Cmd.info "train" ~doc:"Train the model and save a .pcm artifact" ~man)
     Term.(const run $ obs_term "train" $ store_term $ out $ evidence_out
-          $ uarchs $ opts $ objective_term $ cluster_term)
+          $ scale_term $ objective_term $ cluster_term)
 
 let crossval_cmd =
-  let run () store uarchs opts objective cluster =
-    let scale = Ml_model.Dataset.default_scale () in
-    let scale =
-      {
-        scale with
-        Ml_model.Dataset.n_uarchs =
-          Option.value ~default:scale.Ml_model.Dataset.n_uarchs uarchs;
-        n_opts = Option.value ~default:scale.Ml_model.Dataset.n_opts opts;
-      }
-    in
+  let run () store scale objective cluster =
     let progress m = Obs.Span.log m in
     with_cluster ?store cluster @@ fun backend ->
     let dataset =
@@ -824,16 +820,6 @@ let crossval_cmd =
         non_trivial
     end
   in
-  let uarchs =
-    Arg.(value & opt (some int) None
-         & info [ "train-uarchs" ]
-             ~doc:"Training configurations (default: \\$REPRO_UARCHS or 24).")
-  in
-  let opts =
-    Arg.(value & opt (some int) None
-         & info [ "train-opts" ]
-             ~doc:"Training settings (default: \\$REPRO_OPTS or 120).")
-  in
   let man =
     [
       `S Manpage.s_description;
@@ -861,7 +847,7 @@ let crossval_cmd =
   in
   Cmd.v
     (Cmd.info "crossval" ~doc:"Leave-one-out cross-validation summary" ~man)
-    Term.(const run $ obs_term "crossval" $ store_term $ uarchs $ opts
+    Term.(const run $ obs_term "crossval" $ store_term $ scale_term
           $ objective_term $ cluster_term)
 
 (* ---- store maintenance ------------------------------------------------ *)
@@ -1216,6 +1202,16 @@ let serve_cmd =
     Term.(const run $ obs_term "serve" $ model $ registry $ channel $ ab
           $ watch $ address_term $ jobs $ queue $ cache $ admin)
 
+(* Shared by query/metrics/top/promote: connect or die with a friendly
+   message. *)
+let connect_or_exit ?wire address =
+  try Serve.Client.connect ?wire address
+  with Unix.Unix_error (e, _, _) ->
+    Printf.eprintf "portopt: cannot connect to %s: %s\n"
+      (Net.Addr.to_string address)
+      (Unix.error_message e);
+    exit 1
+
 let query_cmd =
   let print_prediction name u (p : Serve.Protocol.prediction) =
     Printf.printf "predicted passes for %s on %s:\n  %s\n" name
@@ -1243,14 +1239,7 @@ let query_cmd =
   in
   let run () progs batch u objective address health shutdown reload sleep_s
       wire =
-    let client =
-      try Serve.Client.connect ~wire address
-      with Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "portopt: cannot connect to %s: %s\n"
-          (Net.Addr.to_string address)
-          (Unix.error_message e);
-        exit 1
-    in
+    let client = connect_or_exit ~wire address in
     Fun.protect
       ~finally:(fun () -> Serve.Client.close client)
       (fun () ->
@@ -1429,15 +1418,6 @@ let report_cmd =
        ~man)
     Term.(const run $ files)
 
-(* Shared by metrics/top: connect or die with a friendly message. *)
-let connect_or_exit address =
-  try Serve.Client.connect address
-  with Unix.Unix_error (e, _, _) ->
-    Printf.eprintf "portopt: cannot connect to %s: %s\n"
-      (Net.Addr.to_string address)
-      (Unix.error_message e);
-    exit 1
-
 let metrics_cmd =
   let run address cluster format =
     let snapshot =
@@ -1594,16 +1574,7 @@ let registry_fail fmt =
     fmt
 
 let evidence_cmd =
-  let run () store out uarchs opts cluster =
-    let scale = Ml_model.Dataset.default_scale () in
-    let scale =
-      {
-        scale with
-        Ml_model.Dataset.n_uarchs =
-          Option.value ~default:scale.Ml_model.Dataset.n_uarchs uarchs;
-        n_opts = Option.value ~default:scale.Ml_model.Dataset.n_opts opts;
-      }
-    in
+  let run () store out scale cluster =
     Obs.Span.log
       (Printf.sprintf "collecting evidence (%d configurations x %d settings)..."
          scale.Ml_model.Dataset.n_uarchs scale.Ml_model.Dataset.n_opts);
@@ -1634,16 +1605,6 @@ let evidence_cmd =
          & info [ "o"; "output" ] ~docv:"FILE"
              ~doc:"Where to write the evidence ledger (JSONL).")
   in
-  let uarchs =
-    Arg.(value & opt (some int) None
-         & info [ "train-uarchs" ]
-             ~doc:"Training configurations (default: \\$REPRO_UARCHS or 24).")
-  in
-  let opts =
-    Arg.(value & opt (some int) None
-         & info [ "train-opts" ]
-             ~doc:"Training settings (default: \\$REPRO_OPTS or 120).")
-  in
   let man =
     [
       `S Manpage.s_description;
@@ -1670,7 +1631,7 @@ let evidence_cmd =
   Cmd.v
     (Cmd.info "evidence"
        ~doc:"Collect a training-evidence ledger for the model registry" ~man)
-    Term.(const run $ obs_term "evidence" $ store_term $ out $ uarchs $ opts
+    Term.(const run $ obs_term "evidence" $ store_term $ out $ scale_term
           $ cluster_term)
 
 let registry_publish_cmd =

@@ -70,7 +70,6 @@ type raw = {
   mutable r_jumps : int;
   mutable r_reg_reads : int;
   mutable r_reg_writes : int;
-  r_site_exec : Ibuf.t;  (** Unused when sites are counted in arrays below. *)
   mutable r_site_execs : int array;
   mutable r_site_takens : int array;
   r_daddrs : Ibuf.t;  (** Byte addresses of loads/stores in order. *)
@@ -102,7 +101,6 @@ let create_raw ~n_branch_sites ~trace =
     r_jumps = 0;
     r_reg_reads = 0;
     r_reg_writes = 0;
-    r_site_exec = Ibuf.create ~capacity:1 ();
     r_site_execs = Array.make (max 1 n_branch_sites) 0;
     r_site_takens = Array.make (max 1 n_branch_sites) 0;
     r_daddrs = Ibuf.create ~capacity:(if trace then 8192 else 1) ();

@@ -90,8 +90,6 @@ let n_uarchs t = Array.length t.uarchs
 
 let pair t ~prog ~uarch = t.pairs.((prog * n_uarchs t) + uarch)
 
-let speedup_of_pair p ~seconds = p.o3_seconds /. seconds
-
 (** Best speedup over -O3 among the sampled settings for a pair. *)
 let best_speedup p = p.o3_seconds /. p.best_seconds
 

@@ -101,9 +101,6 @@ val n_uarchs : t -> int
 
 val pair : t -> prog:int -> uarch:int -> pair
 
-val speedup_of_pair : pair -> seconds:float -> float
-(** Speedup over -O3 of a measurement on the pair's configuration. *)
-
 val best_speedup : pair -> float
 (** Best sampled speedup over -O3 — the iterative-compilation bound. *)
 

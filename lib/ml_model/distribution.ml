@@ -49,9 +49,6 @@ let add_counts (c : counts) (good : Passes.Flags.setting array) =
       Array.iteri (fun l v -> c.(l).(v) <- c.(l).(v) +. 1.0) s)
     good
 
-let total_count (c : counts) =
-  if Array.length c = 0 then 0.0 else Array.fold_left ( +. ) 0.0 c.(0)
-
 let of_counts (c : counts) : t =
   Array.map
     (fun row ->

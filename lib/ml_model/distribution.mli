@@ -39,9 +39,6 @@ val counts : ?alpha:float -> unit -> counts
 val add_counts : counts -> Passes.Flags.setting array -> unit
 (** Fold a batch of good settings into the counts, in array order. *)
 
-val total_count : counts -> float
-(** Mass folded so far (settings plus per-value smoothing). *)
-
 val of_counts : counts -> t
 (** Normalise each dimension's counts into probabilities — the single
     division of {!fit}.  A zero-mass dimension yields the uniform row,

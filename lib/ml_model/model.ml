@@ -94,13 +94,6 @@ let predict_full t x =
   Predict.run_indexed ~k:t.k ~beta:t.beta ~index:t.knn
     ~distributions:t.distributions xn
 
-(** [predict_full] over a vector of queries. *)
-let predict_batch t xs = Array.map (predict_full t) xs
-
-(** The predictive distribution q(y|x) at the test point, for raw
-    features [x]. *)
-let predictive_distribution t x = (predict_full t x).Predict.distribution
-
 (** Equation (1): predicted-best optimisation setting for raw features. *)
 let predict t x = (predict_full t x).Predict.setting
 

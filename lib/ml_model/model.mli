@@ -54,14 +54,6 @@ val predict_full : t -> float array -> Predict.result
     cross-validation and the prediction server; the neighbours come from
     the model's {!Knn} index, bit-identical to {!Predict.neighbours}. *)
 
-val predict_batch : t -> float array array -> Predict.result array
-(** [predict_full] over a vector of raw feature queries: element [i] is
-    [predict_full t xs.(i)]. *)
-
-val predictive_distribution : t -> float array -> Distribution.t
-(** The predictive distribution q(y|x) for {e raw} (unnormalised)
-    features [x], as produced by {!Features.raw}. *)
-
 val predict : t -> float array -> Passes.Flags.setting
 (** Equation (1): the mode of the predictive distribution — the
     predicted-best optimisation setting for the pair described by [x]. *)

@@ -154,8 +154,6 @@ let shutdown t =
         b)
     t.busy
 
-let busy_seconds t = Array.copy t.busy
-
 let init t n f =
   if n = 0 then [||]
   else if t.domains = [] || n = 1 then Array.init n f
@@ -253,9 +251,6 @@ let default () =
   p
 
 let jobs () = size (default ())
-
-let parallel_init n f = init (default ()) n f
-let parallel_map f xs = map (default ()) f xs
 
 let serialised f =
   let m = Mutex.create () in

@@ -15,7 +15,11 @@
 
     Exceptions raised by tasks are re-raised in the submitting domain;
     when several tasks fail, the one with the {e lowest index} wins, so
-    failure behaviour is deterministic too. *)
+    failure behaviour is deterministic too.
+
+    The pool feeds the [pool.batches] / [pool.tasks] counters, the
+    [pool.task_seconds] histogram and the [pool.queue_depth] gauge —
+    all in {!Obs.Metrics}, all purely observational. *)
 
 type t
 (** A pool of worker domains plus the submitting domain. *)
@@ -40,13 +44,6 @@ val shutdown : t -> unit
     execution, while {!submit} raises {!Closed}.  Publishes the
     per-domain busy times as [pool.domain<i>.busy_s] gauges in
     {!Obs.Metrics}. *)
-
-val busy_seconds : t -> float array
-(** Cumulative wall seconds each participant (index 0 = the submitting
-    domain) spent running tasks, for load-balance diagnostics.  The
-    pool also feeds the [pool.batches] / [pool.tasks] counters, the
-    [pool.task_seconds] histogram and the [pool.queue_depth] gauge —
-    all in {!Obs.Metrics}, all purely observational. *)
 
 val init : t -> int -> (int -> 'a) -> 'a array
 (** [init t n f] is [Array.init n f] with the [n] calls distributed
@@ -85,12 +82,6 @@ val jobs : unit -> int
 val default : unit -> t
 (** The process-wide pool used when callers don't pass their own, sized
     by [jobs ()].  Created on first use; joined automatically at exit. *)
-
-val parallel_init : int -> (int -> 'a) -> 'a array
-(** [init] on the default pool. *)
-
-val parallel_map : ('a -> 'b) -> 'a array -> 'b array
-(** [map] on the default pool. *)
 
 val serialised : ('a -> unit) -> 'a -> unit
 (** [serialised f] wraps callback [f] (typically a progress printer)

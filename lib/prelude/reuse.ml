@@ -156,5 +156,3 @@ let miss_fraction_capacity h ~capacity_blocks ~ways =
 
 let expected_misses_capacity h ~capacity_blocks ~ways =
   miss_fraction_capacity h ~capacity_blocks ~ways *. float_of_int h.total
-
-let unique_blocks h = h.cold

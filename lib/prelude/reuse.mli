@@ -70,6 +70,3 @@ val miss_fraction_capacity :
 
 val expected_misses_capacity :
   histogram -> capacity_blocks:int -> ways:int -> float
-
-val unique_blocks : histogram -> int
-(** Number of distinct blocks in the underlying trace (the footprint). *)

@@ -109,6 +109,15 @@ let query_to_json (counters, uarch) =
   J.Obj
     [ ("counters", counters_to_json counters); ("uarch", uarch_to_json uarch) ]
 
+let op_name = function
+  | Predict _ -> "predict"
+  | Predict_batch _ -> "predict_batch"
+  | Health -> "health"
+  | Metrics -> "metrics"
+  | Reload -> "reload"
+  | Shutdown -> "shutdown"
+  | Sleep _ -> "sleep"
+
 let request_to_json ?id ?trace req =
   let id = match id with None -> [] | Some i -> [ ("id", J.Int i) ] in
   let trace =
@@ -123,25 +132,16 @@ let request_to_json ?id ?trace req =
   let fields =
     match req with
     | Predict { counters; uarch; objective } ->
-      [
-        ("op", J.Str "predict");
-        ("counters", counters_to_json counters);
-        ("uarch", uarch_to_json uarch);
-      ]
-      @ objective_field objective
+      ("counters", counters_to_json counters)
+      :: ("uarch", uarch_to_json uarch)
+      :: objective_field objective
     | Predict_batch { queries; objective } ->
-      [
-        ("op", J.Str "predict_batch");
-        ("queries", J.List (Array.to_list (Array.map query_to_json queries)));
-      ]
-      @ objective_field objective
-    | Health -> [ ("op", J.Str "health") ]
-    | Metrics -> [ ("op", J.Str "metrics") ]
-    | Reload -> [ ("op", J.Str "reload") ]
-    | Shutdown -> [ ("op", J.Str "shutdown") ]
-    | Sleep s -> [ ("op", J.Str "sleep"); ("seconds", J.Float s) ]
+      ("queries", J.List (Array.to_list (Array.map query_to_json queries)))
+      :: objective_field objective
+    | Health | Metrics | Reload | Shutdown -> []
+    | Sleep s -> [ ("seconds", J.Float s) ]
   in
-  J.Obj (fields @ trace @ id)
+  J.Obj ((("op", J.Str (op_name req)) :: fields) @ trace @ id)
 
 (** The request's ["id"] field, echoed into every response so clients
     can pipeline. *)

@@ -40,6 +40,9 @@ val max_batch : int
 (** Largest accepted [predict_batch] vector (512); larger batches are
     rejected with a 400. *)
 
+val op_name : request -> string
+(** The request's wire ["op"] value. *)
+
 val counters_to_json : Sim.Counters.t -> Obs.Json.t
 
 val request_to_json :

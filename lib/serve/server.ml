@@ -245,14 +245,14 @@ let ab_bucket key =
   int_of_string ("0x" ^ String.sub (Prelude.Fnv.digest_string key) 0 7)
   mod ab_buckets
 
-let route_key counters uarch =
-  quantise (Sim.Counters.to_array counters)
-  ^ "@" ^ Uarch.Config.cache_key uarch
-
-let choose routing key =
+(* The route key is built only when a candidate could take the query. *)
+let choose routing (counters, uarch) =
   match routing.r_candidate with
   | Some c
-    when float_of_int (ab_bucket key)
+    when float_of_int
+           (ab_bucket
+              (quantise (Sim.Counters.to_array counters)
+              ^ "@" ^ Uarch.Config.cache_key uarch))
          < routing.r_split *. float_of_int ab_buckets ->
     c
   | _ -> routing.r_stable
@@ -416,38 +416,66 @@ let wire_neighbours (ns : Ml_model.Predict.neighbour array) =
       })
     ns
 
+let cached_of_result (r : Ml_model.Predict.result) =
+  {
+    c_setting = r.Ml_model.Predict.setting;
+    c_flags = Passes.Flags.to_string r.Ml_model.Predict.setting;
+    c_neighbours = wire_neighbours r.Ml_model.Predict.neighbours;
+  }
+
 (* One answered query's bookkeeping: per-arm count and latency, plus
    the response-record tags that pin it to its arm and model version. *)
-let answered arm ~dur_s =
+let wire_prediction arm c ~dur_s ~cached =
   Obs.Metrics.add (arm_requests arm.arm_label) 1;
-  Obs.Metrics.observe (arm_seconds arm.arm_label) dur_s
-
-let wire_prediction arm c ~latency_ms ~cached =
+  Obs.Metrics.observe (arm_seconds arm.arm_label) dur_s;
   {
     Protocol.setting = c.c_setting;
     flags = c.c_flags;
     neighbours = c.c_neighbours;
-    latency_ms;
+    latency_ms = dur_s *. 1e3;
     cached;
     arm = Some arm.arm_label;
     model = Some arm.arm_version;
   }
 
-let ab_event routing arm ~queries =
-  if routing.r_candidate <> None then
-    Obs.Span.event ~parent:None "serve.ab"
-      [
-        ("arm", J.Str arm.arm_label);
-        ("model", J.Str arm.arm_version);
-        ("queries", J.Int queries);
-      ]
+(* One [serve.ab] event per arm that answered at least one of the
+   request's queries; none while no candidate is installed. *)
+let ab_events routing arms =
+  match routing.r_candidate with
+  | None -> ()
+  | Some c ->
+    List.iter
+      (fun arm ->
+        let queries =
+          Array.fold_left (fun n a -> if a == arm then n + 1 else n) 0 arms
+        in
+        if queries > 0 then
+          Obs.Span.event ~parent:None "serve.ab"
+            [
+              ("arm", J.Str arm.arm_label);
+              ("model", J.Str arm.arm_version);
+              ("queries", J.Int queries);
+            ])
+      [ routing.r_stable; c ]
 
-(** How a classified request is answered: [Now] on the loop thread
-    (cheap, non-blocking), or [Pooled] — a closure shipped to a pool
-    domain while the connection is paused; the completion re-enters the
-    loop to send it.  Pooled closures own their admission slot and
-    release it in a [Fun.protect]. *)
+(** How a request is answered: [Now] on the loop thread (cheap,
+    non-blocking), or [Pooled] — a closure shipped to a pool domain
+    while the connection is paused; the completion re-enters the loop
+    to send it.  Pooled closures own their admission slot and release
+    it in a [Fun.protect]. *)
 type outcome = Now of J.t | Pooled of (unit -> J.t)
+
+let error ?id code msg = Now (Protocol.error_to_json ?id ~code msg)
+
+(** Run [job] in the pool holding one admission slot, or shed the
+    request with a 429 when every slot is taken. *)
+let admitted t ~id job =
+  if try_admit t then
+    Pooled (fun () -> Fun.protect ~finally:(fun () -> release t) job)
+  else begin
+    bump t.shed m_shed;
+    error ?id 429 "overloaded: admission queue full, retry later"
+  end
 
 (* A request may pin the objective it was trained against; the server
    answers only from a model trained for that spec.  [None] accepts any
@@ -465,89 +493,19 @@ let objective_mismatch ~objective arm =
            (Objective.Spec.to_string have)
            (Objective.Spec.to_string want))
 
-let predict_outcome t ~id ~t0 ~objective counters uarch =
+(** Answer a query vector; a [predict] is a vector of one, and only the
+    reply's shape ([single]) differs.  Each query is routed to its arm
+    from {e one} routing snapshot (so the request computes against at
+    most the two installed models, however many swaps happen
+    meanwhile), the cache is probed per query, and the misses are
+    computed in {e one} admission slot and {e one} pool task.  A single
+    mismatching arm rejects the whole request rather than answering a
+    mixed vector.  Results come back in query order. *)
+let predict_outcome t ~id ~t0 ~objective ~single queries =
   let routing = Atomic.get t.routing in
-  let arm = choose routing (route_key counters uarch) in
-  match objective_mismatch ~objective arm with
-  | Some msg -> Now (Protocol.error_to_json ?id ~code:400 msg)
-  | None ->
-  let features =
-    Ml_model.Features.raw arm.arm_artifact.Artifact.space counters uarch
-  in
-  let key = cache_key arm features in
-  let dur_s () = Unix.gettimeofday () -. t0 in
-  match cache_get t key with
-  | Some c ->
-    let dur = dur_s () in
-    answered arm ~dur_s:dur;
-    ab_event routing arm ~queries:1;
-    Now
-      (Protocol.prediction_to_json ?id
-         (wire_prediction arm c ~latency_ms:(dur *. 1e3) ~cached:true))
-  | None ->
-    if not (try_admit t) then begin
-      bump t.shed m_shed;
-      Now
-        (Protocol.error_to_json ?id ~code:429
-           "overloaded: admission queue full, retry later")
-    end
-    else
-      Pooled
-        (fun () ->
-          Fun.protect
-            ~finally:(fun () -> release t)
-            (fun () ->
-              match
-                Ml_model.Model.predict_full
-                  arm.arm_artifact.Artifact.model features
-              with
-              | r ->
-                Obs.Metrics.add m_predictions 1;
-                let c =
-                  {
-                    c_setting = r.Ml_model.Predict.setting;
-                    c_flags = Passes.Flags.to_string r.Ml_model.Predict.setting;
-                    c_neighbours = wire_neighbours r.Ml_model.Predict.neighbours;
-                  }
-                in
-                cache_put t key c;
-                let dur = dur_s () in
-                answered arm ~dur_s:dur;
-                ab_event routing arm ~queries:1;
-                Protocol.prediction_to_json ?id
-                  (wire_prediction arm c ~latency_ms:(dur *. 1e3) ~cached:false)
-              | exception e ->
-                bump t.errors m_errors;
-                Protocol.error_to_json ?id ~code:500
-                  ("prediction failed: " ^ Printexc.to_string e)))
-
-(** Answer a query vector: route each query to its arm from {e one}
-    routing snapshot (so the whole batch computes against at most the
-    two installed models, however many swaps happen meanwhile), probe
-    the cache per query, then compute the misses as {e one} admission
-    slot and {e one} pool task — grouped by arm, since the arms are
-    different models.  Results come back in query order; each element
-    is bit-identical to what the single-query path would have produced
-    (same model entry point). *)
-let predict_batch_outcome t ~id ~t0 ~objective queries =
-  let routing = Atomic.get t.routing in
-  let n = Array.length queries in
-  let arms =
-    Array.map (fun (c, u) -> choose routing (route_key c u)) queries
-  in
-  (* Whole-batch objective check: the batch is one admission slot, so a
-     single mismatching arm rejects the whole request rather than
-     answering a mixed vector. *)
-  let mismatch =
-    Array.fold_left
-      (fun acc arm ->
-        match acc with
-        | Some _ -> acc
-        | None -> objective_mismatch ~objective arm)
-      None arms
-  in
-  match mismatch with
-  | Some msg -> Now (Protocol.error_to_json ?id ~code:400 msg)
+  let arms = Array.map (choose routing) queries in
+  match Array.find_map (objective_mismatch ~objective) arms with
+  | Some msg -> error ?id 400 msg
   | None ->
   let features =
     Array.mapi
@@ -558,104 +516,40 @@ let predict_batch_outcome t ~id ~t0 ~objective queries =
   in
   let keys = Array.mapi (fun i f -> cache_key arms.(i) f) features in
   let hits = Array.map (cache_get t) keys in
-  let miss_idx = ref [] in
-  Array.iteri
-    (fun i hit -> if hit = None then miss_idx := i :: !miss_idx)
-    hits;
-  let miss_idx = Array.of_list (List.rev !miss_idx) in
-  let respond ~was_hit =
-    let dur = Unix.gettimeofday () -. t0 in
-    let latency_ms = dur *. 1e3 in
+  let cached = Array.map Option.is_some hits in
+  let respond () =
+    let dur_s = Unix.gettimeofday () -. t0 in
     let out =
       Array.mapi
         (fun i hit ->
-          match hit with
-          | None -> assert false
-          | Some c ->
-            answered arms.(i) ~dur_s:dur;
-            wire_prediction arms.(i) c ~latency_ms ~cached:(was_hit i))
+          wire_prediction arms.(i) (Option.get hit) ~dur_s ~cached:cached.(i))
         hits
     in
-    let count_for arm =
-      let c = ref 0 in
-      Array.iter (fun a -> if a == arm then incr c) arms;
-      !c
-    in
-    ab_event routing routing.r_stable ~queries:(count_for routing.r_stable);
-    (match routing.r_candidate with
-    | Some c when count_for c > 0 -> ab_event routing c ~queries:(count_for c)
-    | _ -> ());
-    Protocol.batch_to_json ?id out
+    ab_events routing arms;
+    if single then Protocol.prediction_to_json ?id out.(0)
+    else Protocol.batch_to_json ?id out
   in
-  if Array.length miss_idx = 0 then Now (respond ~was_hit:(fun _ -> true))
-  else if not (try_admit t) then begin
-    bump t.shed m_shed;
-    Now
-      (Protocol.error_to_json ?id ~code:429
-         "overloaded: admission queue full, retry later")
-  end
+  if Array.for_all Fun.id cached then Now (respond ())
   else
-    Pooled
-      (fun () ->
-        Fun.protect
-          ~finally:(fun () -> release t)
-          (fun () ->
-            (* Group the misses by arm — at most two groups — and compute
-               both inside the single pool task. *)
-            let groups =
-              let by_arm arm =
-                let idxs =
-                  Array.of_list
-                    (List.filter
-                       (fun i -> arms.(i) == arm)
-                       (Array.to_list miss_idx))
-                in
-                (arm, idxs)
-              in
-              by_arm routing.r_stable
-              ::
-              (match routing.r_candidate with
-              | None -> []
-              | Some c -> [ by_arm c ])
+    admitted t ~id (fun () ->
+        let compute i was_cached =
+          if not was_cached then begin
+            let c =
+              cached_of_result
+                (Ml_model.Model.predict_full
+                   arms.(i).arm_artifact.Artifact.model features.(i))
             in
-            match
-              List.map
-                (fun (arm, idxs) ->
-                  if Array.length idxs = 0 then (idxs, [||])
-                  else
-                    ( idxs,
-                      Ml_model.Model.predict_batch
-                        arm.arm_artifact.Artifact.model
-                        (Array.map (fun i -> features.(i)) idxs) ))
-                groups
-            with
-            | results ->
-              List.iter
-                (fun (idxs, (rs : Ml_model.Predict.result array)) ->
-                  Obs.Metrics.add m_predictions (Array.length rs);
-                  Array.iteri
-                    (fun slot (r : Ml_model.Predict.result) ->
-                      let i = idxs.(slot) in
-                      let c =
-                        {
-                          c_setting = r.Ml_model.Predict.setting;
-                          c_flags =
-                            Passes.Flags.to_string r.Ml_model.Predict.setting;
-                          c_neighbours =
-                            wire_neighbours r.Ml_model.Predict.neighbours;
-                        }
-                      in
-                      cache_put t keys.(i) c;
-                      hits.(i) <- Some c)
-                    rs)
-                results;
-              let was_hit = Array.make n true in
-              Array.iter (fun i -> was_hit.(i) <- false) miss_idx;
-              respond ~was_hit:(fun i -> was_hit.(i))
-            | exception e ->
-              bump t.errors m_errors;
-              Protocol.error_to_json ?id ~code:500
-                ("prediction failed: " ^ Printexc.to_string e)))
+            Obs.Metrics.add m_predictions 1;
+            cache_put t keys.(i) c;
+            hits.(i) <- Some c
+          end
+        in
+        match Array.iteri compute cached with
+        | () -> respond ()
+        | exception e ->
+          bump t.errors m_errors;
+          Protocol.error_to_json ?id ~code:500
+            ("prediction failed: " ^ Printexc.to_string e))
 
 (* [stop] must stay async-signal-safe: the CLI's SIGINT/SIGTERM handlers
    call it directly.  One atomic store plus one wakeup-pipe write; the
@@ -664,6 +558,20 @@ let stop t = Net.Listener.stop t.listener
 
 let with_id id fields =
   match id with Some i -> ("id", i) :: fields | None -> fields
+
+(* Consult the model source and install what it resolves.  A source
+   that raises fails like one that returns [Error]; either counts one
+   error. *)
+let resolve t source =
+  match source () with
+  | Ok Unchanged -> Ok (Atomic.get t.routing, false)
+  | Ok (Swap { stable; candidate }) -> Ok (swap_routing t ~stable ~candidate)
+  | Error e ->
+    bump t.errors m_errors;
+    Error e
+  | exception e ->
+    bump t.errors m_errors;
+    Error (Printexc.to_string e)
 
 let reload_fields routing ~changed =
   [
@@ -676,107 +584,63 @@ let reload_fields routing ~changed =
       | Some c -> J.Str c.arm_version );
   ]
 
-(** Classify one request line into an inline answer or a pool job.
-    Everything here runs on the loop thread and must not block; the
-    [reload] resolve is the one deliberate exception (admin-only, rare,
+(** Answer one decoded request inline or as a pool job.  Everything
+    here runs on the loop thread and must not block; the [reload]
+    resolve is the one deliberate exception (admin-only, rare,
     file-system bound). *)
+let answer t ~id ~t0 req =
+  match req with
+  | Protocol.Health -> Now (health_json t)
+  | Protocol.Metrics ->
+    Now
+      (J.Obj
+         (with_id id
+            [ ("ok", J.Bool true); ("metrics", Obs.Metrics.snapshot ()) ]))
+  | (Protocol.Reload | Protocol.Shutdown | Protocol.Sleep _)
+    when not t.config.admin ->
+    error ?id 403
+      (Protocol.op_name req
+     ^ " is an admin op (start the server with --admin)")
+  | Protocol.Reload -> (
+    match t.config.source with
+    | None ->
+      error ?id 400
+        "no model source: the server was started from a fixed artifact \
+         (serve --registry enables reload)"
+    | Some source -> (
+      match resolve t source with
+      | Ok (routing, changed) ->
+        Now (J.Obj (with_id id (reload_fields routing ~changed)))
+      | Error e -> error ?id 500 ("reload failed: " ^ e)))
+  | Protocol.Shutdown ->
+    stop t;
+    Now (J.Obj [ ("ok", J.Bool true); ("stopping", J.Bool true) ])
+  | Protocol.Sleep seconds ->
+    admitted t ~id (fun () ->
+        Thread.delay seconds;
+        J.Obj (with_id id [ ("ok", J.Bool true); ("slept_s", J.Float seconds) ]))
+  | Protocol.Predict { counters; uarch; objective } ->
+    predict_outcome t ~id ~t0 ~objective ~single:true [| (counters, uarch) |]
+  | Protocol.Predict_batch { queries; objective } ->
+    predict_outcome t ~id ~t0 ~objective ~single:false queries
+
+(** Decode one request line and answer it; also returns the op name and
+    the client's span address for the [serve.request] event. *)
 let classify t ~t0 line =
-  let parsed = J.of_string line in
-  (* The client's span address, when it sent one and a sink is open —
-     recorded on the serve.request event so the stitcher hangs this
-     request under the caller's span. *)
-  let remote =
-    match parsed with
-    | Ok j when Obs.Trace.active () -> Protocol.request_trace j
-    | _ -> None
-  in
-  let outcome, op =
-    match parsed with
-    | Error e ->
-      ( Now (Protocol.error_to_json ~code:400 ("malformed request: " ^ e)),
-        "malformed" )
-    | Ok j -> (
-      let id = Protocol.request_id j in
-      match Protocol.request_of_json j with
-      | Error e -> (Now (Protocol.error_to_json ?id ~code:400 e), "malformed")
-      | Ok Protocol.Health -> (Now (health_json t), "health")
-      | Ok Protocol.Metrics ->
-        let fields =
-          [ ("ok", J.Bool true); ("metrics", Obs.Metrics.snapshot ()) ]
-        in
-        (Now (J.Obj (with_id id fields)), "metrics")
-      | Ok Protocol.Reload when not t.config.admin ->
-        ( Now
-            (Protocol.error_to_json ?id ~code:403
-               "reload is an admin op (start the server with --admin)"),
-          "reload" )
-      | Ok Protocol.Reload -> (
-        match t.config.source with
-        | None ->
-          ( Now
-              (Protocol.error_to_json ?id ~code:400
-                 "no model source: the server was started from a fixed \
-                  artifact (serve --registry enables reload)"),
-            "reload" )
-        | Some resolve -> (
-          match resolve () with
-          | exception e ->
-            bump t.errors m_errors;
-            ( Now
-                (Protocol.error_to_json ?id ~code:500
-                   ("reload failed: " ^ Printexc.to_string e)),
-              "reload" )
-          | Error e ->
-            bump t.errors m_errors;
-            ( Now (Protocol.error_to_json ?id ~code:500 ("reload failed: " ^ e)),
-              "reload" )
-          | Ok Unchanged ->
-            let routing = Atomic.get t.routing in
-            ( Now (J.Obj (with_id id (reload_fields routing ~changed:false))),
-              "reload" )
-          | Ok (Swap { stable; candidate }) ->
-            let routing, changed = swap_routing t ~stable ~candidate in
-            (Now (J.Obj (with_id id (reload_fields routing ~changed))), "reload")))
-      | Ok Protocol.Shutdown when not t.config.admin ->
-        ( Now
-            (Protocol.error_to_json ?id ~code:403
-               "shutdown is an admin op (start the server with --admin)"),
-          "shutdown" )
-      | Ok Protocol.Shutdown ->
-        stop t;
-        ( Now (J.Obj [ ("ok", J.Bool true); ("stopping", J.Bool true) ]),
-          "shutdown" )
-      | Ok (Protocol.Sleep _) when not t.config.admin ->
-        ( Now
-            (Protocol.error_to_json ?id ~code:403
-               "sleep is an admin op (start the server with --admin)"),
-          "sleep" )
-      | Ok (Protocol.Sleep seconds) ->
-        if not (try_admit t) then begin
-          bump t.shed m_shed;
-          ( Now
-              (Protocol.error_to_json ?id ~code:429
-                 "overloaded: admission queue full, retry later"),
-            "sleep" )
-        end
-        else
-          ( Pooled
-              (fun () ->
-                Fun.protect
-                  ~finally:(fun () -> release t)
-                  (fun () ->
-                    Thread.delay seconds;
-                    let fields =
-                      [ ("ok", J.Bool true); ("slept_s", J.Float seconds) ]
-                    in
-                    J.Obj (with_id id fields))),
-            "sleep" )
-      | Ok (Protocol.Predict { counters; uarch; objective }) ->
-        (predict_outcome t ~id ~t0 ~objective counters uarch, "predict")
-      | Ok (Protocol.Predict_batch { queries; objective }) ->
-        (predict_batch_outcome t ~id ~t0 ~objective queries, "predict_batch"))
-  in
-  (outcome, op, remote)
+  match J.of_string line with
+  | Error e ->
+    (error 400 ("malformed request: " ^ e), "malformed", None)
+  | Ok j -> (
+    (* The client's span address, when it sent one and a sink is open —
+       recorded on the serve.request event so the stitcher hangs this
+       request under the caller's span. *)
+    let remote =
+      if Obs.Trace.active () then Protocol.request_trace j else None
+    in
+    let id = Protocol.request_id j in
+    match Protocol.request_of_json j with
+    | Error e -> (error ?id 400 e, "malformed", remote)
+    | Ok req -> (answer t ~id ~t0 req, Protocol.op_name req, remote))
 
 (* ---- connection plumbing ---------------------------------------------- *)
 
@@ -850,7 +714,7 @@ let on_drain t () =
    but never kills serving — the last good model stays live.  This
    stays a thread of its own: registry resolution is file-system bound
    and must not stall the loop. *)
-let watch_loop t resolve interval =
+let watch_loop t source interval =
   let stopping () = Net.Listener.stopping t.listener in
   while not (stopping ()) do
     let deadline = Unix.gettimeofday () +. interval in
@@ -859,20 +723,11 @@ let watch_loop t resolve interval =
     do
       Thread.delay (Float.min 0.1 interval)
     done;
-    if not (stopping ()) then begin
-      match resolve () with
-      | Ok Unchanged -> ()
-      | Ok (Swap { stable; candidate }) ->
-        ignore (swap_routing t ~stable ~candidate)
+    if not (stopping ()) then
+      match resolve t source with
+      | Ok _ -> ()
       | Error e ->
-        bump t.errors m_errors;
-        Obs.Span.event ~parent:None "serve.reload.error"
-          [ ("error", J.Str e) ]
-      | exception e ->
-        bump t.errors m_errors;
-        Obs.Span.event ~parent:None "serve.reload.error"
-          [ ("error", J.Str (Printexc.to_string e)) ]
-    end
+        Obs.Span.event ~parent:None "serve.reload.error" [ ("error", J.Str e) ]
   done
 
 (* ---- lifecycle -------------------------------------------------------- *)
@@ -917,8 +772,8 @@ let start ?candidate ~artifact config =
     ~on_closed:(fun _ _ -> ())
     ~on_drain:(on_drain t) ();
   (match (config.source, config.watch) with
-  | Some resolve, Some interval when interval > 0.0 ->
-    t.watch_thread <- Some (Thread.create (watch_loop t resolve) interval)
+  | Some source, Some interval when interval > 0.0 ->
+    t.watch_thread <- Some (Thread.create (watch_loop t source) interval)
   | _ -> ());
   t
 

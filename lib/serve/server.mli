@@ -61,7 +61,7 @@ val quantise : float array -> string
 val ab_bucket : string -> int
 (** The deterministic A/B hash: FNV-1a of the routing key into
     [0, 10000).  Buckets below [split * 10000] go to the candidate arm.
-    Exposed for tests and for [portopt promote]'s dry-run maths. *)
+    Exposed for tests. *)
 
 type t
 

@@ -24,8 +24,6 @@ let program_digest p = Prelude.Fnv.digest_string (Ir.Pretty.program p)
 
 let setting_digest s = Prelude.Fnv.digest_string (Passes.Flags.cache_key s)
 
-let uarch_digest u = Prelude.Fnv.digest_string (Uarch.Config.cache_key u)
-
 let profile_key ~program_digest ~setting =
   Passes.Driver.fingerprint ^ "-" ^ program_digest ^ "-"
   ^ setting_digest setting

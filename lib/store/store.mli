@@ -46,10 +46,6 @@ val setting_digest : Passes.Flags.setting -> string
 (** Digest of {!Passes.Flags.cache_key}: equal iff the settings are
     semantically equal. *)
 
-val uarch_digest : Uarch.Config.t -> string
-(** Digest of {!Uarch.Config.cache_key}, used in provenance records
-    (profiles themselves are microarchitecture-independent). *)
-
 val profile_key : program_digest:string -> setting:Passes.Flags.setting -> string
 (** ["<pipeline fp>-<program digest>-<setting digest>"] — the key a
     profile record is stored under. *)

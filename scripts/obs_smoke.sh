@@ -10,8 +10,10 @@
 # 2. A traced serve + query burst — client span contexts propagate
 #    through requests; `portopt metrics --format prom` must expose a
 #    valid Prometheus scrape with the request-latency histogram and
-#    its quantile family, and `portopt top --count 2` must render the
-#    dashboard without a terminal.
+#    its quantile family, every `serve.` name in the json snapshot
+#    must be documented in docs/observability.md, and
+#    `portopt top --count 2` must render the dashboard without a
+#    terminal.
 #
 # Invokes the built binary directly rather than via `dune exec`:
 # concurrent `dune exec` processes would contend on the build lock.
@@ -78,7 +80,18 @@ grep -q "^serve_request_seconds_count " "$DIR/scrape.txt"
 grep -q 'serve_request_seconds_quantile{quantile="0.99"}' "$DIR/scrape.txt"
 
 echo "obs-smoke: json snapshot..."
-"$BIN" metrics --socket "$SOCK" --format json | grep -q '"serve.request.seconds"'
+"$BIN" metrics --socket "$SOCK" --format json >"$DIR/snapshot.json"
+grep -q '"serve.request.seconds"' "$DIR/snapshot.json"
+# Every serve.* instrument the server reports is named, in full, in the
+# "Metric names" section of docs/observability.md.
+grep -o '"serve\.[^"]*"' "$DIR/snapshot.json" | tr -d '"' | sort -u \
+  >"$DIR/serve_names.txt"
+test -s "$DIR/serve_names.txt"
+while read -r name; do
+  grep -qF "\`$name\`" docs/observability.md \
+    || { echo "obs-smoke: $name is missing from docs/observability.md" >&2
+         exit 1; }
+done <"$DIR/serve_names.txt"
 
 echo "obs-smoke: top dashboard (2 polls, no tty)..."
 "$BIN" top --socket "$SOCK" --interval 0.2 --count 2 >"$DIR/top.out"

@@ -643,7 +643,13 @@ let test_predict_engines_bit_identical () =
         [ 0.25; 1.0; 4.0 ])
     [ 1; 3; 7 ]
 
-let test_model_batch_matches_predict_full () =
+(* A server at --jobs N calls [predict_full] on one model from several
+   pool domains at once.  [Knn.search] then takes its index's shared
+   prefix buffer or, while a concurrent search holds it, allocates its
+   own.  Each domain walks the queries from its own offset, so the
+   searches that overlap ask different things of the index; every
+   answer must equal the sequential one bit for bit. *)
+let test_concurrent_predict_full_matches_sequential () =
   let d = Lazy.force tiny_dataset in
   let model = Ml_model.Model.train d in
   let xs =
@@ -651,14 +657,24 @@ let test_model_batch_matches_predict_full () =
       (fun (p : Ml_model.Dataset.pair) -> p.Ml_model.Dataset.features_raw)
       d.Ml_model.Dataset.pairs
   in
-  let batch = Ml_model.Model.predict_batch model xs in
+  let n = Array.length xs in
+  let sequential = Array.map (Ml_model.Model.predict_full model) xs in
+  let rounds = 20 in
+  let walk offset =
+    Array.init (rounds * n) (fun j ->
+        Ml_model.Model.predict_full model xs.((offset + j) mod n))
+  in
+  let domains = Array.init 4 (fun di -> Domain.spawn (fun () -> walk (di * 7))) in
   Array.iteri
-    (fun i x ->
-      let single = Ml_model.Model.predict_full model x in
-      check_same_result
-        ~msg:(Printf.sprintf "pair %d" i)
-        batch.(i) single.P.neighbours single.P.distribution single.P.setting)
-    xs
+    (fun di dom ->
+      Array.iteri
+        (fun j (got : P.result) ->
+          let want = sequential.(((di * 7) + j) mod n) in
+          check_same_result
+            ~msg:(Printf.sprintf "domain %d, step %d" di j)
+            got want.P.neighbours want.P.distribution want.P.setting)
+        (Domain.join dom))
+    domains
 
 let test_vptree_build_deterministic_and_reloadable () =
   let rng = Prelude.Rng.create 77 in
@@ -828,8 +844,8 @@ let () =
             test_knn_equals_full_sort_property;
           quick "engines bit-identical across k and beta"
             test_predict_engines_bit_identical;
-          quick "model batch matches predict_full"
-            test_model_batch_matches_predict_full;
+          quick "concurrent predict_full bit-exact"
+            test_concurrent_predict_full_matches_sequential;
           quick "vptree build deterministic and reloadable"
             test_vptree_build_deterministic_and_reloadable;
           quick "vptree rejects bad input" test_vptree_rejects_bad_input;

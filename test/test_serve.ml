@@ -1951,6 +1951,87 @@ let test_server_watch_swaps_in_background () =
       in
       await ())
 
+(* A batch routes each query as a single predict would, counts each
+   arm's queries once, and writes a [serve.ab] event only for an arm
+   that answered at least one of them. *)
+let test_server_batch_ab_per_arm () =
+  let d42 = Lazy.force dataset42 in
+  let a = artifact_of d42 and b = artifact_of (Lazy.force dataset43) in
+  let queries = queries_of d42 8 in
+  let ab_requests arm =
+    Obs.Metrics.value
+      (Obs.Metrics.counter (Printf.sprintf "serve.ab.%s.requests" arm))
+  in
+  let batch c =
+    match Serve.Client.predict_batch c queries with
+    | Ok results -> results
+    | Error (_, e) -> Alcotest.failf "batch failed: %s" e
+  in
+  with_server ~candidate:b ~split:0.5 a (fun _server address ->
+      let c = Serve.Client.connect address in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          let singles =
+            Array.map
+              (fun (counters, uarch) ->
+                match Serve.Client.predict c ~counters ~uarch with
+                | Ok p -> p
+                | Error (_, e) -> Alcotest.failf "predict failed: %s" e)
+              queries
+          in
+          let stable0 = ab_requests "stable"
+          and candidate0 = ab_requests "candidate" in
+          let results = batch c in
+          let stable1 = ab_requests "stable"
+          and candidate1 = ab_requests "candidate" in
+          Array.iteri
+            (fun i (p : Serve.Protocol.prediction) ->
+              let msg = Printf.sprintf "query %d" i in
+              check Alcotest.(option string) (msg ^ ": arm")
+                singles.(i).Serve.Protocol.arm p.Serve.Protocol.arm;
+              check Alcotest.(option string) (msg ^ ": model")
+                singles.(i).Serve.Protocol.model p.Serve.Protocol.model)
+            results;
+          let answered arm =
+            Array.fold_left
+              (fun n p -> if p.Serve.Protocol.arm = Some arm then n + 1 else n)
+              0 results
+          in
+          check Alcotest.bool "both arms answer at split 0.5" true
+            (answered "stable" > 0 && answered "candidate" > 0);
+          check Alcotest.int "stable requests advance by its queries"
+            (answered "stable") (stable1 - stable0);
+          check Alcotest.int "candidate requests advance by its queries"
+            (answered "candidate") (candidate1 - candidate0)));
+  let path = tmp_path "ab_events.jsonl" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      with_server ~candidate:b ~split:1.0 a (fun _server address ->
+          let c = Serve.Client.connect address in
+          Fun.protect
+            ~finally:(fun () -> Serve.Client.close c)
+            (fun () ->
+              Obs.Trace.start path;
+              Fun.protect ~finally:Obs.Trace.stop (fun () ->
+                  ignore (batch c))));
+      let events =
+        match Obs.Trace.read_file path with
+        | Ok events -> events
+        | Error e -> Alcotest.failf "trace unreadable: %s" e
+      in
+      let ab_arms =
+        List.filter_map
+          (fun r ->
+            if J.member "name" r = Some (J.Str "serve.ab") then
+              Option.bind (J.member "arm" r) J.to_str
+            else None)
+          events
+      in
+      check Alcotest.(list string) "one serve.ab event, for the candidate"
+        [ "candidate" ] ab_arms)
+
 let () =
   Alcotest.run "serve"
     [
@@ -2053,5 +2134,7 @@ let () =
             test_client_reconnects_idempotent_ops;
           Alcotest.test_case "watch thread swaps in the background" `Slow
             test_server_watch_swaps_in_background;
+          Alcotest.test_case "batch answers, counts and events per arm" `Slow
+            test_server_batch_ab_per_arm;
         ] );
     ]

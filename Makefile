@@ -1,8 +1,12 @@
 # Developer entry points.  `check` is the tier-1 gate; `ci` is the full
-# gate (`check` plus bench-smoke) as one script; `bench-smoke`
-# exercises the domain-parallel engine at tiny scale on both the
-# sequential and the 4-domain path so parallel regressions surface in
-# seconds rather than in a full bench run; `trace-smoke` runs a tiny
+# gate (`check` plus bench-smoke) as one script; `bench-smoke` runs
+# `summary ablation` at tiny scale on both the sequential and the
+# 4-domain path, writes each stdout under results/ and diffs the two
+# without their `(... took ...s)` timing lines: the summary's
+# cross-validation and every ablation row run on the domain pool, and
+# their tables must be bit-identical at any job count, so parallel
+# regressions surface in a minute rather than in a full bench run;
+# `trace-smoke` runs a tiny
 # traced bench and validates the JSONL against the schema via
 # `portopt report` (see docs/observability.md); `serve-smoke` does a
 # full train -> serve -> concurrent query -> shutdown round trip
@@ -56,8 +60,13 @@ ci:
 	sh scripts/ci.sh
 
 bench-smoke:
-	REPRO_UARCHS=4 REPRO_OPTS=20 REPRO_JOBS=1 dune exec bench/main.exe -- summary
-	REPRO_UARCHS=4 REPRO_OPTS=20 REPRO_JOBS=4 dune exec bench/main.exe -- summary
+	mkdir -p results
+	REPRO_UARCHS=4 REPRO_OPTS=20 REPRO_JOBS=1 dune exec bench/main.exe -- \
+	  summary ablation > results/bench_smoke_jobs1.txt
+	REPRO_UARCHS=4 REPRO_OPTS=20 REPRO_JOBS=4 dune exec bench/main.exe -- \
+	  summary ablation > results/bench_smoke_jobs4.txt
+	diff -I '^(.* took [0-9.]*s)$$' results/bench_smoke_jobs1.txt \
+	  results/bench_smoke_jobs4.txt
 
 trace-smoke:
 	mkdir -p results

@@ -36,13 +36,26 @@
 
 open Cmdliner
 
+(* A workload by name; an unknown name is a command-line error. *)
+let program_of_name name =
+  match
+    Array.find_opt (fun s -> s.Workloads.Spec.name = name) Workloads.Mibench.all
+  with
+  | Some spec -> Ok spec
+  | None ->
+    Error (Printf.sprintf "unknown program %S (see the list subcommand)" name)
+
 let prog_arg =
   let doc = "Benchmark name (see the list subcommand)." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM" ~doc)
+  Term.term_result'
+    Term.(const program_of_name
+          $ Arg.(required & pos 0 (some string) None
+                 & info [] ~docv:"PROGRAM" ~doc))
 
 (* Telemetry options shared by the pipeline subcommands.  The term
-   evaluates to a thunk so option errors surface through cmdliner
-   before any side effect happens. *)
+   evaluates to a thunk that the command's [run] forces first, so
+   option errors surface through cmdliner before any side effect
+   happens. *)
 let obs_term cmd =
   let trace =
     let doc =
@@ -72,7 +85,7 @@ let obs_term cmd =
     in
     Arg.(value & opt string "info" & info [ "log-level" ] ~docv:"LEVEL" ~doc)
   in
-  let setup trace trace_id level =
+  let setup trace trace_id level () =
     (match Obs.Trace.level_of_string level with
     | Ok l -> Obs.Trace.set_level l
     | Error e -> (
@@ -94,7 +107,9 @@ let obs_term cmd =
 
 (* The content-addressed evaluation store, shared by the expensive
    subcommands.  Opening creates the directory, so --store on a fresh
-   path starts a cold cache that the same command warms. *)
+   path starts a cold cache that the same command warms; like
+   [obs_term], the term is a thunk, opened only once every argument
+   has parsed. *)
 let store_term =
   let doc =
     "Cache interpreter profiles in the content-addressed store at \
@@ -105,7 +120,13 @@ let store_term =
   let dir =
     Arg.(value & opt (some string) None & info [ "store" ] ~docv:"DIR" ~doc)
   in
-  Term.(const (Option.map (fun dir -> Store.open_ ~dir)) $ dir)
+  Term.(const (fun dir () -> Option.map (fun dir -> Store.open_ ~dir) dir)
+        $ dir)
+
+(* The side effects of the two terms above, telemetry first. *)
+let start obs store =
+  obs ();
+  store ()
 
 (* The optimisation objective, shared by train/crossval/query and
    registry publish.  A cmdliner converter over Objective.Spec so a bad
@@ -149,23 +170,25 @@ let uarch_term =
         issue_width = width;
       }
     in
-    Uarch.Config.validate u;
-    u
+    match Uarch.Config.validate u with
+    | () -> Ok u
+    | exception Invalid_argument e -> Error e
   in
   let flag name default doc =
     Arg.(value & opt int default & info [ name ] ~doc)
   in
-  const mk
-  $ flag "il1-kb" 32 "Instruction cache size in KiB."
-  $ flag "il1-assoc" 32 "Instruction cache associativity."
-  $ flag "il1-block" 32 "Instruction cache block size in bytes."
-  $ flag "dl1-kb" 32 "Data cache size in KiB."
-  $ flag "dl1-assoc" 32 "Data cache associativity."
-  $ flag "dl1-block" 32 "Data cache block size in bytes."
-  $ flag "btb" 512 "BTB entries."
-  $ flag "btb-assoc" 1 "BTB associativity."
-  $ flag "freq" 400 "Core frequency in MHz."
-  $ flag "width" 1 "Issue width."
+  term_result'
+    (const mk
+    $ flag "il1-kb" 32 "Instruction cache size in KiB."
+    $ flag "il1-assoc" 32 "Instruction cache associativity."
+    $ flag "il1-block" 32 "Instruction cache block size in bytes."
+    $ flag "dl1-kb" 32 "Data cache size in KiB."
+    $ flag "dl1-assoc" 32 "Data cache associativity."
+    $ flag "dl1-block" 32 "Data cache block size in bytes."
+    $ flag "btb" 512 "BTB entries."
+    $ flag "btb-assoc" 1 "BTB associativity."
+    $ flag "freq" 400 "Core frequency in MHz."
+    $ flag "width" 1 "Issue width.")
 
 let list_cmd =
   let run () =
@@ -180,8 +203,8 @@ let list_cmd =
 let setting_of_o3 o3 = if o3 then Some Passes.Flags.o3 else None
 
 let dump_cmd =
-  let run name o3 =
-    let program = Workloads.Mibench.program_of (Workloads.Mibench.by_name name) in
+  let run spec o3 =
+    let program = Workloads.Mibench.program_of spec in
     let program =
       match setting_of_o3 o3 with
       | Some setting -> Passes.Driver.compile ~setting program
@@ -197,12 +220,14 @@ let dump_cmd =
     Term.(const run $ prog_arg $ o3)
 
 let run_cmd =
-  let run () store name u =
-    let program = Workloads.Mibench.program_of (Workloads.Mibench.by_name name) in
+  let run obs store spec u =
+    let store = start obs store in
+    let program = Workloads.Mibench.program_of spec in
     let r = Store.profile ?store ~setting:Passes.Flags.o3 program in
     let v = Sim.Xtrem.time r u in
     let p = r.Sim.Xtrem.profile in
-    Printf.printf "%s on %s (-O3)\n\n" name (Uarch.Config.to_string u);
+    Printf.printf "%s on %s (-O3)\n\n" spec.Workloads.Spec.name
+      (Uarch.Config.to_string u);
     Printf.printf "dynamic instructions  %d\n" p.Ir.Profile.dyn_insts;
     Printf.printf "code size             %d bytes\n" p.Ir.Profile.code_bytes;
     Printf.printf "cycles                %.0f\n" v.Sim.Pipeline.cycles;
@@ -249,7 +274,8 @@ let flags_cmd =
     Term.(const run $ const ())
 
 let exec_cmd =
-  let run () file u =
+  let run obs file u =
+    obs ();
     let text =
       match Prelude.Envelope.read_file file with
       | Ok text -> text
@@ -286,7 +312,9 @@ let read_artifact path =
     exit 1
 
 let predict_cmd =
-  let run () store name u uarchs opts model_path =
+  let run obs store spec u uarchs opts model_path =
+    let store = start obs store in
+    let name = spec.Workloads.Spec.name in
     let model, space =
       match model_path with
       | Some path ->
@@ -320,7 +348,7 @@ let predict_cmd =
         in
         (model, scale.Ml_model.Dataset.space)
     in
-    let program = Workloads.Mibench.program_of (Workloads.Mibench.by_name name) in
+    let program = Workloads.Mibench.program_of spec in
     let o3_run = Store.profile ?store ~setting:Passes.Flags.o3 program in
     let o3 = Sim.Xtrem.time o3_run u in
     let features = Ml_model.Features.raw space o3.Sim.Pipeline.counters u in
@@ -562,7 +590,8 @@ let wire_term =
               server answers in whichever format the client speaks.")
 
 let worker_cmd =
-  let run () connect store chaos name wire =
+  let run obs connect store chaos name wire =
+    let store = start obs store in
     let connect =
       match Net.Addr.of_string connect with
       | Ok a -> a
@@ -674,7 +703,8 @@ let scale_term =
   Term.(const scale $ uarchs $ opts)
 
 let train_cmd =
-  let run () store out evidence_out scale objective cluster =
+  let run obs store out evidence_out scale objective cluster =
+    let store = start obs store in
     Obs.Span.log
       (Printf.sprintf "training (%d configurations x %d settings)..."
          scale.Ml_model.Dataset.n_uarchs scale.Ml_model.Dataset.n_opts);
@@ -780,7 +810,8 @@ let train_cmd =
           $ scale_term $ objective_term $ cluster_term)
 
 let crossval_cmd =
-  let run () store scale objective cluster =
+  let run obs store scale objective cluster =
+    let store = start obs store in
     let progress m = Obs.Span.log m in
     with_cluster ?store cluster @@ fun backend ->
     let dataset =
@@ -1023,8 +1054,9 @@ let parse_ab spec =
     | _ -> Error "expected CHANNEL=FRACTION with FRACTION in [0,1]")
 
 let serve_cmd =
-  let run () model_path registry_dir channel ab watch address jobs queue
+  let run obs model_path registry_dir channel ab watch address jobs queue
       cache admin =
+    obs ();
     let split, candidate_channel =
       match ab with
       | None -> (0.0, None)
@@ -1225,10 +1257,8 @@ let query_cmd =
       | Some m, None -> Printf.sprintf ", model %s" m
       | None, _ -> "")
   in
-  let counters_of name u =
-    let program =
-      Workloads.Mibench.program_of (Workloads.Mibench.by_name name)
-    in
+  let counters_of spec u =
+    let program = Workloads.Mibench.program_of spec in
     let r = Sim.Xtrem.profile_of ~setting:Passes.Flags.o3 program in
     let v = Sim.Xtrem.time r u in
     v.Sim.Pipeline.counters
@@ -1237,8 +1267,9 @@ let query_cmd =
     Printf.eprintf "portopt: server error %d: %s\n" code msg;
     exit (if code = 429 then 3 else 1)
   in
-  let run () progs batch u objective address health shutdown reload sleep_s
+  let run obs progs batch u objective address health shutdown reload sleep_s
       wire =
+    obs ();
     let client = connect_or_exit ~wire address in
     Fun.protect
       ~finally:(fun () -> Serve.Client.close client)
@@ -1267,33 +1298,43 @@ let query_cmd =
               Printf.eprintf
                 "portopt: multiple programs need --batch\n";
               exit 2
-            | [ name ], false -> (
+            | [ spec ], false -> (
               match
                 Serve.Client.predict ?objective client
-                  ~counters:(counters_of name u) ~uarch:u
+                  ~counters:(counters_of spec u) ~uarch:u
               with
               | Error e -> server_error e
-              | Ok p -> print_prediction name u p)
-            | names, true -> (
-              let names = Array.of_list names in
+              | Ok p -> print_prediction spec.Workloads.Spec.name u p)
+            | specs, true -> (
+              let specs = Array.of_list specs in
               let queries =
-                Array.map (fun name -> (counters_of name u, u)) names
+                Array.map (fun spec -> (counters_of spec u, u)) specs
               in
               match Serve.Client.predict_batch ?objective client queries with
               | Error e -> server_error e
               | Ok results ->
                 Array.iteri
-                  (fun i p -> print_prediction names.(i) u p)
+                  (fun i p ->
+                    print_prediction specs.(i).Workloads.Spec.name u p)
                   results;
                 Printf.printf "batch of %d served in one request\n"
                   (Array.length results))))
   in
   let progs =
-    Arg.(value & pos_all string []
-         & info [] ~docv:"PROGRAM"
-             ~doc:
-               "Benchmark(s) to profile locally and query for; several \
-                need $(b,--batch).")
+    let specs names =
+      List.fold_right
+        (fun name acc ->
+          Result.bind (program_of_name name) (fun spec ->
+              Result.map (List.cons spec) acc))
+        names (Ok [])
+    in
+    Term.term_result'
+      Term.(const specs
+            $ Arg.(value & pos_all string []
+                   & info [] ~docv:"PROGRAM"
+                       ~doc:
+                         "Benchmark(s) to profile locally and query for; \
+                          several need $(b,--batch)."))
   in
   let batch =
     Arg.(value & flag
@@ -1574,7 +1615,8 @@ let registry_fail fmt =
     fmt
 
 let evidence_cmd =
-  let run () store out scale cluster =
+  let run obs store out scale cluster =
+    let store = start obs store in
     Obs.Span.log
       (Printf.sprintf "collecting evidence (%d configurations x %d settings)..."
          scale.Ml_model.Dataset.n_uarchs scale.Ml_model.Dataset.n_opts);
@@ -1821,7 +1863,8 @@ let registry_cmd =
       registry_gc_cmd ]
 
 let promote_cmd =
-  let run () dir address min_requests max_regression force =
+  let run obs dir address min_requests max_regression force =
+    obs ();
     let client = connect_or_exit address in
     Fun.protect
       ~finally:(fun () -> Serve.Client.close client)

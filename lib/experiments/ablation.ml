@@ -11,225 +11,173 @@
       set down to medoids (section 3.2/9) and replacing the profile-run
       counters with static code features (section 9).
 
-    Every variant runs the same leave-one-out protocol on the shared
-    dataset and reports the mean speedup and the fraction of the
+    Every variant is one [Crossval.run] on the shared dataset, refit at
+    the row's good-set fraction, with the row's own [predict], so it
+    measures the model the system ships under the protocol of the rest
+    of the evaluation.
+    Each reports the mean speedup and the fraction of the
     iterative-compilation headroom captured. *)
 
 open Prelude
+open Ml_model
 
-(* Generic KNN-mixture cross-validation, parameterised by the
-   distribution family. *)
-type 'g scheme = {
-  fit : Passes.Flags.setting array -> 'g;
-  mix : (float * 'g) list -> 'g;
-  mode : 'g -> Passes.Flags.setting;
+type row = {
+  name : string;
+  good_fraction : float;  (** Top fraction the row's good sets keep. *)
+  predict : Dataset.t -> Crossval.predict;
+      (** The row's fold predictor over the shared dataset refit at
+          [good_fraction] ({!refit}). *)
 }
 
-let iid_scheme =
-  {
-    fit = (fun good -> Ml_model.Distribution.fit good);
-    mix = Ml_model.Distribution.mix;
-    mode = Ml_model.Distribution.mode;
-  }
-
-let chain_scheme =
-  {
-    fit = (fun good -> Ml_model.Chain_model.fit good);
-    mix = Ml_model.Chain_model.mix;
-    mode = Ml_model.Chain_model.mode;
-  }
-
-let crossval_with ?features ?training_subset (d : Ml_model.Dataset.t) scheme
-    ~k ~beta ~good_fraction ~mask =
-  let n_prog = Ml_model.Dataset.n_programs d in
-  let n_uarch = Ml_model.Dataset.n_uarchs d in
-  let feature_of =
-    match features with
-    | Some f -> f
-    | None -> fun (p : Ml_model.Dataset.pair) -> p.Ml_model.Dataset.features_raw
-  in
-  let in_subset =
-    match training_subset with
-    | None -> fun _ -> true
-    | Some idxs ->
-      let set = Hashtbl.create 64 in
-      Array.iter (fun i -> Hashtbl.replace set i ()) idxs;
-      fun pair_index -> Hashtbl.mem set pair_index
-  in
-  let mask_row row =
-    match mask with
-    | None -> row
-    | Some m ->
-      let out = ref [] in
-      Array.iteri (fun i keep -> if keep then out := row.(i) :: !out) m;
-      Array.of_list (List.rev !out)
-  in
-  (* Distributions refit once per pair under this variant's options. *)
-  let dists =
+(** [d] with every pair's good set and distribution refit from its
+    times at [good_fraction], so a row does not depend on the fraction
+    the dataset was generated at. *)
+let refit (d : Dataset.t) ~good_fraction =
+  let pairs =
     Array.map
-      (fun (p : Ml_model.Dataset.pair) ->
-        let good =
-          Ml_model.Dataset.good_set ~good_fraction p.Ml_model.Dataset.times
-        in
-        scheme.fit
-          (Array.map (fun i -> d.Ml_model.Dataset.settings.(i)) good))
-      d.Ml_model.Dataset.pairs
+      (fun (p : Dataset.pair) ->
+        let good = Dataset.good_set ~good_fraction p.Dataset.times in
+        let settings = Array.map (fun i -> d.Dataset.settings.(i)) good in
+        { p with Dataset.good; distribution = Distribution.fit settings })
+      d.Dataset.pairs
   in
-  let outcomes =
-    Array.init (n_prog * n_uarch) (fun idx ->
-        let prog = idx / n_uarch and uarch = idx mod n_uarch in
-        let training =
-          Array.to_list d.Ml_model.Dataset.pairs
-          |> List.filteri (fun i (p : Ml_model.Dataset.pair) ->
-                 in_subset i
-                 && p.Ml_model.Dataset.prog_index <> prog
-                 && p.Ml_model.Dataset.uarch_index <> uarch)
-        in
-        let rows =
-          Array.of_list
-            (List.map
-               (fun (p : Ml_model.Dataset.pair) -> mask_row (feature_of p))
-               training)
-        in
-        let normaliser = Stats.zscore_fit rows in
-        let feats = Array.map (Stats.zscore_apply normaliser) rows in
-        let test = Ml_model.Dataset.pair d ~prog ~uarch in
-        let x =
-          Stats.zscore_apply normaliser (mask_row (feature_of test))
-        in
-        let dist_of (p : Ml_model.Dataset.pair) =
-          dists.((p.Ml_model.Dataset.prog_index * n_uarch)
-                 + p.Ml_model.Dataset.uarch_index)
-        in
-        let scored =
-          List.mapi
-            (fun i p -> (Vec.l2_distance feats.(i) x, dist_of p))
-            training
-        in
-        let sorted = List.sort (fun (a, _) (b, _) -> compare a b) scored in
-        let rec take n = function
-          | [] -> []
-          | _ when n = 0 -> []
-          | x :: rest -> x :: take (n - 1) rest
-        in
-        let neighbours = take k sorted in
-        let dmin = match neighbours with (d0, _) :: _ -> d0 | [] -> 0.0 in
-        let weighted =
-          List.map
-            (fun (dst, g) -> (exp (-.beta *. (dst -. dmin)), g))
-            neighbours
-        in
-        let predicted = scheme.mode (scheme.mix weighted) in
-        let predicted_seconds =
-          Ml_model.Dataset.evaluate d ~prog ~uarch predicted
-        in
-        {
-          Ml_model.Crossval.prog;
-          uarch;
-          predicted;
-          o3_seconds = test.Ml_model.Dataset.o3_seconds;
-          predicted_seconds;
-          best_seconds = test.Ml_model.Dataset.best_seconds;
-        })
-  in
-  outcomes
+  { d with Dataset.pairs }
 
-let summarise outcomes =
-  ( Stats.mean (Array.map Ml_model.Crossval.speedup outcomes),
-    100.0 *. Ml_model.Crossval.fraction_of_best outcomes )
+let outcomes d r =
+  let d = refit d ~good_fraction:r.good_fraction in
+  Crossval.run ~predict:(r.predict d) d
+
+(* The shipped model with its options varied, trained on the fold's
+   pairs that also pass [subset]. *)
+let knn ?k ?beta ?mask ?(subset = fun ~prog:_ ~uarch:_ -> true) d
+    ~include_pair ~prog ~uarch =
+  let include_pair ~prog ~uarch =
+    include_pair ~prog ~uarch && subset ~prog ~uarch
+  in
+  Model.predict
+    (Model.train ?k ?beta ?mask ~include_pair d)
+    (Dataset.pair d ~prog ~uarch).Dataset.features_raw
+
+(* The model's neighbours and weights mixing Markov chains fitted to
+   the same good sets.  Model row i is pair [sel.(i)]. *)
+let markov (d : Dataset.t) =
+  let chains =
+    Array.map
+      (fun (p : Dataset.pair) ->
+        Chain_model.fit
+          (Array.map (fun i -> d.Dataset.settings.(i)) p.Dataset.good))
+      d.Dataset.pairs
+  in
+  fun ~include_pair ~prog ~uarch ->
+    let sel =
+      List.init (Array.length d.Dataset.pairs) Fun.id
+      |> List.filter (fun i ->
+             let p = d.Dataset.pairs.(i) in
+             include_pair ~prog:p.Dataset.prog_index
+               ~uarch:p.Dataset.uarch_index)
+      |> Array.of_list
+    in
+    let pick f = Array.map (fun i -> f d.Dataset.pairs.(i)) sel in
+    let model =
+      Model.of_parts
+        ~features_raw:(pick (fun p -> p.Dataset.features_raw))
+        ~distributions:(pick (fun p -> p.Dataset.distribution))
+        ()
+    in
+    let x = (Dataset.pair d ~prog ~uarch).Dataset.features_raw in
+    let r = Model.predict_full model x in
+    Chain_model.mode
+      (Chain_model.mix
+         (Array.to_list
+            (Array.map
+               (fun nb -> (nb.Predict.weight, chains.(sel.(nb.Predict.index))))
+               r.Predict.neighbours)))
+
+(* The microarchitecture descriptors lead every feature row. *)
+let n_desc (d : Dataset.t) =
+  Features.descriptor_dim d.Dataset.scale.Dataset.space
+
+let mask (d : Dataset.t) ~counters =
+  Array.init
+    (Array.length d.Dataset.pairs.(0).Dataset.features_raw)
+    (fun i -> (i >= n_desc d) = counters)
+
+(* Training on the k-means medoids of 1/[part] of the pairs. *)
+let clustered ~part (d : Dataset.t) =
+  let n_uarch = Dataset.n_uarchs d in
+  let k = max 7 (Array.length d.Dataset.pairs / part) in
+  let medoid = Array.make (Array.length d.Dataset.pairs) false in
+  Array.iter
+    (fun i -> medoid.(i) <- true)
+    (Clustering.select_training_pairs ~rng:(Rng.create 4242) ~k d);
+  knn d ~subset:(fun ~prog ~uarch -> medoid.((prog * n_uarch) + uarch))
+
+(* A copy whose counters are replaced by static features of each
+   program's -O3 binary, computed once, after the descriptors.  It
+   shares every time with [d], so a predictor trained on it is priced
+   on [d] as on the copy. *)
+let static_features (d : Dataset.t) =
+  let static =
+    Array.map
+      (fun spec ->
+        Static_features.of_program
+          (Passes.Driver.compile ~setting:Passes.Flags.o3
+             (Workloads.Mibench.program_of spec)))
+      d.Dataset.specs
+  in
+  let pairs =
+    Array.map
+      (fun (p : Dataset.pair) ->
+        let desc = Array.sub p.Dataset.features_raw 0 (n_desc d) in
+        let features_raw = Vec.concat desc static.(p.Dataset.prog_index) in
+        { p with Dataset.features_raw })
+      d.Dataset.pairs
+  in
+  { d with Dataset.pairs }
+
+let row ?(good_fraction = 0.05) name predict = { name; good_fraction; predict }
+
+let rows =
+  [ row "baseline (K=7, b=1, top 5%, IID)" (fun d -> knn d) ]
+  @ List.map
+      (fun k -> row (Printf.sprintf "K=%d" k) (fun d -> knn ~k d))
+      [ 1; 3; 5; 11; 15 ]
+  @ List.map
+      (fun beta -> row (Printf.sprintf "beta=%.2f" beta) (fun d -> knn ~beta d))
+      [ 0.25; 4.0 ]
+  @ List.map
+      (fun f ->
+        row ~good_fraction:f
+          (Printf.sprintf "good set = top %.0f%%" (100.0 *. f))
+          (fun d -> knn d))
+      [ 0.01; 0.02; 0.10; 0.20 ]
+  @ [
+      row "Markov-chain distribution" markov;
+      row "counters only" (fun d -> knn ~mask:(mask d ~counters:true) d);
+      row "descriptors only" (fun d -> knn ~mask:(mask d ~counters:false) d);
+      row "clustered training (1/2 medoids)" (clustered ~part:2);
+      row "clustered training (1/4 medoids)" (clustered ~part:4);
+      row "static code features (no profile run)" (fun d ->
+          knn (static_features d));
+    ]
 
 let render ctx =
   let d = Context.dataset ctx in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "Ablations (leave-one-out, shared dataset)\n\n";
-  let n_features =
-    Array.length d.Ml_model.Dataset.pairs.(0).Ml_model.Dataset.features_raw
-  in
-  let n_desc =
-    Ml_model.Features.descriptor_dim d.Ml_model.Dataset.scale.Ml_model.Dataset.space
-  in
-  let counters_only = Array.init n_features (fun i -> i >= n_desc) in
-  let descriptors_only = Array.init n_features (fun i -> i < n_desc) in
-  let iid name ?(k = 7) ?(beta = 1.0) ?(good_fraction = 0.05) ?mask () =
-    ( name,
-      fun () -> crossval_with d iid_scheme ~k ~beta ~good_fraction ~mask )
-  in
-  let variants =
-    [ iid "baseline (K=7, b=1, top 5%, IID)" () ]
-    @ List.map (fun k -> iid (Printf.sprintf "K=%d" k) ~k ()) [ 1; 3; 5; 11; 15 ]
-    @ List.map
-        (fun beta -> iid (Printf.sprintf "beta=%.2f" beta) ~beta ())
-        [ 0.25; 4.0 ]
-    @ List.map
-        (fun f ->
-          iid (Printf.sprintf "good set = top %.0f%%" (100.0 *. f))
-            ~good_fraction:f ())
-        [ 0.01; 0.02; 0.10; 0.20 ]
-    @ [
-        ( "Markov-chain distribution",
-          fun () ->
-            crossval_with d chain_scheme ~k:7 ~beta:1.0 ~good_fraction:0.05
-              ~mask:None );
-        iid "counters only" ~mask:counters_only ();
-        iid "descriptors only" ~mask:descriptors_only ();
-      ]
-    @ (let half = max 7 (Array.length d.Ml_model.Dataset.pairs / 2) in
-       let quarter = max 7 (Array.length d.Ml_model.Dataset.pairs / 4) in
-       List.map
-         (fun (label, k_cluster) ->
-           ( label,
-             fun () ->
-               let rng = Prelude.Rng.create 4242 in
-               let subset =
-                 Ml_model.Clustering.select_training_pairs ~rng ~k:k_cluster d
-               in
-               crossval_with ~training_subset:subset d iid_scheme ~k:7
-                 ~beta:1.0 ~good_fraction:0.05 ~mask:None ))
-         [
-           ("clustered training (1/2 medoids)", half);
-           ("clustered training (1/4 medoids)", quarter);
-         ])
-    @ [
-        ( "static code features (no profile run)",
-          fun () ->
-            let space = d.Ml_model.Dataset.scale.Ml_model.Dataset.space in
-            (* Static features of each program's -O3 binary, computed
-               once. *)
-            let static =
-              Array.map
-                (fun spec ->
-                  Ml_model.Static_features.of_program
-                    (Passes.Driver.compile ~setting:Passes.Flags.o3
-                       (Workloads.Mibench.program_of spec)))
-                d.Ml_model.Dataset.specs
-            in
-            let features (p : Ml_model.Dataset.pair) =
-              let u = d.Ml_model.Dataset.uarchs.(p.Ml_model.Dataset.uarch_index) in
-              let desc =
-                match space with
-                | Ml_model.Features.Base -> Uarch.Config.descriptors u
-                | Ml_model.Features.Extended ->
-                  Uarch.Config.descriptors_extended u
-              in
-              Prelude.Vec.concat desc static.(p.Ml_model.Dataset.prog_index)
-            in
-            crossval_with ~features d iid_scheme ~k:7 ~beta:1.0
-              ~good_fraction:0.05 ~mask:None );
-      ]
-  in
-  let rows =
+  let table =
     List.map
-      (fun (name, run) ->
-        let mean, frac = summarise (run ()) in
-        [ name; Texttab.fixed ~digits:3 mean; Printf.sprintf "%.0f%%" frac ])
-      variants
+      (fun r ->
+        let o = outcomes d r in
+        [
+          r.name;
+          Texttab.fixed ~digits:3 (Stats.mean (Array.map Crossval.speedup o));
+          Printf.sprintf "%.0f%%" (100.0 *. Crossval.fraction_of_best o);
+        ])
+      rows
   in
-  Buffer.add_string buf
-    (Texttab.render_table
-       ~header:[ "variant"; "mean speedup"; "% of headroom" ]
-       rows);
-  Buffer.add_string buf
-    "\nThe paper's claims to check: insensitivity around K=7/beta=1, the\n\
+  "Ablations (leave-one-out, shared dataset)\n\n"
+  ^ Texttab.render_table
+      ~header:[ "variant"; "mean speedup"; "% of headroom" ]
+      table
+  ^ "\nThe paper's claims to check: insensitivity around K=7/beta=1, the\n\
      adequacy of the IID factorisation, and that counters and descriptors\n\
-     both carry signal.\n";
-  Buffer.contents buf
+     both carry signal.\n"

@@ -48,64 +48,46 @@ let outcomes t =
     o
 
 (* Aggregation helpers shared by the per-program and per-configuration
-   figures. *)
+   figures, over either axis of the program x configuration grid. *)
+
+type axis = Program | Uarch
 
 let program_names t =
   Array.map (fun s -> s.Workloads.Spec.name) (dataset t).Ml_model.Dataset.specs
 
-(** Figure 4/6's program order: sorted by mean best speedup ascending, as
-    in the paper ("benchmarks ordered so that those with large performance
-    increases are on the right"). *)
-let program_order t =
+(** The axis's indices by mean best speedup ascending: figure 4/6's
+    program order, as in the paper ("benchmarks ordered so that those
+    with large performance increases are on the right"), and figure
+    5/7's microarchitecture order. *)
+let order t axis =
   let d = dataset t in
-  let n = Ml_model.Dataset.n_programs d in
-  let nu = Ml_model.Dataset.n_uarchs d in
+  let n_prog = Ml_model.Dataset.n_programs d in
+  let n_uarch = Ml_model.Dataset.n_uarchs d in
+  let n, across, pair =
+    match axis with
+    | Program ->
+      (n_prog, n_uarch, fun i j -> Ml_model.Dataset.pair d ~prog:i ~uarch:j)
+    | Uarch ->
+      (n_uarch, n_prog, fun i j -> Ml_model.Dataset.pair d ~prog:j ~uarch:i)
+  in
   let means =
-    Array.init n (fun p ->
+    Array.init n (fun i ->
         Prelude.Stats.mean
-          (Array.init nu (fun u ->
-               Ml_model.Dataset.best_speedup (Ml_model.Dataset.pair d ~prog:p ~uarch:u))))
+          (Array.init across (fun j ->
+               Ml_model.Dataset.best_speedup (pair i j))))
   in
   let order = Array.init n Fun.id in
   Array.sort (fun a b -> Float.compare means.(a) means.(b)) order;
   order
 
-(** Figure 5/7's microarchitecture order: by mean best speedup ascending. *)
-let uarch_order t =
-  let d = dataset t in
-  let n = Ml_model.Dataset.n_uarchs d in
-  let np = Ml_model.Dataset.n_programs d in
-  let means =
-    Array.init n (fun u ->
-        Prelude.Stats.mean
-          (Array.init np (fun p ->
-               Ml_model.Dataset.best_speedup (Ml_model.Dataset.pair d ~prog:p ~uarch:u))))
+(** Mean speedups (model, best) of one program across configurations,
+    or of one configuration across programs. *)
+let speedups t axis i =
+  let on_axis (x : Ml_model.Crossval.outcome) =
+    (match axis with Program -> x.prog | Uarch -> x.uarch) = i
   in
-  let order = Array.init n Fun.id in
-  Array.sort (fun a b -> Float.compare means.(a) means.(b)) order;
-  order
-
-(** Mean speedups (model, best) for one program across configurations. *)
-let program_speedups t prog =
-  let d = dataset t in
-  let o = outcomes t in
-  let nu = Ml_model.Dataset.n_uarchs d in
   let rows =
-    Array.of_list
-      (List.filter (fun (x : Ml_model.Crossval.outcome) -> x.prog = prog)
-         (Array.to_list o))
-  in
-  assert (Array.length rows = nu);
-  ( Prelude.Stats.mean (Array.map Ml_model.Crossval.speedup rows),
-    Prelude.Stats.mean (Array.map Ml_model.Crossval.best_speedup rows) )
-
-(** Mean speedups (model, best) for one configuration across programs. *)
-let uarch_speedups t uarch =
-  let o = outcomes t in
-  let rows =
-    Array.of_list
-      (List.filter (fun (x : Ml_model.Crossval.outcome) -> x.uarch = uarch)
-         (Array.to_list o))
+    Array.of_list (List.filter on_axis (Array.to_list (outcomes t)))
   in
   ( Prelude.Stats.mean (Array.map Ml_model.Crossval.speedup rows),
     Prelude.Stats.mean (Array.map Ml_model.Crossval.best_speedup rows) )

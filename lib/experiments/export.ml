@@ -44,7 +44,7 @@ let fig4 ctx =
              Printf.sprintf "%.4f" b.Prelude.Stats.q3;
              Printf.sprintf "%.4f" b.Prelude.Stats.high;
            ])
-         (Context.program_order ctx))
+         (Context.order ctx Context.Program))
   in
   csv_of_rows [ "program"; "min"; "q1"; "median"; "q3"; "max" ] rows
 
@@ -75,9 +75,9 @@ let fig6 ctx =
     Array.to_list
       (Array.map
          (fun p ->
-           let model, best = Context.program_speedups ctx p in
+           let model, best = Context.speedups ctx Context.Program p in
            [ names.(p); Printf.sprintf "%.4f" model; Printf.sprintf "%.4f" best ])
-         (Context.program_order ctx))
+         (Context.order ctx Context.Program))
   in
   csv_of_rows [ "program"; "model"; "best" ] rows
 
@@ -88,14 +88,14 @@ let fig7 ctx =
     Array.to_list
       (Array.mapi
          (fun rank u ->
-           let model, best = Context.uarch_speedups ctx u in
+           let model, best = Context.speedups ctx Context.Uarch u in
            [
              string_of_int rank;
              Uarch.Config.to_string d.Ml_model.Dataset.uarchs.(u);
              Printf.sprintf "%.4f" model;
              Printf.sprintf "%.4f" best;
            ])
-         (Context.uarch_order ctx))
+         (Context.order ctx Context.Uarch))
   in
   csv_of_rows [ "rank"; "config"; "model"; "best" ] rows
 

@@ -8,7 +8,7 @@ open Prelude
 
 let render (ext : Context.t) =
   assert (ext.Context.scale.Ml_model.Dataset.space = Ml_model.Features.Extended);
-  let order = Context.program_order ext in
+  let order = Context.order ext Context.Program in
   let names = Context.program_names ext in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -17,7 +17,7 @@ let render (ext : Context.t) =
   let rows =
     Array.map
       (fun p ->
-        let model, best = Context.program_speedups ext p in
+        let model, best = Context.speedups ext Context.Program p in
         (p, model, best))
       order
   in

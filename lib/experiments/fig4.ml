@@ -6,7 +6,7 @@ open Prelude
 
 let render ctx =
   let d = Context.dataset ctx in
-  let order = Context.program_order ctx in
+  let order = Context.order ctx Context.Program in
   let names = Context.program_names ctx in
   let nu = Ml_model.Dataset.n_uarchs d in
   let buf = Buffer.create 4096 in

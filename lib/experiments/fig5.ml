@@ -16,8 +16,8 @@ let heat_row values lo hi =
 let render ctx =
   let d = Context.dataset ctx in
   let o = Context.outcomes ctx in
-  let porder = Context.program_order ctx in
-  let uorder = Context.uarch_order ctx in
+  let porder = Context.order ctx Context.Program in
+  let uorder = Context.order ctx Context.Uarch in
   let names = Context.program_names ctx in
   let nu = Ml_model.Dataset.n_uarchs d in
   let best = Array.make_matrix (Array.length porder) nu 0.0 in

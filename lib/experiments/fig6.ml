@@ -6,7 +6,7 @@
 open Prelude
 
 let render ctx =
-  let order = Context.program_order ctx in
+  let order = Context.order ctx Context.Program in
   let names = Context.program_names ctx in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -15,7 +15,7 @@ let render ctx =
   let rows =
     Array.map
       (fun p ->
-        let model, best = Context.program_speedups ctx p in
+        let model, best = Context.speedups ctx Context.Program p in
         max_s := Float.max !max_s best;
         (p, model, best))
       order
@@ -42,7 +42,7 @@ let render ctx =
   Buffer.contents buf
 
 let averages ctx =
-  let order = Context.program_order ctx in
-  let pairs = Array.map (Context.program_speedups ctx) order in
+  let order = Context.order ctx Context.Program in
+  let pairs = Array.map (Context.speedups ctx Context.Program) order in
   ( Stats.mean (Array.map fst pairs),
     Stats.mean (Array.map snd pairs) )

@@ -8,7 +8,7 @@ open Prelude
 
 let render ctx =
   let d = Context.dataset ctx in
-  let uorder = Context.uarch_order ctx in
+  let uorder = Context.order ctx Context.Uarch in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     "Figure 7: speedup over -O3 per microarchitecture (mean over \
@@ -16,7 +16,7 @@ let render ctx =
   let rows =
     Array.map
       (fun u ->
-        let model, best = Context.uarch_speedups ctx u in
+        let model, best = Context.speedups ctx Context.Uarch u in
         (u, model, best))
       uorder
   in

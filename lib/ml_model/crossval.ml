@@ -29,12 +29,18 @@ let fraction_of_best outcomes =
   let best = mean best_speedup -. 1.0 in
   if best <= 0.0 then 1.0 else model /. best
 
+type predict =
+  include_pair:(prog:int -> uarch:int -> bool) ->
+  prog:int ->
+  uarch:int ->
+  Passes.Flags.setting
+
 let m_folds = Obs.Metrics.counter "crossval.folds"
 
-(* With an offload backend, predictions for all folds are computed
-   first, their settings deduplicated per program by canonical form,
-   and one batched call evaluates the lot — the runs then preload the
-   dataset's two-tier cache so outcome assembly is pure pricing. *)
+(* With an offload backend, every fold's predicted setting is
+   deduplicated per program by canonical form and one batched call
+   evaluates the lot — the runs then preload the dataset's two-tier
+   cache so outcome assembly is pure pricing. *)
 let offload_predictions (d : Dataset.t) evaluate predictions =
   let n_uarch = Dataset.n_uarchs d in
   let groups =
@@ -64,10 +70,19 @@ let offload_predictions (d : Dataset.t) evaluate predictions =
         runs)
     results
 
-let run ?k ?beta ?mask ?pool ?(backend = Dataset.In_process)
-    ?(progress = fun (_ : string) -> ()) (d : Dataset.t) =
+let run ?pool ?(backend = Dataset.In_process)
+    ?(progress = fun (_ : string) -> ()) ?predict (d : Dataset.t) =
   let pool = match pool with Some p -> p | None -> Prelude.Pool.default () in
   let progress = Prelude.Pool.serialised progress in
+  let predict =
+    match predict with
+    | Some f -> f
+    | None ->
+      fun ~include_pair ~prog ~uarch ->
+        Model.predict
+          (Model.train ~include_pair d)
+          (Dataset.pair d ~prog ~uarch).Dataset.features_raw
+  in
   let n_prog = Dataset.n_programs d and n_uarch = Dataset.n_uarchs d in
   let fold_seconds = Obs.Metrics.hist "crossval.fold.seconds" in
   Obs.Span.with_ "crossval.run"
@@ -90,46 +105,38 @@ let run ?k ?beta ?mask ?pool ?(backend = Dataset.In_process)
         Obs.Span.ticker ~print:progress ~every:n_uarch
           ~total:(n_prog * n_uarch) "cross-validated"
       in
-      let predict idx =
-        let prog = idx / n_uarch and uarch = idx mod n_uarch in
-        let model =
-          Model.train ?k ?beta ?mask
-            ~include_pair:(fun ~prog:p ~uarch:u -> p <> prog && u <> uarch)
-            d
-        in
-        let test = Dataset.pair d ~prog ~uarch in
-        Model.predict model test.Dataset.features_raw
+      (* Every fold's prediction first, each timed for its fold event.
+         Training only reads the dataset, so the predictions are
+         bit-identical at any job count. *)
+      let predictions =
+        Obs.Span.with_ "crossval.predict" (fun () ->
+            Prelude.Pool.init pool (n_prog * n_uarch) (fun idx ->
+                let prog = idx / n_uarch and uarch = idx mod n_uarch in
+                let t0 = Obs.Clock.now_s () in
+                let predicted =
+                  predict
+                    ~include_pair:(fun ~prog:p ~uarch:u ->
+                      p <> prog && u <> uarch)
+                    ~prog ~uarch
+                in
+                (predicted, Obs.Clock.now_s () -. t0)))
       in
-      (* Batched prediction evaluation: the expensive fold step (the
-         predicted setting's profile) is either computed inline through
-         the cache or fetched in one offloaded round first. *)
-      let precomputed =
-        match backend with
-        | Dataset.In_process -> None
-        | Dataset.Offload evaluate ->
-          let predictions =
-            Obs.Span.with_ "crossval.predict" (fun () ->
-                Prelude.Pool.init pool (n_prog * n_uarch) predict)
-          in
-          offload_predictions d evaluate predictions;
-          Some predictions
-      in
-      (* One task per held-out pair.  Training only reads the dataset;
-         evaluating the prediction goes through the mutex-guarded
-         [Dataset.run_for] cache, whose entries are deterministic — so the
-         outcome array is bit-identical at any job count (and identical
-         with or without an offload backend, which only warms the
-         cache). *)
+      (match backend with
+      | Dataset.In_process -> ()
+      | Dataset.Offload evaluate ->
+        offload_predictions d evaluate (Array.map fst predictions));
+      (* Then price every prediction on its held-out pair.  Evaluation
+         goes through the mutex-guarded [Dataset.run_for] cache, whose
+         entries are deterministic, so the outcomes are bit-identical
+         at any job count and with or without an offload backend, which
+         only warms the cache. *)
       Prelude.Pool.init pool (n_prog * n_uarch) (fun idx ->
           let prog = idx / n_uarch and uarch = idx mod n_uarch in
+          let predicted, train_s = predictions.(idx) in
           let t0 = Obs.Clock.now_s () in
-          let predicted =
-            match precomputed with Some p -> p.(idx) | None -> predict idx
-          in
-          let train_done = Obs.Clock.now_s () in
           let test = Dataset.pair d ~prog ~uarch in
           let predicted_seconds = Dataset.evaluate d ~prog ~uarch predicted in
-          let dur = Obs.Clock.now_s () -. t0 in
+          let dur = train_s +. (Obs.Clock.now_s () -. t0) in
           Obs.Metrics.add m_folds 1;
           Obs.Metrics.observe fold_seconds dur;
           Obs.Span.event ~level:Obs.Trace.Debug ~parent "crossval.fold"
@@ -137,7 +144,7 @@ let run ?k ?beta ?mask ?pool ?(backend = Dataset.In_process)
               ("prog", Obs.Json.Int prog);
               ("uarch", Obs.Json.Int uarch);
               ("dur_s", Obs.Json.Float dur);
-              ("train_s", Obs.Json.Float (train_done -. t0));
+              ("train_s", Obs.Json.Float train_s);
             ];
           tick d.Dataset.specs.(prog).Workloads.Spec.name;
           {

@@ -27,23 +27,38 @@ val fraction_of_best : outcome array -> float
 (** The paper's 67% metric:
     (mean model speedup - 1) / (mean best speedup - 1). *)
 
+type predict =
+  include_pair:(prog:int -> uarch:int -> bool) ->
+  prog:int ->
+  uarch:int ->
+  Passes.Flags.setting
+(** A fold's predictor: the setting predicted for the held-out pair
+    ([prog], [uarch]) by a model trained on the pairs [include_pair]
+    admits. *)
+
 val run :
-  ?k:int ->
-  ?beta:float ->
-  ?mask:bool array ->
   ?pool:Prelude.Pool.t ->
   ?backend:Dataset.backend ->
   ?progress:(string -> unit) ->
+  ?predict:predict ->
   Dataset.t ->
   outcome array
-(** One outcome per dataset pair, in row-major pair order.  The
-    train/predict/evaluate loop is fanned out over [pool] (default: the
-    shared [Prelude.Pool] sized by [REPRO_JOBS]); the result is
-    bit-identical at any job count, and [progress] is serialised.
+(** One outcome per dataset pair, in row-major pair order: the one
+    leave-one-out loop, behind the summary, the figures, the ablations
+    and [portopt crossval].
 
-    With [backend = Offload f], every fold's prediction is computed
-    first, the predicted settings are deduplicated per program by
-    canonical form and evaluated in one batched [f] call, and the
-    resulting profiles preload the dataset's cache — outcome assembly
-    then prices pure cache hits, so the outcomes are identical to the
-    in-process path. *)
+    For each held-out pair, [predict ~include_pair ~prog ~uarch] returns
+    the predicted setting; [include_pair] holds for exactly the pairs
+    involving neither [prog] nor [uarch], the fold's training set.  The
+    default trains [Model.train ~include_pair d] and predicts from the
+    held-out pair's features; each ablation row passes its own
+    [predict] and runs on a copy of [d] with its good sets refit.
+
+    Every fold is predicted first, fanned out over [pool] (default: the
+    shared [Prelude.Pool] sized by [REPRO_JOBS]).  With
+    [backend = Offload f], the predicted settings are then deduplicated
+    per program by canonical form and evaluated in one batched [f]
+    call, whose profiles preload the dataset's cache.  Last, every
+    prediction is timed on its held-out pair, over the pool again.  The
+    outcomes are bit-identical at any job count and with either
+    backend, and [progress] is serialised. *)

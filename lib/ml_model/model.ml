@@ -11,8 +11,9 @@ type t = {
   k : int;
   beta : float;
   mask : bool array option;
-      (** Optional feature subset (for the feature-ablation bench):
-          excluded features are dropped before normalisation. *)
+      (** Optional feature subset, as the ablation's counters-only and
+          descriptors-only rows train with: excluded features are
+          dropped before normalisation. *)
   normaliser : Features.normaliser;
   features : float array array;  (** Normalised; one row per point. *)
   distributions : Distribution.t array;

@@ -43,7 +43,8 @@ val train :
 (** [train dataset] builds the model from every dataset pair for which
     [include_pair] holds (the cross-validation harness excludes the test
     program and test microarchitecture there).  [mask] selects a feature
-    subset (for the feature-ablation bench).  Features are z-score
+    subset, as the ablation's counters-only and descriptors-only rows
+    do.  Features are z-score
     normalised against the selected training pairs.  Raises
     [Invalid_argument] if no pair is selected. *)
 

@@ -342,7 +342,7 @@ let arm_json a =
       ("checksum", J.Str a.arm_checksum);
     ]
 
-let health_json t =
+let health_fields t =
   let routing = Atomic.get t.routing in
   let stable = routing.r_stable in
   let cache_stats =
@@ -358,48 +358,47 @@ let health_json t =
           ("misses", J.Int (Prelude.Lru.misses c));
         ]
   in
-  J.Obj
-    [
-      ("ok", J.Bool true);
-      ("uptime_s", J.Float (Unix.gettimeofday () -. t.started));
-      ("requests", J.Int (Atomic.get t.requests));
-      ("shed", J.Int (Atomic.get t.shed));
-      ("errors", J.Int (Atomic.get t.errors));
-      ("inflight", J.Int (Atomic.get t.inflight));
-      ("connections", J.Int (Net.Listener.live t.listener));
-      ("queue_depth", J.Int (Prelude.Pool.pending t.pool));
-      ("jobs", J.Int t.config.jobs);
-      ("queue_limit", J.Int t.config.queue);
-      ("stopping", J.Bool (Net.Listener.stopping t.listener));
-      ("reloads", J.Int (Atomic.get t.reloads));
-      ("cache", cache_stats);
-      ( "model",
-        J.Obj
-          [
-            ("version", J.Str stable.arm_version);
-            ("checksum", J.Str stable.arm_checksum);
-            ( "pairs",
-              J.Int (Ml_model.Model.n_points stable.arm_artifact.Artifact.model)
-            );
-            ("k", J.Int (Ml_model.Model.k stable.arm_artifact.Artifact.model));
-            ( "beta",
-              J.Float (Ml_model.Model.beta stable.arm_artifact.Artifact.model)
-            );
-            ( "space",
-              J.Str
-                (Ml_model.Features.space_to_string
-                   stable.arm_artifact.Artifact.space) );
-            ( "provenance",
-              J.Obj (provenance_of_meta stable.arm_artifact.Artifact.meta) );
-          ] );
-      ( "ab",
-        match routing.r_candidate with
-        | None -> J.Null
-        | Some c ->
-          J.Obj [ ("split", J.Float routing.r_split); ("candidate", arm_json c) ]
-      );
-      ("meta", J.Obj stable.arm_artifact.Artifact.meta);
-    ]
+  [
+    ("ok", J.Bool true);
+    ("uptime_s", J.Float (Unix.gettimeofday () -. t.started));
+    ("requests", J.Int (Atomic.get t.requests));
+    ("shed", J.Int (Atomic.get t.shed));
+    ("errors", J.Int (Atomic.get t.errors));
+    ("inflight", J.Int (Atomic.get t.inflight));
+    ("connections", J.Int (Net.Listener.live t.listener));
+    ("queue_depth", J.Int (Prelude.Pool.pending t.pool));
+    ("jobs", J.Int t.config.jobs);
+    ("queue_limit", J.Int t.config.queue);
+    ("stopping", J.Bool (Net.Listener.stopping t.listener));
+    ("reloads", J.Int (Atomic.get t.reloads));
+    ("cache", cache_stats);
+    ( "model",
+      J.Obj
+        [
+          ("version", J.Str stable.arm_version);
+          ("checksum", J.Str stable.arm_checksum);
+          ( "pairs",
+            J.Int (Ml_model.Model.n_points stable.arm_artifact.Artifact.model)
+          );
+          ("k", J.Int (Ml_model.Model.k stable.arm_artifact.Artifact.model));
+          ( "beta",
+            J.Float (Ml_model.Model.beta stable.arm_artifact.Artifact.model)
+          );
+          ( "space",
+            J.Str
+              (Ml_model.Features.space_to_string
+                 stable.arm_artifact.Artifact.space) );
+          ( "provenance",
+            J.Obj (provenance_of_meta stable.arm_artifact.Artifact.meta) );
+        ] );
+    ( "ab",
+      match routing.r_candidate with
+      | None -> J.Null
+      | Some c ->
+        J.Obj [ ("split", J.Float routing.r_split); ("candidate", arm_json c) ]
+    );
+    ("meta", J.Obj stable.arm_artifact.Artifact.meta);
+  ]
 
 (** Display neighbours: normalise the softmax weights into shares. *)
 let wire_neighbours (ns : Ml_model.Predict.neighbour array) =
@@ -590,7 +589,7 @@ let reload_fields routing ~changed =
     file-system bound). *)
 let answer t ~id ~t0 req =
   match req with
-  | Protocol.Health -> Now (health_json t)
+  | Protocol.Health -> Now (J.Obj (with_id id (health_fields t)))
   | Protocol.Metrics ->
     Now
       (J.Obj
@@ -614,7 +613,7 @@ let answer t ~id ~t0 req =
       | Error e -> error ?id 500 ("reload failed: " ^ e)))
   | Protocol.Shutdown ->
     stop t;
-    Now (J.Obj [ ("ok", J.Bool true); ("stopping", J.Bool true) ])
+    Now (J.Obj (with_id id [ ("ok", J.Bool true); ("stopping", J.Bool true) ]))
   | Protocol.Sleep seconds ->
     admitted t ~id (fun () ->
         Thread.delay seconds;

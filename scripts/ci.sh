@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full CI gate, in dependency order: build everything, run the unit
 # suites, then the end-to-end smokes — bench (sequential and parallel
-# engine), trace (JSONL schema round-trip), serve (train -> serve ->
+# engine, their summary and ablation tables diffed), trace (JSONL schema round-trip), serve (train -> serve ->
 # query -> drain against a real server), index (served predictions
 # byte-identical to in-process ones through the binary), store (cold -> warm
 # incremental rerun with byte-identical artifacts) and cluster

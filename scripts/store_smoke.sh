@@ -5,7 +5,8 @@
 # must maintain it without corrupting readable records.  A record whose
 # header claims a negative payload length must be flagged by verify and
 # read as a miss by train.  Also regression checks for graceful one-line
-# CLI errors on missing or truncated input files.
+# CLI errors on missing or truncated input files, bad arguments, and a
+# usage error that must leave no trace file or store behind.
 #
 # Invokes the built binary directly rather than via `dune exec`:
 # concurrent `dune exec` processes would contend on the build lock.
@@ -92,5 +93,32 @@ if "$BIN" predict --model "$DIR/empty.pcm" qsort >"$DIR/err4.out" 2>&1; then
   exit 1
 fi
 test "$(wc -l <"$DIR/err4.out")" -eq 1
+
+# A usage error (train without -o) leaves neither the trace file nor
+# the store directory behind: both are opened only once every argument
+# has parsed.
+if "$BIN" train --trace "$DIR/usage.jsonl" --store "$DIR/usage_store" \
+  >"$DIR/err5.out" 2>&1; then
+  echo "store-smoke: train without -o should fail" >&2
+  exit 1
+fi
+if [ -e "$DIR/usage.jsonl" ] || [ -e "$DIR/usage_store" ]; then
+  echo "store-smoke: a usage error left a trace file or a store behind" >&2
+  exit 1
+fi
+
+# A bad microarchitecture and an unknown program: one diagnostic line
+# and a nonzero exit, never an uncaught exception.
+for args in "run qsort --il1-kb 3" "run nosuchprog"; do
+  rc=0
+  # shellcheck disable=SC2086
+  "$BIN" $args >"$DIR/err6.out" 2>&1 || rc=$?
+  if [ "$rc" -eq 0 ] || grep -q "internal error" "$DIR/err6.out" \
+    || [ "$(wc -l <"$DIR/err6.out")" -ne 1 ]; then
+    echo "store-smoke: 'portopt $args' exited $rc with:" >&2
+    cat "$DIR/err6.out" >&2
+    exit 1
+  fi
+done
 
 echo "store-smoke: OK"

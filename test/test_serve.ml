@@ -1206,6 +1206,34 @@ let test_server_rejects_non_finite_query () =
           | Ok _ -> ()
           | Error (_, e) -> Alcotest.failf "server unhealthy after 400: %s" e))
 
+(* Every reply echoes the request's id, and a request without one gets
+   a reply without one; shutdown stops its server, so each id case
+   gets a server of its own. *)
+let test_server_echoes_request_id () =
+  let artifact = artifact_of (Lazy.force dataset42) in
+  let reply_id address line =
+    match raw_exchange address line with
+    | Error e ->
+      Alcotest.failf "%s: no reply: %s" line (Net.Codec.error_to_string e)
+    | Ok reply -> (
+      match J.of_string reply with
+      | Error e -> Alcotest.failf "%s: unparseable reply: %s" line e
+      | Ok j -> J.member "id" j)
+  in
+  List.iter
+    (fun id ->
+      let field =
+        match id with Some i -> Printf.sprintf ",\"id\":%d" i | None -> ""
+      in
+      with_server ~admin:true artifact (fun _server address ->
+          List.iter
+            (fun op ->
+              let line = Printf.sprintf "{\"op\":\"%s\"%s}" op field in
+              check Alcotest.bool line true
+                (reply_id address line = Option.map (fun i -> J.Int i) id))
+            [ "health"; "metrics"; "shutdown" ]))
+    [ Some 7; None ]
+
 let test_server_tcp_ephemeral_port () =
   let artifact = artifact_of (Lazy.force dataset42) in
   let config =
@@ -2119,6 +2147,8 @@ let () =
             test_server_graceful_drain;
           Alcotest.test_case "bind failure leaks no fd" `Slow
             test_server_bind_failure_leaks_nothing;
+          Alcotest.test_case "health, metrics, shutdown echo the id" `Slow
+            test_server_echoes_request_id;
         ] );
       ( "swap",
         [

@@ -52,6 +52,48 @@ let prog_arg =
           $ Arg.(required & pos 0 (some string) None
                  & info [] ~docv:"PROGRAM" ~doc))
 
+let ( let* ) = Result.bind
+
+(* A bad REPRO_* value is a one-line command-line error: the
+   [Invalid_argument] that reading it raises becomes [Error]. *)
+let of_env f =
+  match f () with v -> Ok v | exception Invalid_argument e -> Error e
+
+(* An integer option whose value [valid] rejects is a one-line
+   command-line error naming the option, the value typed and what was
+   [expected]. *)
+let check_int name ~expected valid v =
+  if valid v then Ok v
+  else
+    Error
+      (Printf.sprintf "option '--%s': invalid value '%d', expected %s" name v
+         expected)
+
+(* A dataset scale: the REPRO_* defaults, overridden by the positive
+   counts given, with REPRO_JOBS checked alongside for the pool that
+   builds it. *)
+let scale_of ?uarchs ?opts () =
+  let given name = function
+    | None -> Ok None
+    | Some v ->
+      Result.map Option.some
+        (check_int name ~expected:"a positive integer" (( < ) 0) v)
+  in
+  let* uarchs = given "train-uarchs" uarchs in
+  let* opts = given "train-opts" opts in
+  let* s =
+    of_env (fun () ->
+        ignore (Prelude.Pool.jobs ());
+        Ml_model.Dataset.default_scale ())
+  in
+  Ok
+    {
+      s with
+      Ml_model.Dataset.n_uarchs =
+        Option.value uarchs ~default:s.Ml_model.Dataset.n_uarchs;
+      n_opts = Option.value opts ~default:s.Ml_model.Dataset.n_opts;
+    }
+
 (* Telemetry options shared by the pipeline subcommands.  The term
    evaluates to a thunk that the command's [run] forces first, so
    option errors surface through cmdliner before any side effect
@@ -85,7 +127,7 @@ let obs_term cmd =
     in
     Arg.(value & opt string "info" & info [ "log-level" ] ~docv:"LEVEL" ~doc)
   in
-  let setup trace trace_id level () =
+  let setup trace trace_id level jobs () =
     (match Obs.Trace.level_of_string level with
     | Ok l -> Obs.Trace.set_level l
     | Error e -> (
@@ -99,11 +141,17 @@ let obs_term cmd =
         ~manifest:
           [
             ("cmd", Obs.Json.Str cmd);
-            ("jobs", Obs.Json.Int (Prelude.Pool.jobs ()));
+            ("jobs", Obs.Json.Int jobs);
           ]
         path
   in
-  Term.(const setup $ trace $ trace_id $ level)
+  (* The manifest records REPRO_JOBS, so a traced command checks it
+     while the arguments parse. *)
+  let check trace trace_id level =
+    Result.map (setup trace trace_id level)
+      (if trace = None then Ok 0 else of_env Prelude.Pool.jobs)
+  in
+  Term.(term_result' (const check $ trace $ trace_id $ level))
 
 (* The content-addressed evaluation store, shared by the expensive
    subcommands.  Opening creates the directory, so --store on a fresh
@@ -152,43 +200,57 @@ let objective_term =
   Arg.(value & opt objective_conv Objective.Spec.default
        & info [ "objective" ] ~docv:"SPEC" ~doc)
 
-(* Microarchitecture options shared by run/predict. *)
+(* Microarchitecture options shared by run/predict: each accepts the
+   values of its Uarch.Config table (cache sizes in KiB), and
+   [validate] adds the cross-field check. *)
 let uarch_term =
   let open Term in
-  let mk il1 ila ilb dl1 dla dlb btb btba freq width =
+  let param ?(unit = 1) name values default doc =
+    let typed = Array.map (fun v -> v / unit) values in
+    let expected =
+      "one of "
+      ^ String.concat ", " (Array.to_list (Array.map string_of_int typed))
+    in
+    let check v =
+      Result.map (fun v -> v * unit)
+        (check_int name ~expected (fun v -> Array.mem v typed) v)
+    in
+    term_result'
+      (const check $ Arg.(value & opt int default & info [ name ] ~doc))
+  in
+  let mk il1_size il1_assoc il1_block dl1_size dl1_assoc dl1_block
+      btb_entries btb_assoc freq_mhz issue_width =
     let u =
       {
-        Uarch.Config.il1_size = il1 * 1024;
-        il1_assoc = ila;
-        il1_block = ilb;
-        dl1_size = dl1 * 1024;
-        dl1_assoc = dla;
-        dl1_block = dlb;
-        btb_entries = btb;
-        btb_assoc = btba;
-        freq_mhz = freq;
-        issue_width = width;
+        Uarch.Config.il1_size;
+        il1_assoc;
+        il1_block;
+        dl1_size;
+        dl1_assoc;
+        dl1_block;
+        btb_entries;
+        btb_assoc;
+        freq_mhz;
+        issue_width;
       }
     in
     match Uarch.Config.validate u with
     | () -> Ok u
     | exception Invalid_argument e -> Error e
   in
-  let flag name default doc =
-    Arg.(value & opt int default & info [ name ] ~doc)
-  in
+  let open Uarch.Config in
   term_result'
     (const mk
-    $ flag "il1-kb" 32 "Instruction cache size in KiB."
-    $ flag "il1-assoc" 32 "Instruction cache associativity."
-    $ flag "il1-block" 32 "Instruction cache block size in bytes."
-    $ flag "dl1-kb" 32 "Data cache size in KiB."
-    $ flag "dl1-assoc" 32 "Data cache associativity."
-    $ flag "dl1-block" 32 "Data cache block size in bytes."
-    $ flag "btb" 512 "BTB entries."
-    $ flag "btb-assoc" 1 "BTB associativity."
-    $ flag "freq" 400 "Core frequency in MHz."
-    $ flag "width" 1 "Issue width.")
+    $ param "il1-kb" ~unit:1024 il1_sizes 32 "Instruction cache size in KiB."
+    $ param "il1-assoc" assocs 32 "Instruction cache associativity."
+    $ param "il1-block" blocks 32 "Instruction cache block size in bytes."
+    $ param "dl1-kb" ~unit:1024 il1_sizes 32 "Data cache size in KiB."
+    $ param "dl1-assoc" assocs 32 "Data cache associativity."
+    $ param "dl1-block" blocks 32 "Data cache block size in bytes."
+    $ param "btb" btb_entries_values 512 "BTB entries."
+    $ param "btb-assoc" btb_assocs 1 "BTB associativity."
+    $ param "freq" freqs_mhz 400 "Core frequency in MHz."
+    $ param "width" issue_widths 1 "Issue width.")
 
 let list_cmd =
   let run () =
@@ -312,7 +374,7 @@ let read_artifact path =
     exit 1
 
 let predict_cmd =
-  let run obs store spec u uarchs opts model_path =
+  let run obs store spec u scale model_path =
     let store = start obs store in
     let name = spec.Workloads.Spec.name in
     let model, space =
@@ -321,16 +383,9 @@ let predict_cmd =
         let _, a = read_artifact path in
         (a.Serve.Artifact.model, a.Serve.Artifact.space)
       | None ->
-        let scale =
-          {
-            (Ml_model.Dataset.default_scale ()) with
-            Ml_model.Dataset.n_uarchs = uarchs;
-            n_opts = opts;
-          }
-        in
         Obs.Span.log
           (Printf.sprintf "training (%d configurations x %d settings)..."
-             uarchs opts);
+             scale.Ml_model.Dataset.n_uarchs scale.Ml_model.Dataset.n_opts);
         let dataset =
           Ml_model.Dataset.generate ?store
             ~progress:(fun m -> Obs.Span.log m)
@@ -365,11 +420,16 @@ let predict_cmd =
       o3.Sim.Pipeline.cycles tuned.Sim.Pipeline.cycles
       (o3.Sim.Pipeline.cycles /. tuned.Sim.Pipeline.cycles)
   in
-  let uarchs =
-    Arg.(value & opt int 10 & info [ "train-uarchs" ] ~doc:"Training configurations.")
-  in
-  let opts =
-    Arg.(value & opt int 60 & info [ "train-opts" ] ~doc:"Training settings.")
+  let scale =
+    let uarchs =
+      Arg.(value & opt int 10
+           & info [ "train-uarchs" ] ~doc:"Training configurations.")
+    in
+    let opts =
+      Arg.(value & opt int 60 & info [ "train-opts" ] ~doc:"Training settings.")
+    in
+    let scale uarchs opts = scale_of ~uarchs ~opts () in
+    Term.(term_result' (const scale $ uarchs $ opts))
   in
   let model =
     Arg.(value & opt (some file) None
@@ -382,7 +442,7 @@ let predict_cmd =
   Cmd.v
     (Cmd.info "predict" ~doc:"Predict the best passes for a new pair")
     Term.(const run $ obs_term "predict" $ store_term $ prog_arg $ uarch_term
-          $ uarchs $ opts $ model)
+          $ scale $ model)
 
 (* Artifact timestamp: SOURCE_DATE_EPOCH (the reproducible-builds
    convention) pins it, making `train` output byte-for-byte
@@ -679,7 +739,8 @@ let worker_cmd =
           $ name_arg $ wire_term)
 
 (* The dataset scale of train, crossval and evidence: the REPRO_*
-   defaults, overridden per option. *)
+   defaults, overridden per option.  A bad value of either is a
+   one-line command-line error, reported before any work. *)
 let scale_term =
   let uarchs =
     Arg.(value & opt (some int) None
@@ -691,16 +752,8 @@ let scale_term =
          & info [ "train-opts" ]
              ~doc:"Training settings (default: \\$REPRO_OPTS or 120).")
   in
-  let scale uarchs opts =
-    let scale = Ml_model.Dataset.default_scale () in
-    {
-      scale with
-      Ml_model.Dataset.n_uarchs =
-        Option.value ~default:scale.Ml_model.Dataset.n_uarchs uarchs;
-      n_opts = Option.value ~default:scale.Ml_model.Dataset.n_opts opts;
-    }
-  in
-  Term.(const scale $ uarchs $ opts)
+  let scale uarchs opts = scale_of ?uarchs ?opts () in
+  Term.(term_result' (const scale $ uarchs $ opts))
 
 let train_cmd =
   let run obs store out evidence_out scale objective cluster =

@@ -37,39 +37,6 @@ type predict =
 
 let m_folds = Obs.Metrics.counter "crossval.folds"
 
-(* With an offload backend, every fold's predicted setting is
-   deduplicated per program by canonical form and one batched call
-   evaluates the lot — the runs then preload the dataset's two-tier
-   cache so outcome assembly is pure pricing. *)
-let offload_predictions (d : Dataset.t) evaluate predictions =
-  let n_uarch = Dataset.n_uarchs d in
-  let groups =
-    Array.mapi
-      (fun prog spec ->
-        let seen = Hashtbl.create 16 in
-        let settings = ref [] in
-        for uarch = 0 to n_uarch - 1 do
-          let s = predictions.((prog * n_uarch) + uarch) in
-          let ck = Passes.Flags.cache_key s in
-          if not (Hashtbl.mem seen ck) then begin
-            Hashtbl.add seen ck ();
-            settings := s :: !settings
-          end
-        done;
-        (spec, Array.of_list (List.rev !settings)))
-      d.Dataset.specs
-  in
-  let results = evaluate groups in
-  Array.iteri
-    (fun prog runs ->
-      Array.iter
-        (fun r ->
-          Store.Profile_cache.preload d.Dataset.cache
-            ~program_digest:d.Dataset.prog_digests.(prog)
-            ~setting:r.Sim.Xtrem.setting r)
-        runs)
-    results
-
 let run ?pool ?(backend = Dataset.In_process)
     ?(progress = fun (_ : string) -> ()) ?predict (d : Dataset.t) =
   let pool = match pool with Some p -> p | None -> Prelude.Pool.default () in
@@ -91,11 +58,6 @@ let run ?pool ?(backend = Dataset.In_process)
         ("programs", Obs.Json.Int n_prog);
         ("uarchs", Obs.Json.Int n_uarch);
         ("folds", Obs.Json.Int (n_prog * n_uarch));
-        ( "backend",
-          Obs.Json.Str
-            (match backend with
-            | Dataset.In_process -> "in-process"
-            | Dataset.Offload _ -> "offload") );
       ]
     (fun () ->
       let parent = Obs.Span.current_id () in
@@ -121,21 +83,41 @@ let run ?pool ?(backend = Dataset.In_process)
                 in
                 (predicted, Obs.Clock.now_s () -. t0)))
       in
-      (match backend with
-      | Dataset.In_process -> ()
-      | Dataset.Offload evaluate ->
-        offload_predictions d evaluate (Array.map fst predictions));
-      (* Then price every prediction on its held-out pair.  Evaluation
-         goes through the mutex-guarded [Dataset.run_for] cache, whose
-         entries are deterministic, so the outcomes are bit-identical
-         at any job count and with or without an offload backend, which
-         only warms the cache. *)
+      (* Then one profiling grid: each program's distinct predicted
+         settings by canonical form, in fold order, fold [idx] reading
+         its run from slot [slot.(idx)] of its program's group. *)
+      let slot = Array.make (n_prog * n_uarch) 0 in
+      let grid =
+        Array.init n_prog (fun prog ->
+            let seen = Hashtbl.create 16 and settings = ref [] in
+            for idx = prog * n_uarch to ((prog + 1) * n_uarch) - 1 do
+              let s = fst predictions.(idx) in
+              let ck = Passes.Flags.cache_key s in
+              if not (Hashtbl.mem seen ck) then begin
+                Hashtbl.add seen ck (Hashtbl.length seen);
+                settings := s :: !settings
+              end;
+              slot.(idx) <- Hashtbl.find seen ck
+            done;
+            Array.of_list (List.rev !settings))
+      in
+      let runs =
+        Dataset.profile ~pool ~backend ~cache:d.Dataset.cache ~progress
+          d.Dataset.specs grid
+      in
+      (* Last, every prediction is priced on its held-out pair from
+         those runs: index-pure, so the outcomes are bit-identical at
+         any job count and with either backend. *)
       Prelude.Pool.init pool (n_prog * n_uarch) (fun idx ->
           let prog = idx / n_uarch and uarch = idx mod n_uarch in
           let predicted, train_s = predictions.(idx) in
           let t0 = Obs.Clock.now_s () in
           let test = Dataset.pair d ~prog ~uarch in
-          let predicted_seconds = Dataset.evaluate d ~prog ~uarch predicted in
+          let predicted_seconds =
+            Sim.Xtrem.seconds
+              (snd runs.(prog)).(slot.(idx))
+              d.Dataset.uarchs.(uarch)
+          in
           let dur = train_s +. (Obs.Clock.now_s () -. t0) in
           Obs.Metrics.add m_folds 1;
           Obs.Metrics.observe fold_seconds dur;

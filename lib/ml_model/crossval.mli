@@ -55,10 +55,10 @@ val run :
     [predict] and runs on a copy of [d] with its good sets refit.
 
     Every fold is predicted first, fanned out over [pool] (default: the
-    shared [Prelude.Pool] sized by [REPRO_JOBS]).  With
-    [backend = Offload f], the predicted settings are then deduplicated
-    per program by canonical form and evaluated in one batched [f]
-    call, whose profiles preload the dataset's cache.  Last, every
-    prediction is timed on its held-out pair, over the pool again.  The
-    outcomes are bit-identical at any job count and with either
-    backend, and [progress] is serialised. *)
+    shared [Prelude.Pool] sized by [REPRO_JOBS]).  Each program's
+    distinct predicted settings, by canonical form in fold order, then
+    form one grid for {!Dataset.profile} with [backend], so every
+    setting is profiled once, by one domain or one evaluator call.
+    Last, every prediction is priced on its held-out pair from those
+    runs, over the pool again.  The outcomes are bit-identical at any
+    job count and with either backend, and [progress] is serialised. *)

@@ -19,9 +19,9 @@
 
     The [settings] sample is shared by every pair, matching the uniform
     random sampling protocol of section 4.3.  Generation fans the
-    per-program interpretation and the per-pair pricing over a
-    [Prelude.Pool]; both loops are index-pure, so the result is
-    bit-identical at any [REPRO_JOBS]. *)
+    per-program profiling ([profile], which cross-validation shares)
+    and the per-pair pricing over a [Prelude.Pool]; both loops are
+    index-pure, so the result is bit-identical at any [REPRO_JOBS]. *)
 
 open Prelude
 
@@ -80,9 +80,8 @@ type t = {
           generation so later lookups never re-render the IR. *)
   cache : Store.Profile_cache.t;
       (** Two-tier profile cache (bounded RAM LRU over the optional
-          disk store) for settings outside the sample — model
-          predictions during cross-validation, evaluated from several
-          domains at once. *)
+          disk store) that generation, cross-validation and [run_for]
+          all resolve through. *)
 }
 
 let n_programs t = Array.length t.specs
@@ -238,6 +237,82 @@ type backend =
       ((Workloads.Spec.t * Passes.Flags.setting array) array ->
        Sim.Xtrem.run array array)
 
+(* The one profiling path.  [grid.(pi)] lists the settings wanted for
+   program [specs.(pi)]; the result holds each program's digest and
+   its runs in request order.  In process, one pool task per program
+   resolves its settings in order through [cache], so no two domains
+   ever resolve one key; [Offload f] gets the whole grid in one call
+   and its runs preload [cache].  Every run of a program must compute
+   the checksum of its first: anything else is a miscompilation. *)
+let profile ~pool ~backend ~cache ~progress specs grid =
+  let n = Array.length specs in
+  Obs.Span.with_ "dataset.profile"
+    ~attrs:
+      [
+        ("programs", Obs.Json.Int n);
+        ( "backend",
+          Obs.Json.Str
+            (match backend with
+            | In_process -> "in-process"
+            | Offload _ -> "offload") );
+      ]
+    (fun () ->
+      let parent = Obs.Span.current_id () in
+      let tick = Obs.Span.ticker ~print:progress ~total:n "profiled" in
+      let finish pi t0 program_digest runs =
+        let spec = specs.(pi) and wanted = grid.(pi) in
+        if Array.length runs <> Array.length wanted then
+          failwith
+            (Printf.sprintf "Dataset.profile: %d runs for %s, wanted %d"
+               (Array.length runs) spec.Workloads.Spec.name
+               (Array.length wanted));
+        Array.iteri
+          (fun i r ->
+            if r.Sim.Xtrem.checksum <> runs.(0).Sim.Xtrem.checksum then
+              failwith
+                (Printf.sprintf "Dataset.profile: %s miscompiled under %s"
+                   spec.Workloads.Spec.name
+                   (Passes.Flags.to_string wanted.(i))))
+          runs;
+        Obs.Span.event ~parent "dataset.program"
+          [
+            ("program", Obs.Json.Str spec.Workloads.Spec.name);
+            ("dur_s", Obs.Json.Float (Obs.Clock.now_s () -. t0));
+            ("runs", Obs.Json.Int (Array.length runs));
+          ];
+        tick spec.Workloads.Spec.name;
+        (program_digest, runs)
+      in
+      match backend with
+      | In_process ->
+        Pool.init pool n (fun pi ->
+            let t0 = Obs.Clock.now_s () in
+            let program = Workloads.Mibench.program_of specs.(pi) in
+            let program_digest = Store.program_digest program in
+            finish pi t0 program_digest
+              (Array.map
+                 (fun setting ->
+                   Store.Profile_cache.find_or_compute cache ~program_digest
+                     ~setting (fun () -> Sim.Xtrem.profile_of ~setting program))
+                 grid.(pi)))
+      | Offload evaluate ->
+        let evaluated = evaluate (Array.combine specs grid) in
+        if Array.length evaluated <> n then
+          failwith "Dataset.profile: offload backend dropped programs";
+        Array.mapi
+          (fun pi runs ->
+            let t0 = Obs.Clock.now_s () in
+            let program_digest =
+              Store.program_digest (Workloads.Mibench.program_of specs.(pi))
+            in
+            Array.iter
+              (fun r ->
+                Store.Profile_cache.preload cache ~program_digest
+                  ~setting:r.Sim.Xtrem.setting r)
+              runs;
+            finish pi t0 program_digest runs)
+          evaluated)
+
 let generate ?store ?pool ?(backend = In_process)
     ?(objective = Objective.Spec.default)
     ?(progress = fun (_ : string) -> ()) scale =
@@ -255,11 +330,6 @@ let generate ?store ?pool ?(backend = In_process)
         ("space", Obs.Json.Str (Features.space_to_string scale.space));
         ("objective", Obs.Json.Str (Objective.Spec.to_string objective));
         ("jobs", Obs.Json.Int (Pool.size pool));
-        ( "backend",
-          Obs.Json.Str
-            (match backend with
-            | In_process -> "in-process"
-            | Offload _ -> "offload") );
         ( "store",
           match store with
           | None -> Obs.Json.Null
@@ -277,107 +347,19 @@ let generate ?store ?pool ?(backend = In_process)
       let settings =
         Array.init scale.n_opts (fun _ -> Passes.Flags.random rng)
       in
-      (* Interpretation fan-out: one task per program, each resolving
-         the -O3 baseline plus every sampled setting through the
-         two-tier cache — a warm disk store satisfies all of them
-         without a single interpretation. *)
+      (* Every program's group is the -O3 baseline, then the sample: a
+         warm disk store satisfies all of them without a single
+         interpretation. *)
+      let wanted = Array.append [| Passes.Flags.o3 |] settings in
       let profiles =
-        Obs.Span.with_ "dataset.profile" (fun () ->
-            let parent = Obs.Span.current_id () in
-            let tick =
-              Obs.Span.ticker ~print:progress ~total:(Array.length specs)
-                "profiled"
-            in
-            let miscompiled spec s =
-              failwith
-                (Printf.sprintf "Dataset.generate: %s miscompiled under %s"
-                   spec.Workloads.Spec.name
-                   (Passes.Flags.to_string s))
-            in
-            match backend with
-            | In_process ->
-              Pool.init pool (Array.length specs) (fun pi ->
-                  let spec = specs.(pi) in
-                  let t0 = Obs.Clock.now_s () in
-                  let program = Workloads.Mibench.program_of spec in
-                  let program_digest = Store.program_digest program in
-                  let resolve setting =
-                    Store.Profile_cache.find_or_compute cache ~program_digest
-                      ~setting (fun () ->
-                        Sim.Xtrem.profile_of ~setting program)
-                  in
-                  let o3 = resolve Passes.Flags.o3 in
-                  let rs =
-                    Array.map
-                      (fun s ->
-                        let r = resolve s in
-                        if r.Sim.Xtrem.checksum <> o3.Sim.Xtrem.checksum then
-                          miscompiled spec s;
-                        r)
-                      settings
-                  in
-                  Obs.Span.event ~parent "dataset.program"
-                    [
-                      ("program", Obs.Json.Str spec.Workloads.Spec.name);
-                      ("dur_s", Obs.Json.Float (Obs.Clock.now_s () -. t0));
-                      ("runs", Obs.Json.Int (1 + Array.length settings));
-                    ];
-                  tick spec.Workloads.Spec.name;
-                  (program_digest, o3, rs))
-            | Offload evaluate ->
-              (* One call covers the whole grid, so the evaluator can
-                 dedupe, batch and schedule however it likes; results
-                 come back in request order, setting 0 being the -O3
-                 baseline.  Everything downstream of the profiles is
-                 computed locally either way. *)
-              let wanted = Array.append [| Passes.Flags.o3 |] settings in
-              let groups =
-                Array.map (fun spec -> (spec, wanted)) specs
-              in
-              let evaluated = evaluate groups in
-              if Array.length evaluated <> Array.length specs then
-                failwith "Dataset.generate: offload backend dropped programs";
-              Array.mapi
-                (fun pi spec ->
-                  let all = evaluated.(pi) in
-                  if Array.length all <> Array.length wanted then
-                    failwith
-                      (Printf.sprintf
-                         "Dataset.generate: offload backend returned %d runs \
-                          for %s, wanted %d"
-                         (Array.length all) spec.Workloads.Spec.name
-                         (Array.length wanted));
-                  let program_digest =
-                    Store.program_digest (Workloads.Mibench.program_of spec)
-                  in
-                  let o3 = all.(0) in
-                  let rs = Array.sub all 1 (Array.length all - 1) in
-                  Array.iteri
-                    (fun i r ->
-                      if r.Sim.Xtrem.checksum <> o3.Sim.Xtrem.checksum then
-                        miscompiled spec settings.(i))
-                    rs;
-                  (* Preload the two-tier cache so cross-validation's
-                     out-of-sample lookups and artifact reruns are pure
-                     hits. *)
-                  Array.iter
-                    (fun r ->
-                      Store.Profile_cache.preload cache ~program_digest
-                        ~setting:r.Sim.Xtrem.setting r)
-                    all;
-                  Obs.Span.event ~parent "dataset.program"
-                    [
-                      ("program", Obs.Json.Str spec.Workloads.Spec.name);
-                      ("runs", Obs.Json.Int (Array.length all));
-                      ("offloaded", Obs.Json.Bool true);
-                    ];
-                  tick spec.Workloads.Spec.name;
-                  (program_digest, o3, rs))
-                specs)
+        profile ~pool ~backend ~cache ~progress specs
+          (Array.map (fun _ -> wanted) specs)
       in
-      let prog_digests = Array.map (fun (d, _, _) -> d) profiles in
-      let o3_runs = Array.map (fun (_, o3, _) -> o3) profiles in
-      let runs = Array.map (fun (_, _, rs) -> rs) profiles in
+      let prog_digests = Array.map fst profiles in
+      let o3_runs = Array.map (fun (_, rs) -> rs.(0)) profiles in
+      let runs =
+        Array.map (fun (_, rs) -> Array.sub rs 1 scale.n_opts) profiles
+      in
       (* Pricing/good-set fan-out: one task per (program, uarch) pair, all
          reading the shared immutable profiles. *)
       let pairs =

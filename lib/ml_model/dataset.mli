@@ -70,6 +70,31 @@ type backend =
           setting.  The function type keeps the dependency arrow
           pointing downward — this library knows nothing of sockets. *)
 
+val profile :
+  pool:Prelude.Pool.t ->
+  backend:backend ->
+  cache:Store.Profile_cache.t ->
+  progress:(string -> unit) ->
+  Workloads.Spec.t array ->
+  Passes.Flags.setting array array ->
+  (string * Sim.Xtrem.run array) array
+(** [profile ~pool ~backend ~cache ~progress specs grid] profiles a
+    request grid: [grid.(i)] lists the settings wanted for program
+    [specs.(i)], and entry [i] of the result is that program's
+    {!Store.program_digest} and its runs in request order.  The one
+    profiling path, behind both {!generate} and {!Crossval.run}.
+
+    [In_process] runs one [pool] task per program, which resolves its
+    settings in order through [cache]: no two domains ever resolve one
+    key, so each key is interpreted at most once and a cold store ends
+    up the same at any job count.  [Offload f] hands [f] the whole grid
+    in one call and preloads [cache] (and its disk store) with the
+    returned runs.  Either way every run of a program must carry the
+    checksum of the program's first run, or [Failure] reports a
+    miscompilation; a backend that returns the wrong number of runs
+    fails too.  Each program emits a [dataset.program] event and a
+    [profiled] progress tick. *)
+
 val generate :
   ?store:Store.t ->
   ?pool:Prelude.Pool.t ->
@@ -78,23 +103,22 @@ val generate :
   ?progress:(string -> unit) ->
   scale ->
   t
-(** Build the dataset.  Every compiled binary is checksum-checked against
-    the -O3 baseline; a mismatch raises [Failure] (it would indicate a
-    miscompilation).  The interpretation and pricing loops are fanned out
-    over [pool] (default: the shared [Prelude.Pool] sized by
+(** Build the dataset: {!profile} the -O3 baseline followed by the
+    sampled settings for every program, then price every pair.  The -O3
+    run is each program's first, so a sampled setting whose checksum
+    differs raises [Failure] (a miscompilation).  Profiling and pricing
+    fan out over [pool] (default: the shared [Prelude.Pool] sized by
     [REPRO_JOBS]); results are bit-identical at any job count, and
     [progress] is serialised so it never runs concurrently.
 
     With [store], every profile is resolved through the
     content-addressed store first: a warm store rebuilds the dataset
     bit-identically with {e zero} interpreter runs, and a cold run
-    writes every profile back for the next process.
-
-    With [backend = Offload f], interpretation goes through [f] instead
-    of the local pool, and the returned runs preload the two-tier cache
-    — the rest of generation (pricing, good sets, distributions) then
-    proceeds locally and bit-identically, so the artifact cannot depend
-    on who evaluated the profiles. *)
+    writes every profile back for the next process.  With
+    [backend = Offload f], [f] interprets the grid instead of the local
+    pool; pricing, good sets and distributions are computed locally
+    either way, so the artifact cannot depend on who evaluated the
+    profiles. *)
 
 val n_programs : t -> int
 val n_uarchs : t -> int
@@ -118,8 +142,8 @@ val with_objective : ?pool:Prelude.Pool.t -> t -> Objective.Spec.t -> t
 
 val run_for : t -> prog:int -> Passes.Flags.setting -> Sim.Xtrem.run
 (** Profile of [prog] under an arbitrary setting, cached by canonical
-    (semantic) form — this is how model predictions outside the sample
-    are evaluated without recompiling duplicates. *)
+    (semantic) form — how {!evaluate} and {!evaluate_vector} price
+    settings outside the sample without recompiling duplicates. *)
 
 val evaluate : t -> prog:int -> uarch:int -> Passes.Flags.setting -> float
 (** Seconds of [prog] under a setting on configuration [uarch]. *)

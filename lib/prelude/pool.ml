@@ -223,7 +223,7 @@ let pending t =
   Mutex.unlock t.mutex;
   n
 
-let jobs_env () =
+let jobs () =
   match Sys.getenv_opt "REPRO_JOBS" with
   | Some s -> (
     match int_of_string_opt s with
@@ -241,7 +241,7 @@ let default () =
     match !default_pool with
     | Some p -> p
     | None ->
-      let p = create ~jobs:(jobs_env ()) in
+      let p = create ~jobs:(jobs ()) in
       Obs.Metrics.set (Obs.Metrics.gauge "pool.jobs") (float_of_int p.size);
       default_pool := Some p;
       at_exit (fun () -> shutdown p);
@@ -249,8 +249,6 @@ let default () =
   in
   Mutex.unlock default_mutex;
   p
-
-let jobs () = size (default ())
 
 let serialised f =
   let m = Mutex.create () in

@@ -75,9 +75,10 @@ val pending : t -> int
     queue-depth signal the server's load-shedding admission reads. *)
 
 val jobs : unit -> int
-(** Resolved parallelism of the shared default pool: [REPRO_JOBS] if
-    set (must be a positive integer), else
-    [Domain.recommended_domain_count ()]. *)
+(** Parallelism of the shared default pool: [REPRO_JOBS] if set, else
+    [Domain.recommended_domain_count ()].  Reading it creates no pool;
+    a [REPRO_JOBS] that is not a positive integer raises
+    [Invalid_argument]. *)
 
 val default : unit -> t
 (** The process-wide pool used when callers don't pass their own, sized

@@ -119,13 +119,15 @@ val profile : ?store:t -> setting:Passes.Flags.setting -> Ir.Types.program
 
 type store := t
 
-(** The unified profile cache behind {!Ml_model.Dataset}: an in-RAM
-    {!Prelude.Lru} tier bounded by [ram_capacity] (the unbounded
-    [extra_runs] hashtable it replaces grew without limit under long
-    sweeps) over an optional on-disk store tier, shared across worker
-    domains behind one mutex.  Values are deterministic, so a lost
-    insertion race returns the same profile either way; the expensive
-    compute runs outside the lock. *)
+(** The profile cache behind {!Ml_model.Dataset}: an in-RAM
+    {!Prelude.Lru} tier bounded by [ram_capacity] over an optional
+    on-disk store tier, shared across worker domains behind one mutex.
+    The expensive compute runs outside the lock and nothing records
+    keys in flight, so two domains that miss on one key both compute
+    it; values are deterministic, so either result is the same
+    profile.  Callers that must interpret each key once resolve it
+    from one domain, as [Ml_model.Dataset.profile] does by giving each
+    program's settings to one task. *)
 module Profile_cache : sig
   type t
 

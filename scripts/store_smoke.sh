@@ -4,9 +4,11 @@
 # artifact byte for byte, and the store subcommands (stats, verify, gc)
 # must maintain it without corrupting readable records.  A record whose
 # header claims a negative payload length must be flagged by verify and
-# read as a miss by train.  Also regression checks for graceful one-line
-# CLI errors on missing or truncated input files, bad arguments, and a
-# usage error that must leave no trace file or store behind.
+# read as a miss by train.  A cold `crossval --store` must interpret
+# each setting once and leave the same store at one and two domains.
+# Also regression checks for graceful one-line CLI errors on missing or
+# truncated input files, bad arguments and REPRO_* values, and a usage
+# error that must leave no trace file or store behind.
 #
 # Invokes the built binary directly rather than via `dune exec`:
 # concurrent `dune exec` processes would contend on the build lock.
@@ -59,6 +61,26 @@ env REPRO_UARCHS=2 REPRO_OPTS=8 SOURCE_DATE_EPOCH=0 \
   "$BIN" train --store "$STORE" -o "$DIR/after_corrupt.pcm" --log-level quiet
 cmp "$DIR/cold.pcm" "$DIR/after_corrupt.pcm"
 
+echo "store-smoke: crossval profiles each setting once at any REPRO_JOBS..."
+# Every interpretation writes one record to a cold store, and the
+# store a crossval leaves is the same at one and two domains.
+for j in 2 1; do
+  env REPRO_UARCHS=2 REPRO_OPTS=8 REPRO_JOBS=$j \
+    "$BIN" crossval --store "$DIR/cv_store$j" --trace "$DIR/cv$j.jsonl" \
+    --log-level quiet >"$DIR/cv$j.out"
+  RUNS=$(sed -n 's/.*"interp\.runs":\([0-9]*\).*/\1/p' "$DIR/cv$j.jsonl" \
+    | tail -n 1)
+  WRITES=$(sed -n 's/.*"store\.writes":\([0-9]*\).*/\1/p' "$DIR/cv$j.jsonl" \
+    | tail -n 1)
+  if [ -z "$RUNS" ] || [ "$RUNS" != "$WRITES" ]; then
+    echo "store-smoke: crossval at REPRO_JOBS=$j interpreted '$RUNS'" \
+      "times for '$WRITES' store records" >&2
+    exit 1
+  fi
+done
+cmp "$DIR/cv1.out" "$DIR/cv2.out"
+diff -r "$DIR/cv_store1" "$DIR/cv_store2"
+
 echo "store-smoke: graceful errors..."
 # Missing store directory: one-line diagnostic, nonzero exit.
 if "$BIN" store verify --store "$DIR/no_such_store" \
@@ -107,18 +129,31 @@ if [ -e "$DIR/usage.jsonl" ] || [ -e "$DIR/usage_store" ]; then
   exit 1
 fi
 
-# A bad microarchitecture and an unknown program: one diagnostic line
-# and a nonzero exit, never an uncaught exception.
-for args in "run qsort --il1-kb 3" "run nosuchprog"; do
+# A bad microarchitecture, an unknown program, a nonpositive scale and
+# a bad REPRO_* value: one diagnostic line and a nonzero exit before any
+# work (no artifact), never an uncaught exception.
+for args in "$BIN run qsort --il1-kb 3" "$BIN run nosuchprog" \
+  "$BIN train --train-uarchs 0 --train-opts 1 -o $DIR/bad.pcm" \
+  "$BIN train --train-opts 0 -o $DIR/bad.pcm" \
+  "$BIN train --train-uarchs=-2 -o $DIR/bad.pcm" \
+  "$BIN predict qsort --train-uarchs 0" \
+  "REPRO_UARCHS=0 $BIN train -o $DIR/bad.pcm" \
+  "REPRO_SEED=abc $BIN crossval" \
+  "REPRO_JOBS=0 $BIN train -o $DIR/bad.pcm"; do
   rc=0
   # shellcheck disable=SC2086
-  "$BIN" $args >"$DIR/err6.out" 2>&1 || rc=$?
+  env $args >"$DIR/err6.out" 2>&1 || rc=$?
   if [ "$rc" -eq 0 ] || grep -q "internal error" "$DIR/err6.out" \
-    || [ "$(wc -l <"$DIR/err6.out")" -ne 1 ]; then
-    echo "store-smoke: 'portopt $args' exited $rc with:" >&2
+    || [ "$(wc -l <"$DIR/err6.out")" -ne 1 ] || [ -e "$DIR/bad.pcm" ]; then
+    echo "store-smoke: '$args' exited $rc with:" >&2
     cat "$DIR/err6.out" >&2
     exit 1
   fi
 done
+# The microarchitecture message names the option it rejects.
+if ! "$BIN" run qsort --il1-kb 3 2>&1 | grep -q -- "'--il1-kb'"; then
+  echo "store-smoke: the --il1-kb error does not name the option" >&2
+  exit 1
+fi
 
 echo "store-smoke: OK"

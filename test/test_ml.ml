@@ -305,6 +305,58 @@ let test_run_for_concurrent_stress () =
   check Alcotest.bool "concurrent cache bit-identical to sequential" true
     (parallel = reference)
 
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
+(* Every file under [dir] as (relative path, contents), path-sorted. *)
+let rec files ?(rel = "") dir =
+  Sys.readdir (Filename.concat dir rel)
+  |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun name ->
+         let rel = Filename.concat rel name in
+         let path = Filename.concat dir rel in
+         if Sys.is_directory path then files ~rel dir
+         else [ (rel, In_channel.with_open_bin path In_channel.input_all) ])
+
+let test_crossval_profiles_once () =
+  (* A cold store-backed crossval interprets each key once at any pool
+     size: every interpretation writes one record, and the store holds
+     the same files byte for byte at one and four domains.  A good set
+     of half the sample blends several settings into each prediction,
+     so most folds predict a setting outside the sample and crossval
+     has profiling of its own to do. *)
+  let interp = Obs.Metrics.counter "interp.runs"
+  and writes = Obs.Metrics.counter "store.writes" in
+  let stored jobs =
+    let dir = Filename.temp_dir "test_ml_crossval" (string_of_int jobs) in
+    Fun.protect
+      ~finally:(fun () -> rm_rf dir)
+      (fun () ->
+        with_pool jobs (fun pool ->
+            let d =
+              Ml_model.Dataset.generate ~store:(Store.open_ ~dir) ~pool
+                { tiny_scale with good_fraction = 0.5 }
+            in
+            let runs0 = Obs.Metrics.value interp
+            and writes0 = Obs.Metrics.value writes in
+            ignore (Ml_model.Crossval.run ~pool d);
+            let written = Obs.Metrics.value writes - writes0 in
+            check Alcotest.bool "crossval profiled settings" true (written > 0);
+            check Alcotest.int
+              (Printf.sprintf "interpretations = store writes at %d domains"
+                 jobs)
+              written
+              (Obs.Metrics.value interp - runs0));
+        files dir)
+  in
+  let one = stored 1 in
+  check Alcotest.bool "same store files at 1 and 4 domains" true
+    (one = stored 4)
+
 (* ---- Extensions: clustering and static features ----------------------- *)
 
 let test_kmeans_separates_clusters () =
@@ -834,6 +886,8 @@ let () =
           quick "dataset identical across jobs" test_dataset_identical_across_jobs;
           quick "crossval identical across jobs" test_crossval_identical_across_jobs;
           quick "run_for concurrent stress" test_run_for_concurrent_stress;
+          quick "crossval profiles each setting once at any job count"
+            test_crossval_profiles_once;
         ] );
       ( "predict-core",
         [

@@ -1061,40 +1061,6 @@ let address_term =
   in
   Term.(const mk $ socket $ host $ port)
 
-(* Model source over registry channels: resolve the stable (and
-   optionally candidate) pointer, remember the last-installed pair of
-   ids, and answer Unchanged while the pointers haven't moved — so the
-   watch thread and the reload op only load artifacts when a publish or
-   promote actually changed something.  Each artifact is handed over
-   with the id [Registry.resolve] verified it against. *)
-let registry_source reg ~stable_channel ~candidate_channel =
-  let last = ref None in
-  fun () ->
-    match Registry.resolve_id reg stable_channel with
-    | Error e -> Error e
-    | Ok stable_id -> (
-      let candidate_id =
-        match candidate_channel with
-        | None -> None
-        | Some ch -> Registry.channel reg ch
-      in
-      if !last = Some (stable_id, candidate_id) then
-        Ok Serve.Server.Unchanged
-      else
-        match Registry.resolve reg stable_id with
-        | Error e -> Error e
-        | Ok stable -> (
-          let candidate =
-            match candidate_id with
-            | None -> Ok None
-            | Some id -> Result.map Option.some (Registry.resolve reg id)
-          in
-          match candidate with
-          | Error e -> Error e
-          | Ok candidate ->
-            last := Some (stable_id, candidate_id);
-            Ok (Serve.Server.Swap { stable; candidate })))
-
 (* "--ab candidate=0.1": channel name and split fraction. *)
 let parse_ab spec =
   match String.index_opt spec '=' with
@@ -1137,7 +1103,7 @@ let serve_cmd =
       | None, Some dir -> (
         let reg = Registry.open_ ~dir in
         let source =
-          registry_source reg ~stable_channel:channel ~candidate_channel
+          Registry.source reg ~stable_channel:channel ~candidate_channel
         in
         match source () with
         | Error e ->

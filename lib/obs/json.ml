@@ -26,20 +26,25 @@ let float_repr f =
 let add_float buf f =
   Buffer.add_string buf (if Float.is_finite f then float_repr f else "null")
 
+(* Runs that need no escaping are copied whole. *)
 let add_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
+  let clean = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !clean (i - !clean);
+      clean := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring buf s !clean (String.length s - !clean);
   Buffer.add_char buf '"'
 
 let rec add buf = function
@@ -79,24 +84,31 @@ exception Parse_error of string
 type cursor = {
   text : string;
   mutable pos : int;
+  one : float array;  (** One number's value, unboxed. *)
   mutable scratch : float array;  (** Reused by [floats]. *)
 }
 
 let fail c msg =
   raise (Parse_error (Printf.sprintf "%s at offset %d" msg c.pos))
 
-(* The next byte, or '\000' at the end of the input — callers that must
-   tell the two apart check [c.pos] themselves. *)
-let peek c =
-  if c.pos < String.length c.text then String.unsafe_get c.text c.pos
-  else '\000'
+(* [text.[p]] for [len = String.length text], or '\000' past the end,
+   which no scanning loop accepts: callers that must tell the two apart
+   check the position themselves. *)
+let byte text len p = if p < len then String.unsafe_get text p else '\000'
 
-let rec skip_ws c =
-  match peek c with
-  | ' ' | '\t' | '\n' | '\r' ->
-    c.pos <- c.pos + 1;
-    skip_ws c
-  | _ -> ()
+let peek c = byte c.text (String.length c.text) c.pos
+
+(* The position of the first non-whitespace byte at or after [p]. *)
+let skip_spaces text p =
+  let len = String.length text and p = ref p in
+  while
+    match byte text len !p with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+  do
+    incr p
+  done;
+  !p
+
+let skip_ws c = c.pos <- skip_spaces c.text c.pos
 
 let expect c ch =
   if peek c = ch then c.pos <- c.pos + 1
@@ -115,20 +127,106 @@ let keyword c k v =
 
 let starts_number c = match peek c with '-' | '0' .. '9' -> true | _ -> false
 
-(* Advance over one number token; true when it is float-shaped (has a
-   '.', 'e' or 'E'). *)
-let scan_number c =
-  let rec go float_shaped =
-    match peek c with
-    | '-' | '+' | '0' .. '9' ->
-      c.pos <- c.pos + 1;
-      go float_shaped
+let is_digit = function '0' .. '9' -> true | _ -> false
+
+(* 10^0 .. 10^22 are exact doubles: 5^22 < 2^53. *)
+let exact_pow10 =
+  [| 1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
+     1e13; 1e14; 1e15; 1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22 |]
+
+let two_53 = 1 lsl 53
+
+(* How [scan_number] classifies a token, in the low two bits of its
+   result; the token's end is the rest. *)
+let stored = 0 (* float-shaped, and its value is in [dst.(i)] *)
+let float_shaped = 1 (* float-shaped, for [float_of_string] *)
+let int_shaped = 2 (* no '.', 'e' or 'E', for [int_of_string_opt] *)
+
+(* The one number reader: one pass over the token at [start], which ends
+   at the first byte outside [-+.0-9eE], as it always has.  A token of
+   the shape -?D+(.D+)?([eE][+-]?D+)? whose digits make an integer w
+   below 2^53 and whose exponent, net of the fraction digits, is some e
+   in [-22, 22] has the value w * 10^e.  Both factors are exact doubles,
+   so one IEEE multiply (or a divide by 10^-e) rounds the exact value
+   once, to the nearest double: the bits [float_of_string]'s correctly
+   rounded [strtod] returns (Clinger, PLDI 1990).  Such a token is
+   [stored]; any other is left to its classic reading. *)
+let scan_number text start (dst : float array) i =
+  let len = String.length text in
+  let p = ref start in
+  let ch = ref (byte text len start) in
+  let neg = !ch = '-' in
+  if neg then begin
+    incr p;
+    ch := byte text len !p
+  end;
+  (* [w] stays below 2^53, so [w * 10 + 9] cannot overflow. *)
+  let w = ref 0 and fits = ref true and frac = ref 0 and exp = ref 0 in
+  let first = !p in
+  while is_digit !ch do
+    let w' = (!w * 10) + Char.code !ch - 48 in
+    if w' < two_53 then w := w' else fits := false;
+    incr p;
+    ch := byte text len !p
+  done;
+  let shaped = ref (!p > first) and dotted = ref false in
+  if !shaped && !ch = '.' then begin
+    dotted := true;
+    incr p;
+    ch := byte text len !p;
+    let first = !p in
+    while is_digit !ch do
+      let w' = (!w * 10) + Char.code !ch - 48 in
+      if w' < two_53 then w := w' else fits := false;
+      incr p;
+      ch := byte text len !p
+    done;
+    frac := !p - first;
+    shaped := !p > first
+  end;
+  if !shaped && (!ch = 'e' || !ch = 'E') then begin
+    dotted := true;
+    incr p;
+    ch := byte text len !p;
+    let eneg = !ch = '-' in
+    if eneg || !ch = '+' then begin
+      incr p;
+      ch := byte text len !p
+    end;
+    let first = !p in
+    while is_digit !ch do
+      (* Past 10^8, no fraction this process can hold brings the net
+         exponent back to +-22: decline. *)
+      if !exp < 100_000_000 then exp := (!exp * 10) + Char.code !ch - 48
+      else fits := false;
+      incr p;
+      ch := byte text len !p
+    done;
+    shaped := !p > first;
+    if eneg then exp := - !exp
+  end;
+  (* The rest of the token: any byte left here breaks the shape. *)
+  let rest = !p in
+  while
+    match !ch with
+    | '-' | '+' | '0' .. '9' -> true
     | '.' | 'e' | 'E' ->
-      c.pos <- c.pos + 1;
-      go true
-    | _ -> float_shaped
-  in
-  go false
+      dotted := true;
+      true
+    | _ -> false
+  do
+    incr p;
+    ch := byte text len !p
+  done;
+  let e = !exp - !frac in
+  if not !dotted then (!p lsl 2) lor int_shaped
+  else if !shaped && !p = rest && !fits && e >= -22 && e <= 22 then begin
+    let m = float_of_int !w in
+    let v = if e >= 0 then m *. exact_pow10.(e) else m /. exact_pow10.(-e) in
+    dst.(i) <- (if neg then -.v else v);
+    (!p lsl 2) lor stored
+  end
+  else (!p lsl 2) lor float_shaped
 
 let token c start = String.sub c.text start (c.pos - start)
 
@@ -137,44 +235,98 @@ let float_token c start =
   | f -> f
   | exception Failure _ -> fail c "malformed number"
 
+(* Finish the reading [scan_number] began at [start] with result [r]:
+   the value goes to [dst.(i)], the cursor past the token, and an
+   int-shaped token that fits an int is also returned as one. *)
+let finish_number c start r dst i =
+  c.pos <- r lsr 2;
+  let shape = r land 3 in
+  if shape = stored then None
+  else if shape = float_shaped then begin
+    dst.(i) <- float_token c start;
+    None
+  end
+  else
+    match int_of_string_opt (token c start) with
+    | Some n ->
+      dst.(i) <- float_of_int n;
+      Some n
+    | None ->
+      dst.(i) <- float_token c start;
+      None
+
+let number_into c dst i =
+  let start = c.pos in
+  finish_number c start (scan_number c.text start dst i) dst i
+
 (* An int-shaped token is an [Int] when it fits and a [Float] beyond;
    [number] and [number_float] are the one reading of a token. *)
 let number c =
-  let start = c.pos in
-  if scan_number c then Float (float_token c start)
-  else
-    match int_of_string_opt (token c start) with
-    | Some i -> Int i
-    | None -> Float (float_token c start)
+  match number_into c c.one 0 with
+  | Some n -> Int n
+  | None -> Float c.one.(0)
 
 let number_float c =
-  let start = c.pos in
-  if scan_number c then float_token c start
-  else
-    match int_of_string_opt (token c start) with
-    | Some i -> float_of_int i
-    | None -> float_token c start
+  ignore (number_into c c.one 0);
+  c.one.(0)
 
 (* ---- strings ---- *)
 
+let hex_digit = function
+  | '0' .. '9' as h -> Char.code h - 48
+  | 'a' .. 'f' as h -> Char.code h - 87
+  | 'A' .. 'F' as h -> Char.code h - 55
+  | _ -> -1
+
+(* The four hex digits after a "\u"; the cursor moves past them. *)
 let hex4 c =
   if c.pos + 4 > String.length c.text then fail c "truncated \\u escape";
-  let text = String.sub c.text c.pos 4 in
+  let u = ref 0 in
+  for k = 0 to 3 do
+    let d = hex_digit c.text.[c.pos + k] in
+    u := if d < 0 || !u < 0 then -1 else (!u lsl 4) lor d
+  done;
   c.pos <- c.pos + 4;
-  match int_of_string_opt ("0x" ^ text) with
-  | Some u -> u
-  | None -> fail c "malformed \\u escape"
+  if !u < 0 then fail c "malformed \\u escape" else !u
+
+(* A "\u" escape's code point: a UTF-16 high surrogate must be followed
+   by a "\u" low surrogate, and the pair is one code point. *)
+let code_point c =
+  let u = hex4 c in
+  if u < 0xD800 || u > 0xDFFF then u
+  else if
+    u <= 0xDBFF
+    && c.pos + 2 <= String.length c.text
+    && c.text.[c.pos] = '\\'
+    && c.text.[c.pos + 1] = 'u'
+  then begin
+    c.pos <- c.pos + 2;
+    let lo = hex4 c in
+    if lo < 0xDC00 || lo > 0xDFFF then
+      fail c "unpaired surrogate in \\u escape";
+    0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
+  end
+  else fail c "unpaired surrogate in \\u escape"
 
 let utf8_add buf u =
+  let cont shift =
+    Buffer.add_char buf (Char.chr (0x80 lor ((u lsr shift) land 0x3F)))
+  in
   if u < 0x80 then Buffer.add_char buf (Char.chr u)
   else if u < 0x800 then begin
     Buffer.add_char buf (Char.chr (0xC0 lor (u lsr 6)));
-    Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3F)))
+    cont 0
+  end
+  else if u < 0x10000 then begin
+    Buffer.add_char buf (Char.chr (0xE0 lor (u lsr 12)));
+    cont 6;
+    cont 0
   end
   else begin
-    Buffer.add_char buf (Char.chr (0xE0 lor (u lsr 12)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3F)))
+    Buffer.add_char buf (Char.chr (0xF0 lor (u lsr 18)));
+    cont 12;
+    cont 6;
+    cont 0
   end
 
 let string_lit c =
@@ -199,7 +351,7 @@ let string_lit c =
       | 'n' -> Buffer.add_char buf '\n'
       | 'r' -> Buffer.add_char buf '\r'
       | 't' -> Buffer.add_char buf '\t'
-      | 'u' -> utf8_add buf (hex4 c)
+      | 'u' -> utf8_add buf (code_point c)
       | _ -> fail c "unknown escape");
       go ()
     end
@@ -308,29 +460,50 @@ let array c f =
     Some (Array.of_list (List.rev !items))
   end
 
-exception Not_a_number
-
+(* [iter_array]'s grammar in one loop over the text: a number token goes
+   straight into [scratch]; anything else as an element leaves the
+   cursor where it was. *)
 let floats c =
   skip_ws c;
   if peek c <> '[' then None
   else begin
-    let start = c.pos in
-    let n = ref 0 in
-    match
-      iter_array c (fun c ->
-          skip_ws c;
-          if not (starts_number c) then raise_notrace Not_a_number;
-          let f = number_float c in
-          if !n = Array.length c.scratch then
-            c.scratch <-
-              Array.append c.scratch (Array.make (max 16 !n) 0.0);
-          c.scratch.(!n) <- f;
-          incr n)
-    with
-    | () -> Some (Array.sub c.scratch 0 !n)
-    | exception Not_a_number ->
+    let text = c.text in
+    let len = String.length text and start = c.pos in
+    let p = ref (skip_spaces text (start + 1)) in
+    let n = ref 0 and numbers = ref true in
+    let reading = ref (byte text len !p <> ']') in
+    if not !reading then incr p;
+    while !reading do
+      p := skip_spaces text !p;
+      match byte text len !p with
+      | '-' | '0' .. '9' ->
+        if !n = Array.length c.scratch then
+          c.scratch <- Array.append c.scratch (Array.make (max 16 !n) 0.0);
+        let r = scan_number text !p c.scratch !n in
+        if r land 3 <> stored then
+          ignore (finish_number c !p r c.scratch !n);
+        incr n;
+        p := skip_spaces text (r lsr 2);
+        (match byte text len !p with
+        | ',' -> incr p
+        | ']' ->
+          incr p;
+          reading := false
+        | _ ->
+          c.pos <- !p;
+          fail c "expected ']'")
+      | _ ->
+        numbers := false;
+        reading := false
+    done;
+    if not !numbers then begin
       c.pos <- start;
       None
+    end
+    else begin
+      c.pos <- !p;
+      Some (Array.sub c.scratch 0 !n)
+    end
   end
 
 let members c f =
@@ -342,7 +515,7 @@ let members c f =
   end
 
 let parse text f =
-  let c = { text; pos = 0; scratch = [||] } in
+  let c = { text; pos = 0; one = [| 0.0 |]; scratch = [||] } in
   match
     let v = f c in
     skip_ws c;

@@ -29,7 +29,10 @@ val of_string : string -> (t, string) result
 (** Parse one JSON document; [Error] carries a message with the byte
     offset of the failure.  Numbers without [.], [e] or [E] parse as
     {!Int} (as {!Float} when they overflow an int), everything else as
-    {!Float}. *)
+    {!Float}, with the bits [float_of_string] gives the token.  A
+    [\u] escape takes four hex digits and decodes to UTF-8; a
+    surrogate pair is one code point, and a lone surrogate is an
+    error. *)
 
 (** {2 Buffer writers} *)
 
@@ -77,7 +80,8 @@ val float : cursor -> float option
 val string : cursor -> string option
 
 val floats : cursor -> float array option
-(** An array of numbers, read straight into a float array. *)
+(** An array of numbers, read straight into a float array in one pass
+    over the text: each element as {!float} reads it. *)
 
 val array : cursor -> (cursor -> 'a) -> 'a array option
 (** [array c f] reads an array, calling [f] once per element; [f] must

@@ -48,10 +48,6 @@ let read fmt ~path =
   match String.index_opt text '\n' with
   | None -> err "truncated record (no header line)"
   | Some nl -> (
-    let line_end =
-      Option.value ~default:(String.length text)
-        (String.index_from_opt text (nl + 1) '\n')
-    in
     match header_fields (String.sub text 0 nl) with
     | Error e -> err "malformed header: %s" e
     | Ok (m, _, _, _) when m <> fmt.magic ->
@@ -61,16 +57,26 @@ let read fmt ~path =
         fmt.kind v fmt.oldest fmt.current
     | Ok (_, _, _, bytes) when bytes < 0 ->
       err "malformed header: negative payload length %d" bytes
-    | Ok (_, _, _, bytes) when line_end - (nl + 1) < bytes ->
-      err "truncated record (header promises %d payload bytes, found %d)"
-        bytes (line_end - (nl + 1))
     | Ok (_, version, sum, bytes) ->
-      let payload = String.sub text (nl + 1) bytes in
-      let digest = Fnv.digest_string payload in
-      if "fnv1a64:" ^ digest <> sum then
-        err "checksum mismatch (record corrupt?): header %s, payload fnv1a64:%s"
-          sum digest
-      else Ok { version; digest; payload })
+      (* One pass hashes the payload and finds where its line ends: a
+         newline or the end of the file before [bytes] is truncation. *)
+      let start = nl + 1 in
+      let fnv = Fnv.create () in
+      let line =
+        Fnv.add_line fnv text ~pos:start
+          ~len:(min bytes (String.length text - start))
+      in
+      if line < bytes then
+        err "truncated record (header promises %d payload bytes, found %d)"
+          bytes line
+      else
+        let digest = Fnv.to_hex fnv in
+        if "fnv1a64:" ^ digest <> sum then
+          err
+            "checksum mismatch (record corrupt?): header %s, payload \
+             fnv1a64:%s"
+            sum digest
+        else Ok { version; digest; payload = String.sub text start bytes })
 
 (* Unique per process (pid) and per write within it (seq). *)
 let tmp_seq = Atomic.make 0

@@ -21,6 +21,13 @@ val create : unit -> t
 val add_char : t -> char -> unit
 val add_string : t -> string -> unit
 
+val add_line : t -> string -> pos:int -> len:int -> int
+(** [add_line t s ~pos ~len] feeds [s] from [pos], at most [len] bytes,
+    stopping before the first newline, and returns the number of bytes
+    fed: the digest and the line-end search in one pass.  Raises
+    [Invalid_argument] when [pos] and [len] do not name a substring of
+    [s]. *)
+
 val add_int : t -> int -> unit
 (** Feed the decimal rendering of the int plus a [';'] separator. *)
 

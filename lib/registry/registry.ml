@@ -266,6 +266,36 @@ let resolve t name =
     Ok (id, artifact)
   end
 
+(* ---- model source ----------------------------------------------------- *)
+
+(* The arms last handed out, each with its id.  An id is the artifact's
+   content, so an arm whose id did not move is reused, and an id already
+   held by the other arm (a promote) is not read again. *)
+let source t ~stable_channel ~candidate_channel =
+  let held = ref None in
+  let fetch id =
+    match !held with
+    | Some (((sid, _) as s), _) when sid = id -> Ok s
+    | Some (_, Some ((cid, _) as c)) when cid = id -> Ok c
+    | _ -> resolve t id
+  in
+  fun () ->
+    let* stable_id = resolve_id t stable_channel in
+    let candidate_id = Option.bind candidate_channel (channel t) in
+    match !held with
+    | Some ((sid, _), c) when sid = stable_id && Option.map fst c = candidate_id
+      ->
+      Ok Serve.Server.Unchanged
+    | _ ->
+      let* stable = fetch stable_id in
+      let* candidate =
+        match candidate_id with
+        | None -> Ok None
+        | Some id -> Result.map Option.some (fetch id)
+      in
+      held := Some (stable, candidate);
+      Ok (Serve.Server.Swap { stable; candidate })
+
 (* ---- publish ---------------------------------------------------------- *)
 
 let publish ?k ?beta ?parent ?channel

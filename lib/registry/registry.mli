@@ -95,6 +95,21 @@ val resolve : t -> string -> (string * Serve.Artifact.t, string) result
 val resolve_id : t -> string -> (string, string) result
 (** {!resolve} without loading the artifact. *)
 
+val source :
+  t ->
+  stable_channel:string ->
+  candidate_channel:string option ->
+  unit ->
+  (Serve.Server.source, string) result
+(** [source t ~stable_channel ~candidate_channel] is the model source of
+    [serve --registry]: each call resolves the stable (and optional
+    candidate) channel pointers and answers [Unchanged] while neither
+    moved since the last [Swap] it returned.  Otherwise it swaps in
+    both arms, each with the id {!resolve} verified it against, but
+    {!resolve}s only ids it does not already hold: an arm whose pointer
+    did not move, or a promote that points stable at the held
+    candidate, reuses the artifact it holds. *)
+
 val lineage : t -> string -> (lineage, string) result
 (** The lineage record of a version (by exact id). *)
 

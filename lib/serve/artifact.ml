@@ -155,8 +155,9 @@ let payload t =
     can content-address an artifact (the payload's FNV-1a 64 digest is
     the version id) and write the object file itself. *)
 let encode t =
-  let payload = payload t in
-  (Prelude.Envelope.header format payload, payload)
+  Obs.Span.with_ "artifact.write" (fun () ->
+      let payload = payload t in
+      (Prelude.Envelope.header format payload, payload))
 
 (** Content identity: the payload digest as 16 hex characters.  Two
     artifacts have equal [version_id] iff their payload lines are
@@ -286,24 +287,36 @@ let payload_of c =
     space,
     Option.value ~default:[] !meta )
 
-let parse_payload text =
-  match J.parse text payload_of with
-  | exception Bad m -> Error m
-  | Error e -> Error ("payload is not valid JSON: " ^ e)
-  | Ok (repr, space, meta) ->
-    Result.map
-      (fun model -> { model; space; meta })
-      (Ml_model.Model.import repr)
-
+(* Each stage is timed for the [artifact.stages] event: the checksummed
+   read, the JSON decode and [Model.import]'s checks. *)
 let read ~path =
+  Obs.Span.with_ "artifact.read" @@ fun () ->
+  let t0 = Obs.Clock.now_s () in
   match Prelude.Envelope.read format ~path with
   | Error e -> Error e
   | Ok { Prelude.Envelope.version; digest; payload } -> (
-    match parse_payload payload with
-    | Error e -> Error (path ^ ": " ^ e)
-    (* A version-1 payload differs from what this build writes (it has
-       no index), so its id is the re-encoding's digest — the id the
-       file has always been served under. *)
-    | Ok t -> Ok ((if version = 1 then version_id t else digest), t))
+    let t1 = Obs.Clock.now_s () in
+    let error e = Error (path ^ ": " ^ e) in
+    match J.parse payload payload_of with
+    | exception Bad m -> error m
+    | Error e -> error ("payload is not valid JSON: " ^ e)
+    | Ok (repr, space, meta) -> (
+      let t2 = Obs.Clock.now_s () in
+      match Ml_model.Model.import repr with
+      | Error e -> error e
+      | Ok model ->
+        let t3 = Obs.Clock.now_s () in
+        Obs.Span.event "artifact.stages"
+          [
+            ("bytes", J.Int (String.length payload));
+            ("envelope_s", J.Float (t1 -. t0));
+            ("decode_s", J.Float (t2 -. t1));
+            ("import_s", J.Float (t3 -. t2));
+          ];
+        let t = { model; space; meta } in
+        (* A version-1 payload differs from what this build writes (it
+           has no index), so its id is the re-encoding's digest — the id
+           the file has always been served under. *)
+        Ok ((if version = 1 then version_id t else digest), t)))
 
 let load ~path = Result.map snd (read ~path)

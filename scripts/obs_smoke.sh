@@ -11,7 +11,8 @@
 #    through requests; `portopt metrics --format prom` must expose a
 #    valid Prometheus scrape with the request-latency histogram and
 #    its quantile family, every `serve.` name in the json snapshot
-#    must be documented in docs/observability.md, and
+#    must be documented in docs/observability.md, every span it
+#    reports must be in that doc's "Span naming" block, and
 #    `portopt top --count 2` must render the dashboard without a
 #    terminal.
 #
@@ -92,6 +93,21 @@ while read -r name; do
     || { echo "obs-smoke: $name is missing from docs/observability.md" >&2
          exit 1; }
 done <"$DIR/serve_names.txt"
+# Every span.<name>.seconds the server reports names a span of the
+# "Span naming" block; start-up's artifact read is always one of them.
+grep -q '"span.artifact.read.seconds"' "$DIR/snapshot.json"
+awk '/^## /{ s = ($0 == "## Span naming") } s && /^```/ { c++; next }
+     s && c == 1' docs/observability.md >"$DIR/span_block.txt"
+test -s "$DIR/span_block.txt"
+grep -o '"span\.[^"]*\.seconds"' "$DIR/snapshot.json" \
+  | sed 's/^"span\.//; s/\.seconds"$//' | sort -u >"$DIR/span_names.txt"
+while read -r name; do
+  awk -v n="$name" '{ for (i = 1; i <= NF; i++) if ($i == n) found = 1 }
+                    END { exit !found }' "$DIR/span_block.txt" \
+    || { echo "obs-smoke: span $name is missing from the Span naming block" \
+           "of docs/observability.md" >&2
+         exit 1; }
+done <"$DIR/span_names.txt"
 
 echo "obs-smoke: top dashboard (2 polls, no tty)..."
 "$BIN" top --socket "$SOCK" --interval 0.2 --count 2 >"$DIR/top.out"

@@ -199,6 +199,263 @@ let test_json_pull_reader () =
       ({|{"a" 1}|}, "expected ':' at offset 5");
     ]
 
+(* A \u escape takes exactly four hex digits, and a UTF-16 surrogate
+   pair is one code point: Python's [json.dumps] sends U+1F600 as the
+   escapes of d83d and de00, which must read as the UTF-8 bytes
+   f0 9f 98 80.  A lone surrogate has no UTF-8 form and is a parse
+   error. *)
+let test_json_unicode_escapes () =
+  let module J = Obs.Json in
+  (* A JSON string literal of [parts], where [u "d83d"] is that escape. *)
+  let lit parts = "\"" ^ String.concat "" parts in
+  let u hex = "\\" ^ "u" ^ hex in
+  let escape_error what at =
+    Error (Printf.sprintf "%s \\u escape at offset %d" what at)
+  in
+  List.iter
+    (fun (text, expected) ->
+      check
+        Alcotest.(result string string)
+        (Printf.sprintf "%S" text) expected
+        (Result.map
+           (function J.Str s -> s | v -> J.to_string v)
+           (J.of_string text)))
+    [
+      (lit [ u "0041"; u "00e9"; u "00E9"; u "20ac"; "\"" ],
+       Ok "A\xc3\xa9\xc3\xa9\xe2\x82\xac");
+      (lit [ u "d83d"; u "de00"; "\"" ], Ok "\xf0\x9f\x98\x80");
+      (lit [ u "D83D"; u "DE00"; "!\"" ], Ok "\xf0\x9f\x98\x80!");
+      (lit [ u "dbff"; u "dfff"; "\"" ], Ok "\xf4\x8f\xbf\xbf");
+      (lit [ u "d800"; u "dc00"; "\"" ], Ok "\xf0\x90\x80\x80");
+      (lit [ u "1_23"; "\"" ], escape_error "malformed" 7);
+      (lit [ u "-123"; "\"" ], escape_error "malformed" 7);
+      (lit [ u "12\"}" ], escape_error "malformed" 7);
+      (lit [ u "12" ], escape_error "truncated" 3);
+      (lit [ u "d83d"; "\"" ], escape_error "unpaired surrogate in" 7);
+      (lit [ u "d83d"; "x\"" ], escape_error "unpaired surrogate in" 7);
+      (lit [ u "d83d"; u "0041"; "\"" ], escape_error "unpaired surrogate in" 13);
+      (lit [ u "d83d"; u "d83d"; "\"" ], escape_error "unpaired surrogate in" 13);
+      (lit [ u "de00"; "\"" ], escape_error "unpaired surrogate in" 7);
+      (lit [ u "d83d"; u "12" ], escape_error "truncated" 9);
+    ];
+  (* The printer leaves such a string unescaped; it reads back as itself. *)
+  let s = "\xf0\x9f\x98\x80 \xf4\x8f\xbf\xbf" in
+  check Alcotest.bool "4-byte UTF-8 round-trips" true
+    (J.of_string (J.to_string (J.Str s)) = Ok (J.Str s))
+
+(* The escaper before it copied clean runs whole: one byte at a time. *)
+let add_string_bytewise buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let test_json_add_string_matches_bytewise () =
+  let rng = Random.State.make [| 2019 |] in
+  let render add s =
+    let buf = Buffer.create 64 in
+    add buf s;
+    Buffer.contents buf
+  in
+  (* All 256 byte values, with clean runs of every length between the
+     bytes that need escaping. *)
+  let random_string () =
+    let clean_bias = Random.State.int rng 4 in
+    String.init (Random.State.int rng 96) (fun _ ->
+        if Random.State.int rng 4 < clean_bias then
+          Char.chr (0x20 + Random.State.int rng 0x60)
+        else Char.chr (Random.State.int rng 256))
+  in
+  List.iter
+    (fun s ->
+      let expected = render add_string_bytewise s in
+      let got = render Obs.Json.add_string s in
+      if got <> expected then
+        Alcotest.failf "add_string %S: %S, byte by byte %S" s got expected;
+      if Obs.Json.to_string (Obs.Json.Str s) <> expected then
+        Alcotest.failf "to_string %S differs from the bytewise escaper" s)
+    ("" :: String.init 256 Char.chr :: String.make 369 'x' :: "\"\\\n\001"
+    :: List.init 20_000 (fun _ -> random_string ()))
+
+(* The reader's reference: [float_of_string] on a float-shaped token; on
+   an int-shaped one [int_of_string_opt] first, so "-0" is +0.0. *)
+let reference_float token =
+  if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') token then
+    float_of_string token
+  else
+    match int_of_string_opt token with
+    | Some i -> float_of_int i
+    | None -> float_of_string token
+
+(* The edges of the exact path: 2^53 in the digits, 10^+-22 in the net
+   exponent, signed zeros, and tokens only the fallback reads. *)
+let number_boundaries =
+  [ "0.0"; "-0.0"; "0.000"; "-0e0"; "0e-30"; "1.0"; "-1.0"; "1."; "1.e5";
+    "-.5"; "01.5"; "00.000123"; "1e22"; "1e23"; "1e-22"; "1e-23"; "1E+22";
+    "1e+023"; "0.1e23"; "0.1e-21"; "10e21"; "1.0e22"; "123.45e-20";
+    "123.45e-21"; "12345e-27"; "9007199254740991e0"; "9007199254740992e0";
+    "9007199254740993e0"; "900719925474099.1"; "900719925474099.2";
+    "9007199254740991e22"; "9007199254740991e-22"; "9007199254740991e23";
+    "9007199254740991e-23"; "-9007199254740991.0e-1"; "4503599627370497.5";
+    "1e400"; "-1e400"; "1e-400"; "2.2250738585072011e-308"; "4.9e-324";
+    "1.7976931348623157e308"; "0.30000000000000004";
+    "1e0000000000000000022"; "1e100000000000"; "123456789012345678901";
+    "-9223372036854775808"; "4611686018427387903"; "4611686018427387904";
+    "-0"; "12"; "007" ]
+
+(* Decimals in every shape the reader meets: 1-20 significant digits
+   after 0-3 leading zeros, 0-25 fraction digits, and an e or E
+   exponent from -30 to 30, with or without a sign or a leading zero. *)
+let random_decimal rng buf =
+  let int n = Random.State.int rng n in
+  Buffer.clear buf;
+  if Random.State.bool rng then Buffer.add_char buf '-';
+  let zeros = int 4 in
+  let nd = zeros + 1 + int 20 and frac = int 26 in
+  if frac >= nd then begin
+    Buffer.add_string buf "0.";
+    Buffer.add_string buf (String.make (frac - nd) '0')
+  end;
+  for k = 0 to nd - 1 do
+    if frac < nd && k = nd - frac then Buffer.add_char buf '.';
+    let d = if k < zeros then 0 else if k = zeros then 1 + int 9 else int 10 in
+    Buffer.add_char buf (Char.chr (48 + d))
+  done;
+  if int 3 > 0 then begin
+    Buffer.add_char buf (if Random.State.bool rng then 'e' else 'E');
+    let e = int 61 - 30 in
+    if e < 0 then Buffer.add_char buf '-'
+    else if Random.State.bool rng then Buffer.add_char buf '+';
+    if int 4 = 0 then Buffer.add_char buf '0';
+    Buffer.add_string buf (string_of_int (abs e))
+  end;
+  Buffer.contents buf
+
+(* The one number reader against [float_of_string], bit for bit, on a
+   million seeded tokens: [add_float] renderings of random bit patterns
+   and generated decimals, read through [floats], and some of them
+   through the tree and [float] too. *)
+let test_json_number_reader_exact () =
+  let module J = Obs.Json in
+  let rng = Random.State.make [| 1990 |] in
+  let rec finite () =
+    let f = Int64.float_of_bits (Random.State.bits64 rng) in
+    if Float.is_finite f then f else finite ()
+  in
+  let buf = Buffer.create 64 in
+  let printed () =
+    Buffer.clear buf;
+    J.add_float buf (finite ());
+    Buffer.contents buf
+  in
+  let bits = Int64.bits_of_float in
+  let total = ref 0 in
+  let read_batch ~tree tokens =
+    let expected = Array.map reference_float tokens in
+    let same what i got =
+      if bits got <> bits expected.(i) then
+        Alcotest.failf "%s %s: read %h, float_of_string %h" what tokens.(i)
+          got expected.(i)
+    in
+    let doc = "[" ^ String.concat "," (Array.to_list tokens) ^ "]" in
+    (match J.parse doc J.floats with
+    | Ok (Some a) -> Array.iteri (same "floats") a
+    | _ -> Alcotest.fail "floats refused a batch of numbers");
+    if tree then (
+      match J.of_string doc with
+      | Ok (J.List items) ->
+        List.iteri (fun i v -> same "tree" i (Option.get (J.to_float v))) items
+      | _ -> Alcotest.fail "the tree refused a batch of numbers");
+    Array.iteri
+      (fun i t ->
+        if i mod 64 = 0 then
+          match J.parse t J.float with
+          | Ok (Some f) -> same "float" i f
+          | _ -> Alcotest.failf "float refused %s" t)
+      tokens;
+    total := !total + Array.length tokens
+  in
+  read_batch ~tree:true (Array.of_list number_boundaries);
+  for b = 0 to 19 do
+    read_batch ~tree:(b mod 4 = 0)
+      (Array.init 50_000 (fun i ->
+           if (b + i) mod 5 = 0 then printed () else random_decimal rng buf))
+  done;
+  check Alcotest.bool "at least a million tokens" true (!total >= 1_000_000)
+
+(* A malformed token fails where it ends, with the message it always
+   had, whichever reader meets it; "1." is still 1.0. *)
+let test_json_malformed_numbers () =
+  let module J = Obs.Json in
+  List.iter
+    (fun token ->
+      let n = String.length token in
+      let error at = Error (Printf.sprintf "malformed number at offset %d" at) in
+      let result = Alcotest.(result unit string) in
+      check result token (error n) (Result.map ignore (J.of_string token));
+      check result (token ^ " as float") (error n)
+        (Result.map ignore (J.parse token J.float));
+      check result
+        (Printf.sprintf "[ %s] as floats" token)
+        (error (n + 2))
+        (Result.map ignore (J.parse ("[ " ^ token ^ "]") J.floats)))
+    [ "1.5.3"; "1e"; "1.5-2"; "-"; "--1"; "1e+"; "1.5e3.2"; "0-"; "1+2";
+      "9007199254740991e22e"; "1.0.0" ];
+  check Alcotest.bool "1. reads as 1.0" true
+    (J.of_string "1." = Ok (J.Float 1.0)
+    && J.parse "[1.]" J.floats = Ok (Some [| 1.0 |]))
+
+(* [floats] reads arrays that mix exact-path tokens, tokens it leaves to
+   [float_of_string] and int-shaped ones, with whitespace between. *)
+let test_json_floats_mixed_tokens () =
+  let module J = Obs.Json in
+  let doc =
+    "[ 0.5 ,\t0.30000000000000004,\n-0.0 , 12 ,1e400, \
+     123456789012345678901 , 2.5e-3\r,1.5e22,1e23,-0 ,1. ,4.9e-324 ]"
+  in
+  let tree =
+    match J.of_string doc with
+    | Ok (J.List items) ->
+      Array.of_list (List.map (fun v -> Option.get (J.to_float v)) items)
+    | _ -> Alcotest.fail "tree refused the document"
+  in
+  let bits = Array.map Int64.bits_of_float in
+  (match J.parse doc J.floats with
+  | Ok (Some a) ->
+    check Alcotest.(array int64) "floats = the tree, bit for bit" (bits tree)
+      (bits a);
+    check Alcotest.bool "-0.0 keeps its sign" true (Float.sign_bit a.(2));
+    check Alcotest.bool "an int-shaped -0 is +0.0" false (Float.sign_bit a.(9))
+  | _ -> Alcotest.fail "floats refused the document");
+  check Alcotest.bool "an empty array" true
+    (J.parse "[ \n ]" J.floats = Ok (Some [||]));
+  check Alcotest.bool "a string after declined tokens leaves the array" true
+    (J.parse {|[0.1, 1e23 ,"x"]|} (fun c ->
+         let a = J.floats c in
+         (a, J.value c))
+    = Ok (None, J.List [ J.Float 0.1; J.Float 1e23; J.Str "x" ]));
+  List.iter
+    (fun (bad, msg) ->
+      check
+        Alcotest.(result reject string)
+        (Printf.sprintf "%S as floats" bad) (Error msg)
+        (Result.map ignore (J.parse bad J.floats)))
+    [
+      ("[0.5 1.5]", "expected ']' at offset 5");
+      ("[0.5, 1e23", "expected ']' at offset 10");
+      ("[1e23,", "trailing garbage at offset 0");
+    ]
+
 (* ---- Metrics under the domain pool ------------------------------------- *)
 
 let with_pool jobs f =
@@ -898,6 +1155,15 @@ let () =
           Alcotest.test_case "float printer matches Printf" `Quick
             test_json_float_printer_matches_printf;
           Alcotest.test_case "pull reader" `Quick test_json_pull_reader;
+          Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes;
+          Alcotest.test_case "add_string matches the bytewise escaper" `Quick
+            test_json_add_string_matches_bytewise;
+          Alcotest.test_case "number reader matches float_of_string" `Quick
+            test_json_number_reader_exact;
+          Alcotest.test_case "malformed numbers keep their errors" `Quick
+            test_json_malformed_numbers;
+          Alcotest.test_case "floats mixes token classes" `Quick
+            test_json_floats_mixed_tokens;
         ] );
       ( "metrics",
         [

@@ -241,6 +241,71 @@ let test_resolve_and_channels () =
        in
        contains other && contains id)
 
+(* The serving source reads only what moved: both arms on the first
+   call, the new candidate after a candidate publish, and nothing after a
+   promote, which points stable at the candidate it already holds. *)
+let test_source_resolves_only_moved_ids () =
+  let e1 = Registry.Evidence.of_dataset (Lazy.force dataset42) in
+  let e2 = Registry.Evidence.of_dataset (Lazy.force dataset43) in
+  let r = fresh_registry "source" in
+  let publish ?parent ~channel ~created records =
+    (or_fail ~msg:("publish " ^ channel)
+       (Registry.publish ?parent ~channel ~created r records))
+      .Registry.l_id
+  in
+  let v1 = publish ~channel:"stable" ~created:0.0 e1 in
+  let v2 = publish ~parent:v1 ~channel:"candidate" ~created:1.0 e2 in
+  let source =
+    Registry.source r ~stable_channel:"stable"
+      ~candidate_channel:(Some "candidate")
+  in
+  let resolves = Obs.Metrics.counter "registry.resolves" in
+  (* One call: the arms it swapped in and how many resolves it took. *)
+  let poll what =
+    let before = Obs.Metrics.value resolves in
+    match or_fail ~msg:what (source ()) with
+    | Serve.Server.Unchanged -> Alcotest.failf "%s: Unchanged" what
+    | Serve.Server.Swap { stable; candidate = Some candidate } ->
+      (stable, candidate, Obs.Metrics.value resolves - before)
+    | Serve.Server.Swap { candidate = None; _ } ->
+      Alcotest.failf "%s: no candidate arm" what
+  in
+  let ids what (stable, candidate, _) expected =
+    check Alcotest.(pair string string) (what ^ ": arm ids") expected
+      (fst stable, fst candidate)
+  in
+  let resolved what (_, _, n) expected =
+    check Alcotest.int (what ^ ": registry.resolves delta") expected n
+  in
+  let first = poll "first call" in
+  ids "first call" first (v1, v2);
+  resolved "first call" first 2;
+  let before = Obs.Metrics.value resolves in
+  (match or_fail ~msg:"unmoved" (source ()) with
+  | Serve.Server.Unchanged -> ()
+  | Serve.Server.Swap _ -> Alcotest.fail "unmoved pointers swapped");
+  check Alcotest.int "unmoved pointers resolve nothing" before
+    (Obs.Metrics.value resolves);
+  let v3 =
+    publish ~channel:"candidate" ~created:2.0
+      (List.filteri (fun i _ -> i mod 2 = 0) (e1 @ e2))
+  in
+  let published = poll "candidate publish" in
+  ids "candidate publish" published (v1, v3);
+  resolved "candidate publish" published 1;
+  let held (_, a) (_, b) = a == b in
+  let stable_of (s, _, _) = s and candidate_of (_, c, _) = c in
+  check Alcotest.bool "the unmoved stable arm is reused" true
+    (held (stable_of first) (stable_of published));
+  or_fail ~msg:"promote" (Registry.set_channel r ~name:"stable" ~id:v3);
+  let promoted = poll "promote" in
+  ids "promote" promoted (v3, v3);
+  resolved "promote" promoted 0;
+  check Alcotest.bool "stable reuses the held candidate" true
+    (held (candidate_of published) (stable_of promoted));
+  check Alcotest.bool "the candidate arm is reused" true
+    (held (candidate_of published) (candidate_of promoted))
+
 (* ---- gc reachability --------------------------------------------------- *)
 
 let test_gc_respects_channels_and_lineage () =
@@ -313,6 +378,8 @@ let () =
             `Slow test_publish_refit_same_version;
           Alcotest.test_case "resolve, channels, failure modes" `Slow
             test_resolve_and_channels;
+          Alcotest.test_case "source resolves only the ids that moved" `Slow
+            test_source_resolves_only_moved_ids;
         ] );
       ( "gc",
         [

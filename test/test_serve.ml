@@ -712,6 +712,61 @@ let test_artifact_encode_same_bytes_across_loads () =
     ];
   Sys.remove path
 
+(* Rows that mix every class of number token the decoder meets: values
+   read by the exact fast path, values only [float_of_string] reads
+   (17 digits, 2^53 and more in the digits, exponents past 10^+-22),
+   signed zeros and extremes.  They decode to the same bits and
+   re-encode to the same bytes. *)
+let test_artifact_mixed_tokens_round_trip () =
+  let a = artifact_of (Lazy.force dataset42) in
+  let r = Ml_model.Model.export a.Serve.Artifact.model in
+  let values =
+    [| 0.0; -0.0; 1.0; -2.5; 0.5; 2.5e-7; 123456.789; 1e22; 1e23; 1e-22;
+       1e-23; 1.5e300; -1e-300; 0.1 +. 0.2; 1.0 /. 3.0; 5e-324;
+       2.2250738585072014e-308; 1.7976931348623157e308; 900719925474099.1;
+       9007199254740991.0; 9007199254740992.0; 1e16; 12345678901234567890.0 |]
+  in
+  let pick i = values.(i mod Array.length values) in
+  let features =
+    Array.mapi
+      (fun i row -> Array.mapi (fun j _ -> pick ((i * 7) + j)) row)
+      r.Ml_model.Model.r_features
+  in
+  let distributions =
+    Array.mapi
+      (fun i dims ->
+        Array.mapi
+          (fun l row -> Array.mapi (fun k _ -> Float.abs (pick (i + l + k))) row)
+          dims)
+      r.Ml_model.Model.r_distributions
+  in
+  let model =
+    match
+      Ml_model.Model.import
+        { r with Ml_model.Model.r_features = features; r_distributions = distributions }
+    with
+    | Ok m -> m
+    | Error e -> Alcotest.failf "import: %s" e
+  in
+  let mixed = { a with Serve.Artifact.model } in
+  let path = tmp_path "mixed.pcm" in
+  Serve.Artifact.save ~path mixed;
+  let id, loaded = read_ok path in
+  Sys.remove path;
+  let back = Ml_model.Model.export loaded.Serve.Artifact.model in
+  let bits rows = Array.map (Array.map Int64.bits_of_float) rows in
+  check Alcotest.bool "feature rows decode bit for bit" true
+    (bits back.Ml_model.Model.r_features = bits features);
+  check Alcotest.bool "distributions decode bit for bit" true
+    (Array.map bits back.Ml_model.Model.r_distributions
+    = Array.map bits distributions);
+  check
+    Alcotest.(pair string string)
+    "re-encodes to the bytes it was read from" (Serve.Artifact.encode mixed)
+    (Serve.Artifact.encode loaded);
+  check Alcotest.string "read under its version id"
+    (Serve.Artifact.version_id mixed) id
+
 (* ---- quantise: the cache-key kernel ------------------------------------ *)
 
 let test_quantise_signed_zero_and_nan () =
@@ -2094,6 +2149,8 @@ let () =
             test_artifact_rejects_bad_normaliser;
           Alcotest.test_case "encodes trained, v2 and v1 models alike" `Slow
             test_artifact_encode_same_bytes_across_loads;
+          Alcotest.test_case "rows mixing every token class round-trip"
+            `Slow test_artifact_mixed_tokens_round_trip;
         ] );
       ( "quantise",
         [

@@ -99,6 +99,66 @@ let mix (weighted : (float * t) list) : t =
         out)
       first
 
+(* ---- sharing ---------------------------------------------------------- *)
+
+(* Whole distributions by their bits first: one met before, as most
+   are, costs a hash of its rows and one comparison, and its rows are
+   not looked up one by one.  A new one has each row replaced by the
+   first row of equal bits, so distributions built from the same rows
+   are made of the same arrays.  [last] is the distribution [share]
+   last returned: a distribution whose rows are physically [last]'s
+   needs no hashing, and a decoded model's rows, already shared by
+   [Obs.Json.shared_floats], mostly repeat from one pair to the next. *)
+type sharing = {
+  rows : (float array, float array) Obs.Intern.t;
+  whole : (t, t) Obs.Intern.t;
+  mutable last : t;
+}
+
+(* [a] and [b] have equal lengths and [test a.(l) b.(l)] for every row. *)
+let rows_all test (a : t) (b : t) =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let l = ref 0 in
+  while !l < n && test (Array.unsafe_get a !l) (Array.unsafe_get b !l) do
+    incr l
+  done;
+  !l = n
+
+let sharing () =
+  {
+    rows = Obs.Intern.create ~equal:Obs.Intern.same_floats;
+    whole = Obs.Intern.create ~equal:(rows_all Obs.Intern.same_floats);
+    last = [||];
+  }
+
+let share_row s row =
+  let h = Obs.Intern.hash_floats row in
+  match Obs.Intern.find s.rows h row with
+  | -1 ->
+    ignore (Obs.Intern.add s.rows h row);
+    row
+  | i -> Obs.Intern.get s.rows i
+
+let share s (g : t) : t =
+  if not (rows_all ( == ) g s.last) then begin
+    let h = ref (Array.length g) in
+    Array.iter
+      (fun row -> h := Obs.Intern.mix !h (Obs.Intern.hash_floats row))
+      g;
+    s.last <-
+      (match Obs.Intern.find s.whole !h g with
+      | -1 ->
+        let g = Array.map (share_row s) g in
+        ignore (Obs.Intern.add s.whole !h g);
+        g
+      | i -> Obs.Intern.get s.whole i)
+  end;
+  s.last
+
+let distinct s = (Obs.Intern.length s.rows, Obs.Intern.length s.whole)
+
 (** Equation (1): the setting with maximal probability, i.e. the
     per-dimension argmax under the IID factorisation.  Ties resolve to the
     lowest index for determinism. *)

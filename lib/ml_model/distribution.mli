@@ -8,7 +8,15 @@
 
 type t = float array array
 (** [t.(l).(j)] = probability that dimension [l] takes value index [j].
-    Rows sum to 1. *)
+    Rows sum to 1.
+
+    {b Rows are never written after construction.}  A model holds one
+    physical row per distinct row and one physical distribution per
+    distinct distribution ({!share}), so a write into a row would
+    change every pair that holds it.  The only writes in this module
+    go into arrays just allocated: {!mix}'s result rows and a
+    {!counts} matrix, which [Registry.Refit] keeps apart from every
+    distribution ({!of_counts} divides into fresh rows). *)
 
 val uniform : unit -> t
 (** The maximum-entropy distribution (used when a good set is empty). *)
@@ -48,6 +56,26 @@ val mix : (float * t) list -> t
 (** Convex combination with the given (non-negative, renormalised)
     weights — the K-nearest-neighbour mixture of equation (6).  Raises
     [Invalid_argument] on an empty list or non-positive total weight. *)
+
+(** {2 Sharing} *)
+
+type sharing
+(** The distinct rows and distributions {!share} has seen. *)
+
+val sharing : unit -> sharing
+
+val share : sharing -> t -> t
+(** [share s g] is the first distribution [s] has seen with the bits of
+    [g]; a distribution not seen before is [g] with each row replaced
+    by the first row of equal bits that [s] has seen.  Sharing every
+    distribution of a model through one [s] leaves one physical row per
+    distinct row and one physical distribution per distinct
+    distribution; the values, hence every prediction, are unchanged.
+    Lookups are bounded ({!Obs.Intern}), so a hostile model cannot make
+    sharing quadratic. *)
+
+val distinct : sharing -> int * int
+(** The distinct rows and distinct distributions seen so far. *)
 
 val mode : t -> Passes.Flags.setting
 (** Equation (1): the setting of maximal probability, i.e. the

@@ -17,6 +17,8 @@ type t = {
   normaliser : Features.normaliser;
   features : float array array;  (** Normalised; one row per point. *)
   distributions : Distribution.t array;
+      (** Shared ({!Distribution.share}): one physical row per distinct
+          row, one physical distribution per distinct distribution. *)
   knn : Knn.t;
       (** Neighbour index over [features], built whenever the model is
           assembled or loaded and shared by every prediction. *)
@@ -43,7 +45,8 @@ let knn_of ~mask features =
 
 (** Assemble a model from raw training rows and their fitted
     distributions: fit the normaliser, normalise, group the rows for the
-    neighbour search.  This is the {e single} construction path —
+    neighbour search, share equal distribution rows.  This is the
+    {e single} construction path —
     {!train} selects rows out of a dataset and [Registry.Refit] derives
     them from an evidence ledger, but both funnel through here, so the
     two ways of reaching the same (rows, distributions) produce
@@ -59,13 +62,14 @@ let of_parts ?(k = default_k) ?(beta = default_beta) ?mask ~features_raw
   let raw = Array.map (apply_mask mask) features_raw in
   let normaliser = Features.fit_normaliser raw in
   let features = Array.map (Features.normalise normaliser) raw in
+  let sharing = Distribution.sharing () in
   {
     k;
     beta;
     mask;
     normaliser;
     features;
-    distributions;
+    distributions = Array.map (Distribution.share sharing) distributions;
     knn = knn_of ~mask features;
     tree = None;
   }

@@ -27,7 +27,11 @@ val of_parts :
 (** Assemble a model from raw (unnormalised) training rows and their
     fitted per-pair distributions: fit the z-score normaliser over the
     rows, normalise, group the rows for the neighbour search
-    ({!Knn}).  The single construction
+    ({!Knn}), and share the distributions ({!Distribution.share}): the
+    model keeps one physical row per distinct row and one physical
+    distribution per distinct distribution, some of them the very
+    arrays passed in, which must therefore never be written.  The
+    single construction
     path shared by {!train} and the registry's incremental refit
     ([Registry.Refit]) — two callers presenting the same rows and
     distributions get bit-identical models.  Raises [Invalid_argument]
@@ -87,7 +91,9 @@ val import : repr -> (t, string) result
     a finite positive std, a mask keeping as many columns as the rows
     have, a tree holding every row once) and rebuild the model; the
     error, prefixed ["model: "], carries a human-readable reason for
-    artifact-load diagnostics. *)
+    artifact-load diagnostics.  Every row is checked, shared or not.
+    The distributions are kept as given: [Serve.Artifact.read] has
+    shared them ({!Distribution.share}) while decoding. *)
 
 val n_points : t -> int
 (** Training pairs retained (rows of the feature matrix). *)

@@ -506,6 +506,84 @@ let floats c =
     end
   end
 
+(* ---- shared rows ---- *)
+
+(* A row read once: its bytes [text.[r_first .. r_stop - 1]] and its
+   value. *)
+type row = { r_first : int; r_stop : int; r_value : float array }
+
+type rows = {
+  mutable text : string;  (** The document every row points into. *)
+  mutable start : int;  (** The bytes looked up: [text.[start .. stop - 1]]. *)
+  mutable stop : int;
+  table : (rows, row) Intern.t;
+}
+
+let same_bytes m r =
+  let n = m.stop - m.start in
+  r.r_stop - r.r_first = n
+  &&
+  let i = ref 0 in
+  while
+    !i < n
+    && String.unsafe_get m.text (m.start + !i)
+       = String.unsafe_get m.text (r.r_first + !i)
+  do
+    incr i
+  done;
+  !i = n
+
+let rows () =
+  { text = ""; start = 0; stop = 0; table = Intern.create ~equal:same_bytes }
+
+(* The row's bytes run from its '[' to the first ']' over number, comma
+   and space bytes only, hashed (FNV-1a) on the way; any other byte
+   leaves the reading to [floats].  A row enters the memo only once
+   [floats] has read exactly those bytes, and what [floats] reads is a
+   function of them alone, so a hit returns what it would return and
+   leaves the cursor where it would.  Each byte is scanned at most
+   once per call, and a lookup makes at most [Intern]'s bounded number
+   of comparisons. *)
+let shared_floats m c =
+  skip_ws c;
+  if peek c <> '[' then None
+  else begin
+    let text = c.text in
+    if m.text != text then
+      if Intern.length m.table = 0 then m.text <- text
+      else invalid_arg "Json.shared_floats: a memo serves one document";
+    let len = String.length text and start = c.pos in
+    let p = ref (start + 1) and h = ref 0x4bf29ce484222325 in
+    while
+      match byte text len !p with
+      | ( '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' | ',' | ' ' | '\t' | '\n'
+        | '\r' ) as ch ->
+        h := (!h lxor Char.code ch) * 0x100000001b3;
+        true
+      | _ -> false
+    do
+      incr p
+    done;
+    if byte text len !p <> ']' then floats c
+    else begin
+      let stop = !p + 1 in
+      m.start <- start;
+      m.stop <- stop;
+      match Intern.find m.table !h m with
+      | -1 ->
+        let read = floats c in
+        (match read with
+        | Some r_value when c.pos = stop ->
+          ignore
+            (Intern.add m.table !h { r_first = start; r_stop = stop; r_value })
+        | _ -> ());
+        read
+      | i ->
+        c.pos <- stop;
+        Some (Intern.get m.table i).r_value
+    end
+  end
+
 let members c f =
   skip_ws c;
   if peek c <> '{' then false

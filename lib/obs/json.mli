@@ -83,6 +83,23 @@ val floats : cursor -> float array option
 (** An array of numbers, read straight into a float array in one pass
     over the text: each element as {!float} reads it. *)
 
+type rows
+(** A memo of the float rows read from one document, keyed by their
+    bytes. *)
+
+val rows : unit -> rows
+
+val shared_floats : rows -> cursor -> float array option
+(** {!floats} through the memo: what {!floats} returns, errors and
+    offsets included, except that a row whose bytes (from its ['['] to
+    its [']']) equal those of a row read before is not parsed again and
+    is that row's array itself.  Equal rows written alike are therefore
+    one array, which the caller must never write.  The bytes are hashed
+    and compared where they lie in the text; a lookup makes a bounded
+    number of comparisons ({!Intern}), however the hashes of a hostile
+    document collide.  Raises [Invalid_argument] when the memo already
+    holds rows of another document. *)
+
 val array : cursor -> (cursor -> 'a) -> 'a array option
 (** [array c f] reads an array, calling [f] once per element; [f] must
     read exactly one value. *)

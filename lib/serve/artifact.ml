@@ -98,6 +98,23 @@ let add_array buf add a =
 
 let add_floats buf a = add_array buf J.add_float a
 
+(* Equal rows print equal bytes, and a model holds few distinct
+   distribution rows ({!Ml_model.Distribution.share}): each is printed
+   once, and its bytes are copied wherever it recurs. *)
+let add_rows_once () =
+  let printed =
+    Obs.Intern.create ~equal:(fun row (r, _) -> Obs.Intern.same_floats row r)
+  in
+  fun buf row ->
+    let h = Obs.Intern.hash_floats row in
+    match Obs.Intern.find printed h row with
+    | -1 ->
+      let start = Buffer.length buf in
+      add_floats buf row;
+      let bytes = Buffer.sub buf start (Buffer.length buf - start) in
+      ignore (Obs.Intern.add printed h (row, bytes))
+    | i -> Buffer.add_string buf (snd (Obs.Intern.get printed i))
+
 (* The VP-tree, shape-for-shape: a JSON list is a leaf (its row
    indices), an object is a split.  Only the tree shape is stored — the
    row data is the "features" matrix the tree indexes. *)
@@ -139,8 +156,9 @@ let payload t =
   lit "},\"features\":";
   add_array buf add_floats r.Ml_model.Model.r_features;
   lit ",\"distributions\":";
+  let add_row = add_rows_once () in
   add_array buf
-    (fun buf d -> add_array buf add_floats d)
+    (fun buf d -> add_array buf add_row d)
     r.Ml_model.Model.r_distributions;
   lit ",\"index\":";
   (match r.Ml_model.Model.r_index with
@@ -231,9 +249,15 @@ let payload_of c =
       let error = "malformed \"mask\" field" in
       Some (need error (J.array c (fun c -> need error (J.bool c))))
   in
+  (* A repeated row is neither parsed nor allocated ([J.shared_floats]),
+     and the rows and distributions are shared as [Model.of_parts] shares
+     them, so a loaded model is laid out as the trained one was. *)
+  let memo = J.rows () and sharing = Ml_model.Distribution.sharing () in
   let distributions_of c =
     let error = "malformed \"distributions\" field" in
-    J.array c (fun c -> need error (float_rows ~error c))
+    let row c = need error (J.shared_floats memo c) in
+    J.array c (fun c ->
+        Ml_model.Distribution.share sharing (need error (J.array c row)))
   in
   let member = function
     | "k" -> once k (field "k" J.int) c
@@ -272,6 +296,9 @@ let payload_of c =
   let stds = get "std" std in
   let r_features = get "features" features in
   let r_distributions = get "distributions" distributions in
+  let distinct_rows, distinct_distributions =
+    Ml_model.Distribution.distinct sharing
+  in
   ( {
       Ml_model.Model.r_k;
       r_beta;
@@ -285,10 +312,20 @@ let payload_of c =
       r_index = Option.join !index;
     },
     space,
-    Option.value ~default:[] !meta )
+    Option.value ~default:[] !meta,
+    [
+      ( "rows",
+        J.Int
+          (Array.fold_left (fun n g -> n + Array.length g) 0 r_distributions)
+      );
+      ("distinct_rows", J.Int distinct_rows);
+      ("distributions", J.Int (Array.length r_distributions));
+      ("distinct_distributions", J.Int distinct_distributions);
+    ] )
 
 (* Each stage is timed for the [artifact.stages] event: the checksummed
-   read, the JSON decode and [Model.import]'s checks. *)
+   read, the JSON decode and [Model.import]'s checks.  The event also
+   counts what the decode shared. *)
 let read ~path =
   Obs.Span.with_ "artifact.read" @@ fun () ->
   let t0 = Obs.Clock.now_s () in
@@ -300,19 +337,18 @@ let read ~path =
     match J.parse payload payload_of with
     | exception Bad m -> error m
     | Error e -> error ("payload is not valid JSON: " ^ e)
-    | Ok (repr, space, meta) -> (
+    | Ok (repr, space, meta, shared) -> (
       let t2 = Obs.Clock.now_s () in
       match Ml_model.Model.import repr with
       | Error e -> error e
       | Ok model ->
         let t3 = Obs.Clock.now_s () in
         Obs.Span.event "artifact.stages"
-          [
-            ("bytes", J.Int (String.length payload));
-            ("envelope_s", J.Float (t1 -. t0));
-            ("decode_s", J.Float (t2 -. t1));
-            ("import_s", J.Float (t3 -. t2));
-          ];
+          (("bytes", J.Int (String.length payload))
+          :: ("envelope_s", J.Float (t1 -. t0))
+          :: ("decode_s", J.Float (t2 -. t1))
+          :: ("import_s", J.Float (t3 -. t2))
+          :: shared);
         let t = { model; space; meta } in
         (* A version-1 payload differs from what this build writes (it
            has no index), so its id is the re-encoding's digest — the id

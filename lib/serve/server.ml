@@ -141,6 +141,8 @@ let m_cache_misses = Obs.Metrics.counter "serve.cache.misses"
 let m_connections = Obs.Metrics.counter "serve.connections"
 let m_reloads = Obs.Metrics.counter "serve.reloads"
 let g_queue_depth = Obs.Metrics.gauge "serve.queue_depth"
+let g_heap_words = Obs.Metrics.gauge "serve.gc.heap_words"
+let g_top_heap_words = Obs.Metrics.gauge "serve.gc.top_heap_words"
 let h_request_seconds = Obs.Metrics.hist "serve.request.seconds"
 
 (* Per-arm A/B instruments: queries answered and latency, by arm slot.
@@ -591,6 +593,10 @@ let answer t ~id ~t0 req =
   match req with
   | Protocol.Health -> Now (J.Obj (with_id id (health_fields t)))
   | Protocol.Metrics ->
+    (* Read only when asked: the predict path never pays for it. *)
+    let gc = Gc.quick_stat () in
+    Obs.Metrics.set g_heap_words (float_of_int gc.Gc.heap_words);
+    Obs.Metrics.set g_top_heap_words (float_of_int gc.Gc.top_heap_words);
     Now
       (J.Obj
          (with_id id

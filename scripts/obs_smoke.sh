@@ -11,10 +11,16 @@
 #    through requests; `portopt metrics --format prom` must expose a
 #    valid Prometheus scrape with the request-latency histogram and
 #    its quantile family, every `serve.` name in the json snapshot
-#    must be documented in docs/observability.md, every span it
-#    reports must be in that doc's "Span naming" block, and
-#    `portopt top --count 2` must render the dashboard without a
+#    must be documented in docs/observability.md (the heap gauges
+#    `serve.gc.heap_words` and `serve.gc.top_heap_words` among them),
+#    every span it reports must be in that doc's "Span naming" block,
+#    and `portopt top --count 2` must render the dashboard without a
 #    terminal.
+#
+# Before either, every span name written as a literal at an
+# `Obs.Span.with_` site in lib/ and bin/ must be in the "Span naming"
+# block too, so spans that only a coordinator or a worker opens are
+# checked as well.
 #
 # Invokes the built binary directly rather than via `dune exec`:
 # concurrent `dune exec` processes would contend on the build lock.
@@ -31,6 +37,37 @@ rm -rf "$DIR"
 mkdir -p "$DIR"
 
 SCALE="REPRO_UARCHS=2 REPRO_OPTS=6 SOURCE_DATE_EPOCH=0"
+
+# in_span_block NAME: NAME is a whole word of the "Span naming" block.
+awk '/^## /{ s = ($0 == "## Span naming") } s && /^```/ { c++; next }
+     s && c == 1' docs/observability.md >"$DIR/span_block.txt"
+test -s "$DIR/span_block.txt"
+in_span_block() {
+  awk -v n="$1" '{ for (i = 1; i <= NF; i++) if ($i == n) found = 1 }
+                 END { exit !found }' "$DIR/span_block.txt"
+}
+
+echo "obs-smoke: every Obs.Span.with_ name in lib/ and bin/ is documented..."
+# The name is the first string literal after `Span.with_` and any
+# labelled arguments (`?remote_parent`, `~level:Info`).  A site whose
+# name is not such a literal on its own line cannot be checked, so it
+# fails the step rather than pass unseen.
+SITE='Span\.with_( +[~?][a-z_]+(:[^ "]+)?)* +"([^"]+)"'
+grep -rnE 'Span\.with_' lib bin --include='*.ml' >"$DIR/span_sites.txt"
+test -s "$DIR/span_sites.txt"
+if grep -vE "$SITE" "$DIR/span_sites.txt" >"$DIR/span_unread.txt"; then
+  echo "obs-smoke: span sites without a literal name:" >&2
+  cat "$DIR/span_unread.txt" >&2
+  exit 1
+fi
+sed -nE "s/.*$SITE.*/\3/p" "$DIR/span_sites.txt" | sort -u \
+  >"$DIR/span_literals.txt"
+while read -r name; do
+  in_span_block "$name" \
+    || { echo "obs-smoke: span $name (lib/ or bin/) is missing from the" \
+           "Span naming block of docs/observability.md" >&2
+         exit 1; }
+done <"$DIR/span_literals.txt"
 
 echo "obs-smoke: untraced baseline artifact..."
 env $SCALE "$BIN" train -o "$DIR/base.pcm" --log-level quiet
@@ -83,6 +120,9 @@ grep -q 'serve_request_seconds_quantile{quantile="0.99"}' "$DIR/scrape.txt"
 echo "obs-smoke: json snapshot..."
 "$BIN" metrics --socket "$SOCK" --format json >"$DIR/snapshot.json"
 grep -q '"serve.request.seconds"' "$DIR/snapshot.json"
+# The metrics op sets the heap gauges each time it runs.
+grep -q '"serve.gc.heap_words"' "$DIR/snapshot.json"
+grep -q '"serve.gc.top_heap_words"' "$DIR/snapshot.json"
 # Every serve.* instrument the server reports is named, in full, in the
 # "Metric names" section of docs/observability.md.
 grep -o '"serve\.[^"]*"' "$DIR/snapshot.json" | tr -d '"' | sort -u \
@@ -96,14 +136,10 @@ done <"$DIR/serve_names.txt"
 # Every span.<name>.seconds the server reports names a span of the
 # "Span naming" block; start-up's artifact read is always one of them.
 grep -q '"span.artifact.read.seconds"' "$DIR/snapshot.json"
-awk '/^## /{ s = ($0 == "## Span naming") } s && /^```/ { c++; next }
-     s && c == 1' docs/observability.md >"$DIR/span_block.txt"
-test -s "$DIR/span_block.txt"
 grep -o '"span\.[^"]*\.seconds"' "$DIR/snapshot.json" \
   | sed 's/^"span\.//; s/\.seconds"$//' | sort -u >"$DIR/span_names.txt"
 while read -r name; do
-  awk -v n="$name" '{ for (i = 1; i <= NF; i++) if ($i == n) found = 1 }
-                    END { exit !found }' "$DIR/span_block.txt" \
+  in_span_block "$name" \
     || { echo "obs-smoke: span $name is missing from the Span naming block" \
            "of docs/observability.md" >&2
          exit 1; }

@@ -837,6 +837,66 @@ let test_knn_rejects_bad_input () =
   let idxs, _ = Knn.search t ~k:10 [| 0.7 |] in
   check Alcotest.(array int) "k clamps to n" [| 1; 0 |] idxs
 
+(* ---- Shared rows are never written ------------------------------------ *)
+
+(* The bits of every row: a deep copy to compare against later. *)
+let row_bits ds = Array.map (Array.map (Array.map Int64.bits_of_float)) ds
+
+let distributions_of (d : Ml_model.Dataset.t) =
+  Array.map (fun p -> p.Ml_model.Dataset.distribution) d.Ml_model.Dataset.pairs
+
+(* A trained model holds one array per distinct row, some of them the
+   dataset's own.  Predicting, refitting the dataset's good sets
+   ([Ablation.refit]) and folding more evidence into a refit state
+   ([Registry.Refit]) read those rows and never write them. *)
+let test_shared_rows_never_written () =
+  let module M = Ml_model.Model in
+  let d = Lazy.force tiny_dataset in
+  let predict_all m =
+    Array.iter
+      (fun (p : Ml_model.Dataset.pair) ->
+        ignore (M.predict_full m p.Ml_model.Dataset.features_raw))
+      d.Ml_model.Dataset.pairs
+  in
+  let m = M.train d in
+  let ds = (M.export m).M.r_distributions in
+  let rows = List.concat_map Array.to_list (Array.to_list ds) in
+  let distinct =
+    List.sort_uniq compare (List.map (Array.map Int64.bits_of_float) rows)
+  in
+  let physical =
+    List.fold_left
+      (fun seen r -> if List.memq r seen then seen else r :: seen)
+      [] rows
+  in
+  check Alcotest.bool "rows repeat" true
+    (List.length distinct < List.length rows);
+  check Alcotest.int "one array per distinct row" (List.length distinct)
+    (List.length physical);
+  let unchanged msg before ds =
+    check Alcotest.bool msg true (before = row_bits ds)
+  in
+  let before = row_bits ds and dataset_before = row_bits (distributions_of d) in
+  predict_all m;
+  unchanged "predicting" before ds;
+  predict_all (M.train (Experiments.Ablation.refit d ~good_fraction:0.25));
+  unchanged "Ablation.refit" before ds;
+  unchanged "Ablation.refit, the dataset's rows" dataset_before
+    (distributions_of d);
+  let records = Registry.Evidence.of_dataset d in
+  let state = Registry.Refit.of_records records in
+  let refit () =
+    match Registry.Refit.to_model state with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  let first = (M.export (refit ())).M.r_distributions in
+  let first_before = row_bits first in
+  Registry.Refit.fold state records;
+  predict_all (refit ());
+  unchanged "Registry.Refit, the first refit" first_before first;
+  unchanged "Registry.Refit, the trained model" before ds
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "ml"
@@ -907,5 +967,8 @@ let () =
             test_masked_model_matches_full_sort;
           quick "knn rejects bad input" test_knn_rejects_bad_input;
         ] );
+      ( "sharing",
+        [ quick "shared rows are never written" test_shared_rows_never_written ]
+      );
     ]
 

@@ -456,6 +456,114 @@ let test_json_floats_mixed_tokens () =
       ("[1e23,", "trailing garbage at offset 0");
     ]
 
+(* [shared_floats] answers as [floats] does, bit for bit, on a document
+   of random rows drawn from a small alphabet, so that most rows repeat
+   and are returned from the memo, and repeated rows are one array. *)
+let test_json_shared_floats_match_floats () =
+  let module J = Obs.Json in
+  let rng = Random.State.make [| 2009 |] in
+  let tokens =
+    [| "0.0"; "1.0"; "0.5"; "0.25"; "-0.0"; "1"; "1e0"; "0.1";
+       "0.30000000000000004"; "2.5e-3"; "1e23"; "-7" |]
+  in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  (* One row in sixteen is spaced out, so the same values also come
+     written in other bytes. *)
+  let row () =
+    let sep = if Random.State.int rng 16 = 0 then " ,\n " else "," in
+    List.init (Random.State.int rng 4) (fun _ -> pick tokens)
+    |> String.concat sep
+    |> Printf.sprintf "[%s]"
+  in
+  let rows = List.init 100_000 (fun _ -> row ()) in
+  let doc = "[" ^ String.concat "," rows ^ "]" in
+  let read f = J.parse doc (fun c -> J.array c (fun c -> Option.get (f c))) in
+  let memo = J.rows () in
+  match (read J.floats, read (J.shared_floats memo)) with
+  | Ok (Some plain), Ok (Some shared) ->
+    let bits = Array.map (Array.map Int64.bits_of_float) in
+    check Alcotest.(array (array int64)) "shared_floats = floats, bit for bit"
+      (bits plain) (bits shared);
+    let first = Hashtbl.create 4096 in
+    List.iteri
+      (fun i text ->
+        match Hashtbl.find_opt first text with
+        | None -> Hashtbl.add first text shared.(i)
+        | Some a ->
+          if a != shared.(i) then
+            Alcotest.failf "row %d (%s) is not the array read before" i text)
+      rows;
+    check Alcotest.bool "most rows repeat" true
+      (Hashtbl.length first * 10 < List.length rows)
+  | _ -> Alcotest.fail "a reader refused the document"
+
+(* On malformed input the memo gives [floats]'s answer, message and
+   offset included, also when it already holds a prefix of the bytes.
+   The decoder reads any element [floats] declines as a tree value. *)
+let test_json_shared_floats_keep_errors () =
+  let module J = Obs.Json in
+  let read reader doc =
+    J.parse doc (fun c ->
+        J.array c (fun c ->
+            match reader c with
+            | Some a -> `Row (Array.map Int64.bits_of_float a)
+            | None -> `Other (J.value c)))
+  in
+  List.iter
+    (fun (what, doc, errs) ->
+      let memo = J.rows () in
+      let plain = read J.floats doc in
+      check Alcotest.bool (what ^ ": same answer") true
+        (plain = read (J.shared_floats memo) doc);
+      check Alcotest.bool (what ^ ": an error") errs (Result.is_error plain))
+    [
+      ("a repeat of a declined row",
+       {|[[2,"a"],[0.5],[2,"a"],[0.5],[2,"a"}]|}, true);
+      ("a repeat of an empty element", "[[1,,2],[1,,2]]", true);
+      ("a repeat of a malformed number", "[[1e5,1.5e],[1e5,1.5e]]", true);
+      ("a nested row", "[[1,2],[1,[2]]]", false);
+      ("a nested row, then a bad one", "[[1,[2]],[1,[2]}]", true);
+      ("a truncated row", "[[0.5,1.0],[0.5,1.0", true);
+      ("a truncated repeat", "[[0.5,1.0],[0.5,1.0],[0.5,1.", true);
+      ("trailing garbage", "[[0.5,1.0],[0.5,1.0]]x", true);
+      ("garbage after a repeat", "[[0.5,1.0],[0.5,1.0]x]", true);
+      ("rows of spaces", "[[ 1 , 2 ],[ 1 , 2 ],[ 1 2 ]]", true);
+    ];
+  let memo = J.rows () in
+  ignore (J.parse "[1]" (J.shared_floats memo));
+  Alcotest.check_raises "a memo serves one document"
+    (Invalid_argument "Json.shared_floats: a memo serves one document")
+    (fun () -> ignore (J.parse "[2]" (J.shared_floats memo)))
+
+(* However keys collide, a lookup makes a bounded number of equality
+   tests, and a value it finds is one that equals the key: with every
+   hash the same, 20,000 distinct values cost at most 16 tests a
+   lookup, and the ones beyond the probe window are added again rather
+   than found wrong. *)
+let test_intern_bounds_collisions () =
+  let module I = Obs.Intern in
+  let tests = ref 0 in
+  let t =
+    I.create ~equal:(fun k v ->
+        incr tests;
+        k = v)
+  in
+  let worst = ref 0 in
+  for v = 0 to 19_999 do
+    tests := 0;
+    let i = I.find t 7 v in
+    if i >= 0 then Alcotest.failf "%d found before it was added" v;
+    worst := max !worst !tests;
+    ignore (I.add t 7 v)
+  done;
+  check Alcotest.bool "at most 16 tests a lookup" true (!worst <= 16);
+  for v = 0 to 19_999 do
+    let i = I.find t 7 v in
+    if i >= 0 && I.get t i <> v then Alcotest.failf "%d found as another" v
+  done;
+  check Alcotest.int "every value kept, in order" 20_000 (I.length t);
+  check Alcotest.int "the first values are found" 0 (I.find t 7 0)
+
 (* ---- Metrics under the domain pool ------------------------------------- *)
 
 let with_pool jobs f =
@@ -1210,5 +1318,14 @@ let () =
         [
           Alcotest.test_case "tracing preserves golden numbers" `Slow
             test_tracing_preserves_golden_numbers;
+        ] );
+      ( "sharing",
+        [
+          Alcotest.test_case "shared_floats equals floats bit for bit" `Quick
+            test_json_shared_floats_match_floats;
+          Alcotest.test_case "shared_floats keeps floats' errors" `Quick
+            test_json_shared_floats_keep_errors;
+          Alcotest.test_case "intern bounds colliding lookups" `Quick
+            test_intern_bounds_collisions;
         ] );
     ]

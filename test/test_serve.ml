@@ -2115,6 +2115,82 @@ let test_server_batch_ab_per_arm () =
       check Alcotest.(list string) "one serve.ab event, for the candidate"
         [ "candidate" ] ab_arms)
 
+(* A loaded model shares its distribution rows as the trained one does:
+   rows with equal bits are one array, distributions made of the same
+   rows are one distribution, and the two are laid out alike.  The
+   load's [artifact.stages] event counts what it shared. *)
+let test_artifact_shares_rows () =
+  let artifact = artifact_of (Lazy.force dataset42) in
+  let path = tmp_path "shared.pcm" and trace = tmp_path "shared.jsonl" in
+  Serve.Artifact.save ~path artifact;
+  Obs.Trace.start trace;
+  let loaded =
+    Fun.protect ~finally:Obs.Trace.stop (fun () -> snd (read_ok path))
+  in
+  Sys.remove path;
+  let distributions a =
+    (Ml_model.Model.export a.Serve.Artifact.model)
+      .Ml_model.Model.r_distributions
+  in
+  let ds = distributions loaded in
+  let key row =
+    String.concat ","
+      (Array.to_list
+         (Array.map (fun x -> Int64.to_string (Int64.bits_of_float x)) row))
+  in
+  let rows = Hashtbl.create 64 and whole = Hashtbl.create 64 in
+  let n_rows = ref 0 in
+  Array.iter
+    (fun g ->
+      let keys =
+        Array.map
+          (fun row ->
+            incr n_rows;
+            let k = key row in
+            (match Hashtbl.find_opt rows k with
+            | None -> Hashtbl.add rows k row
+            | Some r ->
+              if r != row then Alcotest.failf "rows [%s] are two arrays" k);
+            k)
+          g
+      in
+      let k = String.concat ";" (Array.to_list keys) in
+      match Hashtbl.find_opt whole k with
+      | None -> Hashtbl.add whole k g
+      | Some g' ->
+        if g' != g then
+          Alcotest.fail "distributions of the same rows are two arrays")
+    ds;
+  check Alcotest.bool "rows repeat" true (Hashtbl.length rows < !n_rows);
+  check Alcotest.int "reachable words, as the trained model's"
+    (Obj.reachable_words (Obj.repr (distributions artifact)))
+    (Obj.reachable_words (Obj.repr ds));
+  let events =
+    match Obs.Trace.read_file trace with
+    | Ok events -> events
+    | Error e -> Alcotest.failf "trace unreadable: %s" e
+  in
+  Sys.remove trace;
+  let stages =
+    match
+      List.find_opt
+        (fun r -> J.member "name" r = Some (J.Str "artifact.stages"))
+        events
+    with
+    | Some r -> r
+    | None -> Alcotest.fail "no artifact.stages event"
+  in
+  List.iter
+    (fun (name, expected) ->
+      check Alcotest.(option int) name (Some expected)
+        (Option.bind (J.member name stages) J.to_int))
+    [
+      ("rows", !n_rows);
+      ("distinct_rows", Hashtbl.length rows);
+      ("distributions", Array.length ds);
+      ("distinct_distributions", Hashtbl.length whole);
+    ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -2223,5 +2299,10 @@ let () =
             test_server_watch_swaps_in_background;
           Alcotest.test_case "batch answers, counts and events per arm" `Slow
             test_server_batch_ab_per_arm;
+        ] );
+      ( "sharing",
+        [
+          Alcotest.test_case "a loaded model shares rows as trained" `Slow
+            test_artifact_shares_rows;
         ] );
     ]

@@ -65,13 +65,14 @@ let run () =
         | Error e -> failwith ("registry bench: cold: " ^ e))
   in
   let encode model =
-    snd
+    String.concat ""
       (Serve.Artifact.encode
          {
            Serve.Artifact.model;
            space = scale.Ml_model.Dataset.space;
            meta = [];
          })
+        .Prelude.Envelope.chunks
   in
   if encode refit_model <> encode cold_model then
     failwith "registry bench: refit diverged from the cold retrain";

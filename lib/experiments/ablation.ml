@@ -26,25 +26,13 @@ type row = {
   good_fraction : float;  (** Top fraction the row's good sets keep. *)
   predict : Dataset.t -> Crossval.predict;
       (** The row's fold predictor over the shared dataset refit at
-          [good_fraction] ({!refit}). *)
+          [good_fraction] ({!Dataset.with_good_fraction}). *)
 }
 
-(** [d] with every pair's good set and distribution refit from its
-    times at [good_fraction], so a row does not depend on the fraction
-    the dataset was generated at. *)
-let refit (d : Dataset.t) ~good_fraction =
-  let pairs =
-    Array.map
-      (fun (p : Dataset.pair) ->
-        let good = Dataset.good_set ~good_fraction p.Dataset.times in
-        let settings = Array.map (fun i -> d.Dataset.settings.(i)) good in
-        { p with Dataset.good; distribution = Distribution.fit settings })
-      d.Dataset.pairs
-  in
-  { d with Dataset.pairs }
-
+(* Each row refits the dataset at its own fraction, so a row does not
+   depend on the fraction the dataset was generated at. *)
 let outcomes d r =
-  let d = refit d ~good_fraction:r.good_fraction in
+  let d = Dataset.with_good_fraction d r.good_fraction in
   Crossval.run ~predict:(r.predict d) d
 
 (* The shipped model with its options varied, trained on the fold's

@@ -138,7 +138,7 @@ let static_sizes ~specs ~o3_runs runs =
    under [objective] and fit the pair's distribution.  Index-pure, so
    the pricing fan-out is bit-identical at any job count. *)
 let price_pair ~objective ~space ~good_fraction ~sizes ~uarchs ~settings
-    ~o3_runs ~runs ~parent idx =
+    ~o3_runs ~runs ~share ~parent idx =
   let n_uarchs = Array.length uarchs in
   let prog_index = idx / n_uarchs in
   let uarch_index = idx mod n_uarchs in
@@ -205,9 +205,32 @@ let price_pair ~objective ~space ~good_fraction ~sizes ~uarchs ~settings
     best = !best;
     best_seconds = times.(!best);
     good;
-    distribution = Distribution.fit good_settings;
+    distribution = share (Distribution.fit good_settings);
     front;
   }
+
+(* Every distribution of a pricing fan-out passes through one sharing as
+   it is fitted, so an unshared one dies young.  [finish] reports what
+   was shared. *)
+let sharing () =
+  let s = Distribution.sharing () and lock = Mutex.create () in
+  let share g = Mutex.protect lock (fun () -> Distribution.share s g) in
+  let finish (pairs : pair array) =
+    let distinct_rows, distinct_distributions = Distribution.distinct s in
+    Obs.Span.event "dataset.shared"
+      [
+        ( "rows",
+          Obs.Json.Int
+            (Array.fold_left
+               (fun n p -> n + Array.length p.distribution)
+               0 pairs) );
+        ("distinct_rows", Obs.Json.Int distinct_rows);
+        ("distributions", Obs.Json.Int (Array.length pairs));
+        ("distinct_distributions", Obs.Json.Int distinct_distributions);
+      ];
+    pairs
+  in
+  (share, finish)
 
 (* The whole pricing fan-out, shared by [generate] and
    [with_objective]. *)
@@ -226,10 +249,12 @@ let price_pairs ~pool ~objective ~space ~good_fraction ~specs ~uarchs
       ]
     (fun () ->
       let parent = Obs.Span.current_id () in
-      Pool.init pool
-        (Array.length specs * Array.length uarchs)
-        (price_pair ~objective ~space ~good_fraction ~sizes ~uarchs
-           ~settings ~o3_runs ~runs ~parent))
+      let share, finish = sharing () in
+      finish
+        (Pool.init pool
+           (Array.length specs * Array.length uarchs)
+           (price_pair ~objective ~space ~good_fraction ~sizes ~uarchs
+              ~settings ~o3_runs ~runs ~share ~parent)))
 
 type backend =
   | In_process
@@ -439,3 +464,18 @@ let with_objective ?pool t objective =
         ~settings:t.settings ~o3_runs:t.o3_runs ~runs:t.runs ()
     in
     { t with objective; pairs }
+
+(** Refit every pair's good set from its times at [good_fraction] and
+    fit its distribution to it, shared as pricing shares them.  Nothing
+    is priced again. *)
+let with_good_fraction t good_fraction =
+  let share, finish = sharing () in
+  let pairs =
+    Array.map
+      (fun p ->
+        let good = good_set ~good_fraction p.times in
+        let settings = Array.map (fun i -> t.settings.(i)) good in
+        { p with good; distribution = share (Distribution.fit settings) })
+      t.pairs
+  in
+  { t with scale = { t.scale with good_fraction }; pairs = finish pairs }

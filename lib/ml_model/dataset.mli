@@ -33,7 +33,11 @@ type pair = {
   best : int;  (** Index of the fastest sampled setting. *)
   best_seconds : float;
   good : int array;  (** Indices of the good set e_Y. *)
-  distribution : Distribution.t;  (** Fitted per equation (5). *)
+  distribution : Distribution.t;
+      (** Fitted per equation (5), and shared: across a dataset's pairs,
+          rows of equal bits are one array and distributions of equal
+          bits one distribution ({!Distribution.share}).  Every function
+          here that makes pairs keeps this so. *)
   front : Objective.Front.t option;
       (** Pareto front over the sampled settings' objective vectors;
           [Some] only under [Objective.Spec.Pareto]. *)
@@ -139,6 +143,12 @@ val with_objective : ?pool:Prelude.Pool.t -> t -> Objective.Spec.t -> t
     different objective from the already-interpreted runs — zero
     recompiles and zero interpretations.  Round-tripping back to the
     dataset's own objective returns it unchanged. *)
+
+val with_good_fraction : t -> float -> t
+(** [with_good_fraction d f] refits every pair's good set from its
+    times at [f] ({!good_set}) and its distribution to that good set,
+    so the ablation can vary the threshold without pricing anything
+    again.  The scale records [f]. *)
 
 val run_for : t -> prog:int -> Passes.Flags.setting -> Sim.Xtrem.run
 (** Profile of [prog] under an arbitrary setting, cached by canonical

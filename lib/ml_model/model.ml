@@ -17,8 +17,9 @@ type t = {
   normaliser : Features.normaliser;
   features : float array array;  (** Normalised; one row per point. *)
   distributions : Distribution.t array;
-      (** Shared ({!Distribution.share}): one physical row per distinct
-          row, one physical distribution per distinct distribution. *)
+      (** As given: shared where they are made ({!Distribution.share}),
+          so one physical row per distinct row and one physical
+          distribution per distinct distribution. *)
   knn : Knn.t;
       (** Neighbour index over [features], built whenever the model is
           assembled or loaded and shared by every prediction. *)
@@ -45,7 +46,7 @@ let knn_of ~mask features =
 
 (** Assemble a model from raw training rows and their fitted
     distributions: fit the normaliser, normalise, group the rows for the
-    neighbour search, share equal distribution rows.  This is the
+    neighbour search, keep the distributions as given.  This is the
     {e single} construction path —
     {!train} selects rows out of a dataset and [Registry.Refit] derives
     them from an evidence ledger, but both funnel through here, so the
@@ -62,14 +63,13 @@ let of_parts ?(k = default_k) ?(beta = default_beta) ?mask ~features_raw
   let raw = Array.map (apply_mask mask) features_raw in
   let normaliser = Features.fit_normaliser raw in
   let features = Array.map (Features.normalise normaliser) raw in
-  let sharing = Distribution.sharing () in
   {
     k;
     beta;
     mask;
     normaliser;
     features;
-    distributions = Array.map (Distribution.share sharing) distributions;
+    distributions;
     knn = knn_of ~mask features;
     tree = None;
   }

@@ -26,12 +26,14 @@ val of_parts :
   t
 (** Assemble a model from raw (unnormalised) training rows and their
     fitted per-pair distributions: fit the z-score normaliser over the
-    rows, normalise, group the rows for the neighbour search
-    ({!Knn}), and share the distributions ({!Distribution.share}): the
-    model keeps one physical row per distinct row and one physical
-    distribution per distinct distribution, some of them the very
-    arrays passed in, which must therefore never be written.  The
-    single construction
+    rows, normalise and group the rows for the neighbour search
+    ({!Knn}).  The model keeps the very arrays of [distributions],
+    which must therefore never be written.  Callers share them where
+    they are made ({!Distribution.share}: a dataset's pairs, the
+    registry's refit, an artifact's decoder), so a model holds one
+    physical row per distinct row and one physical distribution per
+    distinct distribution, and a cross-validation fold shares nothing
+    again.  The single construction
     path shared by {!train} and the registry's incremental refit
     ([Registry.Refit]) — two callers presenting the same rows and
     distributions get bit-identical models.  Raises [Invalid_argument]
@@ -49,7 +51,8 @@ val train :
     program and test microarchitecture there).  [mask] selects a feature
     subset, as the ablation's counters-only and descriptors-only rows
     do.  Features are z-score
-    normalised against the selected training pairs.  Raises
+    normalised against the selected training pairs, and the model's
+    distributions are the dataset's own, shared, arrays.  Raises
     [Invalid_argument] if no pair is selected. *)
 
 val predict_full : t -> float array -> Predict.result

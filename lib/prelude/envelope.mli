@@ -34,9 +34,23 @@ type format = {
 }
 (** One file format.  Each owner defines its format as a constant. *)
 
-val header : format -> string -> string
-(** [header fmt payload] is the header line for [payload] at
-    [fmt.current], without its newline. *)
+type sealed = private {
+  header : string;
+      (** The header line at the format's [current] version, without its
+          newline. *)
+  chunks : string list;  (** The payload, in order. *)
+  digest : string;
+      (** The payload's FNV-1a 64 digest, 16 hex digits: the one the
+          header's checksum carries. *)
+  bytes : int;  (** The payload's byte length. *)
+}
+(** A payload ready to write, with its header. *)
+
+val seal : format -> string list -> sealed
+(** [seal fmt chunks] seals the payload that is the concatenation of
+    [chunks], hashing them in one pass without joining them: every
+    split of one payload seals to the same header and {!write}s the
+    same file. *)
 
 type contents = {
   version : int;  (** The header's version, within the format's range. *)
@@ -52,11 +66,13 @@ val read : format -> path:string -> (contents, string) result
     message, which names the path).  The checks run in this order: no
     header line, malformed header, wrong magic, version outside
     [oldest]..[current], negative length, truncated payload, checksum
-    mismatch.  Bytes after the payload are ignored. *)
+    mismatch.  Bytes after the payload are ignored.  The payload is
+    read straight into the string returned, never through a copy of
+    the whole file. *)
 
-val write : path:string -> string * string -> unit
-(** [write ~path (header, payload)] installs the two lines atomically
-    ({!write_atomic}). *)
+val write : path:string -> sealed -> unit
+(** [write ~path sealed] installs the header line and the payload line
+    atomically ({!write_atomic}). *)
 
 val read_file : string -> (string, string) result
 (** The whole file, or [Error] with the system's message. *)

@@ -67,11 +67,14 @@ let to_model ?k ?beta t =
     if Array.exists (fun e -> Array.length e.e_features <> dim) entries then
       Error "refit: evidence pairs disagree on feature dimension"
     else
+      let sharing = Ml_model.Distribution.sharing () in
       Ok
         (Ml_model.Model.of_parts ?k ?beta
            ~features_raw:(Array.map (fun e -> e.e_features) entries)
            ~distributions:
              (Array.map
-                (fun e -> Ml_model.Distribution.of_counts e.e_counts)
+                (fun e ->
+                  Ml_model.Distribution.share sharing
+                    (Ml_model.Distribution.of_counts e.e_counts))
                 entries)
            ())

@@ -341,8 +341,8 @@ let publish ?k ?beta ?parent ?channel
            [ ("objective", J.Str (Objective.Spec.to_string objective)) ])
     in
     let artifact = { Serve.Artifact.model; space; meta } in
-    let header, payload = Serve.Artifact.encode artifact in
-    let id = Prelude.Fnv.digest_string payload in
+    let sealed = Serve.Artifact.encode artifact in
+    let id = sealed.Prelude.Envelope.digest in
     let l =
       {
         l_id = id;
@@ -368,7 +368,7 @@ let publish ?k ?beta ?parent ?channel
        the same content race benignly: both write identical bytes and
        whichever rename lands last wins. *)
     if not (Sys.file_exists (object_path t id)) then
-      Prelude.Envelope.write ~path:(object_path t id) (header, payload);
+      Prelude.Envelope.write ~path:(object_path t id) sealed;
     if not (Sys.file_exists (evidence_path t id)) then
       Evidence.write ~path:(evidence_path t id) union;
     let* l =

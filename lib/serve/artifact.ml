@@ -83,7 +83,12 @@ let objective t =
 (* The payload is printed straight into one buffer by the same printer
    as [J.to_string], in the order the tree rendering always had, so the
    bytes — hence checksums, store keys and registry ids — are those of
-   every earlier build. *)
+   every earlier build.  Between feature rows, between distributions
+   and before each later section, a buffer past [chunk_bytes] becomes
+   the next chunk, so the payload is held about once and never joined
+   ({!Prelude.Envelope.seal}). *)
+
+let chunk_bytes = 65536
 
 let add_int buf i = Buffer.add_string buf (string_of_int i)
 
@@ -134,7 +139,18 @@ let rec add_index buf = function
 let payload t =
   let r = Ml_model.Model.export t.model in
   let means, stds = r.Ml_model.Model.r_normaliser in
-  let buf = Buffer.create 65536 in
+  (* Room for a chunk and the row or distribution that ends it, so the
+     buffer grows only for a larger section. *)
+  let buf = Buffer.create (2 * chunk_bytes) in
+  let chunks = ref [] in
+  (* Never inside a row: [add_rows_once] copies each row's bytes out of
+     the buffer after printing it. *)
+  let cut () =
+    if Buffer.length buf >= chunk_bytes then begin
+      chunks := Buffer.contents buf :: !chunks;
+      Buffer.clear buf
+    end
+  in
   let lit = Buffer.add_string buf in
   lit "{\"k\":";
   add_int buf r.Ml_model.Model.r_k;
@@ -154,34 +170,47 @@ let payload t =
   lit ",\"std\":";
   add_floats buf stds;
   lit "},\"features\":";
-  add_array buf add_floats r.Ml_model.Model.r_features;
+  add_array buf
+    (fun buf row ->
+      cut ();
+      add_floats buf row)
+    r.Ml_model.Model.r_features;
   lit ",\"distributions\":";
   let add_row = add_rows_once () in
   add_array buf
-    (fun buf d -> add_array buf add_row d)
+    (fun buf d ->
+      cut ();
+      add_array buf add_row d)
     r.Ml_model.Model.r_distributions;
+  cut ();
   lit ",\"index\":";
   (match r.Ml_model.Model.r_index with
   | None -> lit "null"
   | Some root -> add_index buf root);
+  cut ();
   lit ",\"meta\":";
   J.add buf (J.Obj t.meta);
   lit "}";
-  Buffer.contents buf
+  List.rev (Buffer.contents buf :: !chunks)
 
-(** The exact two lines [save] writes, exposed so the model registry
+(** The sealed payload [save] writes, exposed so the model registry
     can content-address an artifact (the payload's FNV-1a 64 digest is
     the version id) and write the object file itself. *)
 let encode t =
   Obs.Span.with_ "artifact.write" (fun () ->
-      let payload = payload t in
-      (Prelude.Envelope.header format payload, payload))
+      let sealed = Prelude.Envelope.seal format (payload t) in
+      Obs.Span.event "artifact.sealed"
+        [
+          ("bytes", J.Int sealed.Prelude.Envelope.bytes);
+          ("chunks", J.Int (List.length sealed.Prelude.Envelope.chunks));
+        ];
+      sealed)
 
 (** Content identity: the payload digest as 16 hex characters.  Two
     artifacts have equal [version_id] iff their payload lines are
     byte-identical — the registry's version ids and the byte-identity
     assertions both rest on this. *)
-let version_id t = Prelude.Fnv.digest_string (payload t)
+let version_id t = (Prelude.Envelope.seal format (payload t)).digest
 
 (* Write-then-rename ({!Prelude.Envelope.write}), so a crash mid-save
    never leaves a half-written artifact under the final name. *)

@@ -42,17 +42,18 @@ val objective : t -> Objective.Spec.t
     pre-objective ones), so absence reads as
     {!Objective.Spec.default}. *)
 
-val encode : t -> string * string
-(** The exact [(header, payload)] lines [save] writes — exposed so the
-    model registry ([Registry]) can content-address artifacts and write
-    object files itself.  The payload is printed straight into one
-    buffer, never through a {!Obs.Json.t} tree. *)
+val encode : t -> Prelude.Envelope.sealed
+(** The sealed payload [save] writes — exposed so the model registry
+    ([Registry]) can content-address artifacts (by its [digest]) and
+    write object files itself.  The payload is printed straight into
+    chunks of about 64 KiB, never through a {!Obs.Json.t} tree and never
+    joined into one string. *)
 
 val version_id : t -> string
 (** The payload's FNV-1a 64 digest as 16 hex characters.  Equal iff the
     payload lines are byte-identical, which makes it the registry's
-    version id.  It re-encodes the whole model: a loaded artifact's id
-    comes from {!read} instead. *)
+    version id.  It re-encodes the whole model and hashes the chunks: a
+    loaded artifact's id comes from {!read} instead. *)
 
 val save : path:string -> t -> unit
 (** Serialise atomically: write to a unique temp name beside [path],

@@ -178,9 +178,9 @@ let put_run t ~key run =
           J.to_string
             (J.Obj [ ("key", J.Str key); ("run", Sim.Xtrem.export run) ])
         in
-        let header = Prelude.Envelope.header format payload in
-        Prelude.Envelope.write ~path (header, payload);
-        let bytes = String.length header + String.length payload + 2 in
+        let sealed = Prelude.Envelope.seal format [ payload ] in
+        Prelude.Envelope.write ~path sealed;
+        let bytes = String.length sealed.header + sealed.bytes + 2 in
         t.entries <- t.entries + 1;
         t.bytes <- t.bytes + bytes;
         publish t;

@@ -335,7 +335,7 @@ let test_ablation_rows_match_oracle () =
    [Crossval.run]'s training rule, so the check prices nothing. *)
 let test_ablation_predictors_at_half () =
   let d, rows = ablation_rows () in
-  let half = Experiments.Ablation.refit d ~good_fraction:0.5 in
+  let half = Ml_model.Dataset.with_good_fraction d 0.5 in
   let n_uarch = Ml_model.Dataset.n_uarchs d in
   let predictions (r : Experiments.Ablation.row) =
     let predict = r.predict half in

@@ -845,10 +845,11 @@ let row_bits ds = Array.map (Array.map (Array.map Int64.bits_of_float)) ds
 let distributions_of (d : Ml_model.Dataset.t) =
   Array.map (fun p -> p.Ml_model.Dataset.distribution) d.Ml_model.Dataset.pairs
 
-(* A trained model holds one array per distinct row, some of them the
-   dataset's own.  Predicting, refitting the dataset's good sets
-   ([Ablation.refit]) and folding more evidence into a refit state
-   ([Registry.Refit]) read those rows and never write them. *)
+(* A trained model holds one array per distinct row, the dataset's
+   own.  Predicting, refitting the dataset's good sets
+   ([Dataset.with_good_fraction]) and folding more evidence into a
+   refit state ([Registry.Refit]) read those rows and never write
+   them. *)
 let test_shared_rows_never_written () =
   let module M = Ml_model.Model in
   let d = Lazy.force tiny_dataset in
@@ -879,9 +880,9 @@ let test_shared_rows_never_written () =
   let before = row_bits ds and dataset_before = row_bits (distributions_of d) in
   predict_all m;
   unchanged "predicting" before ds;
-  predict_all (M.train (Experiments.Ablation.refit d ~good_fraction:0.25));
-  unchanged "Ablation.refit" before ds;
-  unchanged "Ablation.refit, the dataset's rows" dataset_before
+  predict_all (M.train (Ml_model.Dataset.with_good_fraction d 0.25));
+  unchanged "Dataset.with_good_fraction" before ds;
+  unchanged "Dataset.with_good_fraction, the dataset's rows" dataset_before
     (distributions_of d);
   let records = Registry.Evidence.of_dataset d in
   let state = Registry.Refit.of_records records in
@@ -896,6 +897,57 @@ let test_shared_rows_never_written () =
   predict_all (refit ());
   unchanged "Registry.Refit, the first refit" first_before first;
   unchanged "Registry.Refit, the trained model" before ds
+
+(* Pricing shares every distribution as it fits it, on whichever domain
+   prices the pair: across the dataset, rows of equal bits are one
+   array and distributions of equal bits one distribution, and a
+   trained model keeps the dataset's own arrays.  The second dataset
+   reads the first one's store, so it interprets nothing. *)
+let test_dataset_shares_rows () =
+  let module M = Ml_model.Model in
+  let dir = Filename.temp_dir "test_ml_sharing" "" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      List.iter
+        (fun jobs ->
+          with_pool jobs (fun pool ->
+              let d =
+                Ml_model.Dataset.generate ~store:(Store.open_ ~dir) ~pool
+                  tiny_scale
+              in
+              let at = Printf.sprintf "%s at %d domains" in
+              let key row = Array.map Int64.bits_of_float row in
+              let rows = Hashtbl.create 64 and whole = Hashtbl.create 64 in
+              let n_rows = ref 0 in
+              Array.iter
+                (fun g ->
+                  Array.iter
+                    (fun row ->
+                      incr n_rows;
+                      match Hashtbl.find_opt rows (key row) with
+                      | None -> Hashtbl.add rows (key row) row
+                      | Some r ->
+                        if r != row then
+                          Alcotest.fail
+                            (at "rows of equal bits are two arrays" jobs))
+                    g;
+                  let k = Array.map key g in
+                  match Hashtbl.find_opt whole k with
+                  | None -> Hashtbl.add whole k g
+                  | Some g' ->
+                    if g' != g then
+                      Alcotest.fail
+                        (at "distributions of equal bits are two arrays" jobs))
+                (distributions_of d);
+              check Alcotest.bool (at "rows repeat" jobs) true
+                (Hashtbl.length rows < !n_rows);
+              let trained = (M.export (M.train d)).M.r_distributions in
+              check Alcotest.bool
+                (at "the model's distributions are the dataset's arrays" jobs)
+                true
+                (Array.for_all2 ( == ) trained (distributions_of d))))
+        [ 1; 2 ])
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -968,7 +1020,10 @@ let () =
           quick "knn rejects bad input" test_knn_rejects_bad_input;
         ] );
       ( "sharing",
-        [ quick "shared rows are never written" test_shared_rows_never_written ]
-      );
+        [
+          quick "shared rows are never written" test_shared_rows_never_written;
+          quick "datasets share rows at 1 and 2 domains"
+            test_dataset_shares_rows;
+        ] );
     ]
 

@@ -32,9 +32,13 @@ let fresh_registry name = Registry.open_ ~dir:(tmp_path name)
 
 let meta = [ ("suite", J.Str "registry-test") ]
 
+(* The header line and the whole payload line. *)
 let encode_of model =
-  Serve.Artifact.encode
-    { Serve.Artifact.model; space = Ml_model.Features.Base; meta }
+  let s =
+    Serve.Artifact.encode
+      { Serve.Artifact.model; space = Ml_model.Features.Base; meta }
+  in
+  (s.Prelude.Envelope.header, String.concat "" s.Prelude.Envelope.chunks)
 
 let or_fail ~msg = function
   | Ok v -> v

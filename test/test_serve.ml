@@ -385,6 +385,11 @@ let model_of_pairs ?mask space pairs =
 
 let pairs_of d = Array.map (fun p -> (d, p)) d.Ml_model.Dataset.pairs
 
+(* The header line and the whole payload line [save] writes. *)
+let encode_lines a =
+  let s = Serve.Artifact.encode a in
+  (s.Prelude.Envelope.header, String.concat "" s.Prelude.Envelope.chunks)
+
 (* The payload as the JSON tree printer renders it: the reference the
    streaming encoder must match byte for byte. *)
 let tree_payload (a : Serve.Artifact.t) =
@@ -464,7 +469,7 @@ let test_artifact_read_returns_version_id () =
   List.iter
     (fun (name, a) ->
       check Alcotest.bool (name ^ ": payload is the tree printer's") true
-        (snd (Serve.Artifact.encode a) = tree_payload a);
+        (snd (encode_lines a) = tree_payload a);
       Serve.Artifact.save ~path a;
       let id, loaded = read_ok path in
       check Alcotest.string (name ^ ": id is version_id of the saved artifact")
@@ -593,7 +598,7 @@ let test_artifact_hostile_payloads () =
       ]
   in
   let payload =
-    match J.of_string (snd (Serve.Artifact.encode artifact)) with
+    match J.of_string (snd (encode_lines artifact)) with
     | Ok (J.Obj fields) ->
       J.to_string
         (J.Obj
@@ -684,7 +689,7 @@ let test_artifact_encode_same_bytes_across_loads () =
   let path = tmp_path "encode.pcm" in
   List.iter
     (fun (name, a) ->
-      let fresh = Serve.Artifact.encode a in
+      let fresh = encode_lines a in
       Serve.Artifact.save ~path a;
       let header, payload = fresh in
       check Alcotest.string (name ^ ": the file is the encoding")
@@ -697,10 +702,10 @@ let test_artifact_encode_same_bytes_across_loads () =
       let _, v1 = read_ok path in
       check
         Alcotest.(pair string string)
-        (name ^ ": a loaded version-2 file") fresh (Serve.Artifact.encode v2);
+        (name ^ ": a loaded version-2 file") fresh (encode_lines v2);
       check
         Alcotest.(pair string string)
-        (name ^ ": a loaded version-1 file") fresh (Serve.Artifact.encode v1))
+        (name ^ ": a loaded version-1 file") fresh (encode_lines v1))
     [
       ("trained", artifact_of d);
       ( "extended, masked",
@@ -762,10 +767,82 @@ let test_artifact_mixed_tokens_round_trip () =
     = Array.map bits distributions);
   check
     Alcotest.(pair string string)
-    "re-encodes to the bytes it was read from" (Serve.Artifact.encode mixed)
-    (Serve.Artifact.encode loaded);
+    "re-encodes to the bytes it was read from" (encode_lines mixed)
+    (encode_lines loaded);
   check Alcotest.string "read under its version id"
     (Serve.Artifact.version_id mixed) id
+
+(* A payload of several chunks joins to the tree printer's payload.  A
+   chunk is cut only once it holds 64 KiB, and only between rows and
+   before sections, so none holds more than 64 KiB plus one row or
+   section with its separators.  Encoding holds the payload about
+   once: its major-heap words, as [Gc.counters] counts them for the
+   calling domain alone (OCaml 5.1), stay within 1.25 times the
+   payload's bytes; printing into one growing buffer and copying it
+   out took 4.40 times on this artifact.  The artifact encoded is a
+   loaded one, which carries its VP-tree, so the count is the
+   encoder's own and not the tree build a freshly trained model's
+   export adds. *)
+let test_artifact_encodes_in_chunks () =
+  let d42 = Lazy.force dataset42 in
+  let space = Ml_model.Features.Base in
+  let trained =
+    {
+      Serve.Artifact.model =
+        model_of_pairs space
+          (Array.concat (List.init 40 (fun _ -> pairs_of d42)));
+      space;
+      meta = [ ("suite", J.Str "test") ];
+    }
+  in
+  let path = tmp_path "chunks.pcm" in
+  Serve.Artifact.save ~path trained;
+  let _, a = read_ok path in
+  Sys.remove path;
+  let chunk = 65536 in
+  Gc.minor ();
+  let _, _, major0 = Gc.counters () in
+  let sealed = Serve.Artifact.encode a in
+  let _, _, major1 = Gc.counters () in
+  let chunks = sealed.Prelude.Envelope.chunks in
+  let payload = String.concat "" chunks in
+  check Alcotest.bool "the chunks join to the tree printer's payload" true
+    (payload = tree_payload a);
+  check Alcotest.int "bytes" (String.length payload)
+    sealed.Prelude.Envelope.bytes;
+  check Alcotest.bool "at least 3 chunks" true (List.length chunks >= 3);
+  let fields =
+    match J.of_string payload with
+    | Ok (J.Obj fields) -> fields
+    | _ -> Alcotest.fail "payload is not an object"
+  in
+  let printed v = String.length (J.to_string v) in
+  let section name = printed (List.assoc name fields) in
+  let items name =
+    match List.assoc name fields with
+    | J.List items -> List.map printed items
+    | _ -> Alcotest.failf "%S is not a list" name
+  in
+  let largest =
+    List.fold_left max 0
+      (section "normaliser" :: section "index" :: section "meta"
+      :: (items "features" @ items "distributions"))
+  in
+  List.iteri
+    (fun i c ->
+      let n = String.length c in
+      if n > chunk + largest + 64 then
+        Alcotest.failf "chunk %d holds %d bytes (largest unit %d)" i n largest;
+      if i < List.length chunks - 1 && n < chunk then
+        Alcotest.failf "chunk %d was cut at %d bytes" i n)
+    chunks;
+  let ratio =
+    (major1 -. major0) *. float_of_int (Sys.word_size / 8)
+    /. float_of_int sealed.Prelude.Envelope.bytes
+  in
+  if ratio > 1.25 then
+    Alcotest.failf "encode allocated %.2f times the payload's %d bytes" ratio
+      sealed.Prelude.Envelope.bytes
 
 (* ---- quantise: the cache-key kernel ------------------------------------ *)
 
@@ -2227,6 +2304,8 @@ let () =
             test_artifact_encode_same_bytes_across_loads;
           Alcotest.test_case "rows mixing every token class round-trip"
             `Slow test_artifact_mixed_tokens_round_trip;
+          Alcotest.test_case "encodes in chunks, holding the payload once"
+            `Slow test_artifact_encodes_in_chunks;
         ] );
       ( "quantise",
         [

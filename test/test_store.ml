@@ -653,8 +653,9 @@ let test_envelope_check_order () =
      fnv1a64:";
   (* The two lines the writer installs read back; bytes after the
      payload are ignored. *)
-  let good = Prelude.Envelope.header fmt payload in
-  Prelude.Envelope.write ~path (good, payload);
+  let sealed = Prelude.Envelope.seal fmt [ payload ] in
+  let good = sealed.Prelude.Envelope.header in
+  Prelude.Envelope.write ~path sealed;
   check Alcotest.string "written as two lines" (good ^ "\n" ^ payload ^ "\n")
     (read_file path);
   write_file path (good ^ "\n" ^ payload ^ "trailing\nmore");
@@ -792,6 +793,75 @@ let test_hostile_headers () =
   Serve.Artifact.save ~path (artifact_of (Lazy.force dataset_2x8));
   hostile_headers "artifact" ~path (fun () -> Serve.Artifact.read ~path)
 
+(* However a payload is cut into chunks, [seal] gives the header of the
+   whole and [write] installs the file the one-chunk seal does: at
+   every two-way split, and at seeded random splits into up to eight
+   chunks, empty ones included. *)
+let test_seal_any_split () =
+  let fmt =
+    {
+      Prelude.Envelope.magic = "test-format";
+      oldest = 1;
+      current = 2;
+      noun = "test file";
+      kind = "test";
+    }
+  in
+  let dir = tmp_dir "seal_splits" in
+  Prelude.Envelope.mkdir_p dir;
+  let path = Filename.concat dir "f" in
+  let payload =
+    Obs.Json.to_string
+      (Obs.Json.Obj
+         [
+           ("key", Obs.Json.Str "seal");
+           ( "rows",
+             Obs.Json.List
+               (List.init 12 (fun i ->
+                    Obs.Json.List
+                      (List.init 4 (fun j ->
+                           Obs.Json.Float (float_of_int (i * j) /. 7.0))))) );
+         ])
+  in
+  let n = String.length payload in
+  let whole = Prelude.Envelope.seal fmt [ payload ] in
+  check Alcotest.string "digest" (Prelude.Fnv.digest_string payload)
+    whole.Prelude.Envelope.digest;
+  check Alcotest.int "bytes" n whole.Prelude.Envelope.bytes;
+  Prelude.Envelope.write ~path whole;
+  let file = read_file path in
+  check Alcotest.string "one chunk: the header line, the payload line"
+    (whole.Prelude.Envelope.header ^ "\n" ^ payload ^ "\n")
+    file;
+  let same what chunks =
+    let sealed = Prelude.Envelope.seal fmt chunks in
+    if sealed.Prelude.Envelope.header <> whole.Prelude.Envelope.header then
+      Alcotest.failf "%s: header %s" what sealed.Prelude.Envelope.header;
+    Prelude.Envelope.write ~path sealed;
+    if read_file path <> file then Alcotest.failf "%s: the file differs" what
+  in
+  for i = 0 to n do
+    same
+      (Printf.sprintf "split at %d" i)
+      [ String.sub payload 0 i; String.sub payload i (n - i) ]
+  done;
+  let rng = Random.State.make [| 22 |] in
+  for trial = 1 to 200 do
+    let cuts =
+      List.sort compare
+        (List.init (Random.State.int rng 8) (fun _ ->
+             Random.State.int rng (n + 1)))
+    in
+    let rec pieces from = function
+      | [] -> [ String.sub payload from (n - from) ]
+      | c :: rest -> String.sub payload from (c - from) :: pieces c rest
+    in
+    same (Printf.sprintf "random split %d" trial) (pieces 0 cuts)
+  done;
+  match Prelude.Envelope.read fmt ~path with
+  | Ok c -> check Alcotest.string "reads back" payload c.Prelude.Envelope.payload
+  | Error e -> Alcotest.fail e
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "store"
@@ -837,5 +907,6 @@ let () =
           quick "concurrent writers of one path"
             test_concurrent_writers_one_path;
           quick "hostile headers: Ok or Error" test_hostile_headers;
+          quick "seal: any split writes the same file" test_seal_any_split;
         ] );
     ]

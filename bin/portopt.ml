@@ -54,33 +54,57 @@ let prog_arg =
 
 let ( let* ) = Result.bind
 
+(* A run-time failure: one line on stderr, then exit [code].  A bad
+   option value never gets here: each term checks its own while the
+   arguments parse (one line, exit 124, nothing started). *)
+let fail ~code fmt =
+  Printf.ksprintf
+    (fun m ->
+      Printf.eprintf "portopt: %s\n" m;
+      exit code)
+    fmt
+
 (* A bad REPRO_* value is a one-line command-line error: the
    [Invalid_argument] that reading it raises becomes [Error]. *)
 let of_env f =
   match f () with v -> Ok v | exception Invalid_argument e -> Error e
 
-(* An integer option whose value [valid] rejects is a one-line
-   command-line error naming the option, the value typed and what was
-   [expected]. *)
-let check_int name ~expected valid v =
-  if valid v then Ok v
-  else
-    Error
-      (Printf.sprintf "option '--%s': invalid value '%d', expected %s" name v
-         expected)
+(* A one-line command-line error naming the option, the value typed and
+   what was [expected]. *)
+let invalid name value ~expected =
+  Error
+    (Printf.sprintf "option '--%s': invalid value '%s', expected %s" name value
+       expected)
+
+(* A numeric option whose value [valid] rejects is an [invalid] one. *)
+let check_value show name ~expected valid v =
+  if valid v then Ok v else invalid name (show v) ~expected
+
+let check_int = check_value string_of_int
+
+let check_positive_int name =
+  check_int name ~expected:"a positive integer" (( < ) 0)
+
+let check_positive name =
+  check_value (Printf.sprintf "%g") name ~expected:"a positive number"
+    (fun v -> v > 0.0)
+
+(* A text option that [parse] rejects: the option, then [parse]'s
+   reason, which quotes what was typed. *)
+let parsed name parse s =
+  Result.map_error (Printf.sprintf "option '--%s': %s" name) (parse s)
+
+(* [check] lifted to an option that may be absent. *)
+let optional check = function
+  | None -> Ok None
+  | Some v -> Result.map Option.some (check v)
 
 (* A dataset scale: the REPRO_* defaults, overridden by the positive
    counts given, with REPRO_JOBS checked alongside for the pool that
    builds it. *)
 let scale_of ?uarchs ?opts () =
-  let given name = function
-    | None -> Ok None
-    | Some v ->
-      Result.map Option.some
-        (check_int name ~expected:"a positive integer" (( < ) 0) v)
-  in
-  let* uarchs = given "train-uarchs" uarchs in
-  let* opts = given "train-opts" opts in
+  let* uarchs = optional (check_positive_int "train-uarchs") uarchs in
+  let* opts = optional (check_positive_int "train-opts") opts in
   let* s =
     of_env (fun () ->
         ignore (Prelude.Pool.jobs ());
@@ -128,11 +152,7 @@ let obs_term cmd =
     Arg.(value & opt string "info" & info [ "log-level" ] ~docv:"LEVEL" ~doc)
   in
   let setup trace trace_id level jobs () =
-    (match Obs.Trace.level_of_string level with
-    | Ok l -> Obs.Trace.set_level l
-    | Error e -> (
-      Printf.eprintf "portopt: %s\n" e;
-      exit 2));
+    Obs.Trace.set_level level;
     Obs.Span.set_printer (Some (fun line -> Printf.eprintf "%s\n%!" line));
     match trace with
     | None -> ()
@@ -148,6 +168,7 @@ let obs_term cmd =
   (* The manifest records REPRO_JOBS, so a traced command checks it
      while the arguments parse. *)
   let check trace trace_id level =
+    let* level = parsed "log-level" Obs.Trace.level_of_string level in
     Result.map (setup trace trace_id level)
       (if trace = None then Ok 0 else of_env Prelude.Pool.jobs)
   in
@@ -181,9 +202,7 @@ let start obs store =
    spec fails argument parsing with the spec grammar in the message. *)
 let objective_conv =
   let parse s =
-    match Objective.Spec.of_string s with
-    | Ok o -> Ok o
-    | Error e -> Error (`Msg e)
+    Result.map_error (fun e -> `Msg e) (Objective.Spec.of_string s)
   in
   let print ppf o = Format.pp_print_string ppf (Objective.Spec.to_string o) in
   Arg.conv (parse, print)
@@ -341,9 +360,7 @@ let exec_cmd =
     let text =
       match Prelude.Envelope.read_file file with
       | Ok text -> text
-      | Error e ->
-        Printf.eprintf "portopt: %s\n" e;
-        exit 1
+      | Error e -> fail ~code:1 "%s" e
     in
     match Ir.Parse.program text with
     | exception Ir.Parse.Error (line, msg) ->
@@ -369,9 +386,7 @@ let exec_cmd =
 let read_artifact path =
   match Serve.Artifact.read ~path with
   | Ok loaded -> loaded
-  | Error e ->
-    Printf.eprintf "portopt: %s\n" e;
-    exit 1
+  | Error e -> fail ~code:1 "%s" e
 
 let predict_cmd =
   let run obs store spec u scale model_path =
@@ -447,28 +462,29 @@ let predict_cmd =
 (* Artifact timestamp: SOURCE_DATE_EPOCH (the reproducible-builds
    convention) pins it, making `train` output byte-for-byte
    deterministic — which is how the store smoke test proves a warm
-   rerun reproduces the cold artifact exactly. *)
-let created_unix () =
-  match Sys.getenv_opt "SOURCE_DATE_EPOCH" with
-  | None -> Unix.time ()
-  | Some s -> (
-    match float_of_string_opt s with
-    | Some f -> f
-    | None ->
-      Printf.eprintf "portopt: SOURCE_DATE_EPOCH is not a number: %s\n" s;
-      exit 2)
+   rerun reproduces the cold artifact exactly.  Like REPRO_*, a value
+   that is not a number is refused while the arguments parse; without
+   one, the clock is read when the artifact is written. *)
+let created_term =
+  let created () =
+    match Sys.getenv_opt "SOURCE_DATE_EPOCH" with
+    | None -> Ok Unix.time
+    | Some s -> (
+      match float_of_string_opt s with
+      | Some f -> Ok (fun () -> f)
+      | None -> Error ("SOURCE_DATE_EPOCH is not a number: " ^ s))
+  in
+  Term.(term_result' (const created $ const ()))
 
 (* ---- cluster plumbing -------------------------------------------------- *)
 
-type cluster_opts = {
-  c_workers : int;
-  c_listen : string option;
-  c_chaos : string option;
-  c_lease_size : int;
-  c_lease_timeout : float;
-}
+(* Shared by the cluster options and [worker]. *)
+let address_check name = parsed name Net.Addr.of_string
+let chaos_check = optional (parsed "chaos" Cluster.Chaos.of_string)
 
-(* Sharding options shared by train and crossval.  [--workers 0] with no
+(* Sharding options shared by train, crossval and evidence, checked
+   while the arguments parse: the harness's options, and the chaos spec
+   forwarded verbatim to spawned workers.  [--workers 0] with no
    [--cluster-listen] means everything stays in-process. *)
 let cluster_term =
   let workers =
@@ -507,125 +523,68 @@ let cluster_term =
          & info [ "lease-timeout" ] ~docv:"SECONDS"
              ~doc:"Lease deadline; an expired lease is reassigned.")
   in
-  let mk c_workers c_listen c_chaos c_lease_size c_lease_timeout =
-    { c_workers; c_listen; c_chaos; c_lease_size; c_lease_timeout }
+  let check workers listen chaos lease_size lease_timeout =
+    let* workers =
+      check_int "workers" ~expected:"a non-negative integer" (( <= ) 0)
+        workers
+    in
+    let* listen = optional (address_check "cluster-listen") listen in
+    let* _ = chaos_check chaos in
+    let* lease_size = check_positive_int "lease-size" lease_size in
+    let* lease_timeout_s = check_positive "lease-timeout" lease_timeout in
+    Ok ({ Cluster.Harness.workers; listen; lease_size; lease_timeout_s }, chaos)
   in
-  Term.(const mk $ workers $ listen $ chaos $ lease_size $ lease_timeout)
+  Term.(term_result'
+          (const check $ workers $ listen $ chaos $ lease_size $ lease_timeout))
 
-let cluster_fail fmt =
-  Printf.ksprintf
-    (fun m ->
-      Printf.eprintf "portopt: %s\n" m;
-      exit 2)
-    fmt
+(* Launch local worker [i] as a child process of this binary, so that
+   teardown (and a kill -9 from outside) reaches it directly; returns
+   its reaper. *)
+let spawn_worker ?store chaos ~connect i =
+  (* When the parent traces, each worker traces too — a sibling file
+     under the parent's trace id, so `portopt report parent.jsonl
+     parent.worker-*.jsonl` stitches the whole run. *)
+  let trace_args =
+    match (Obs.Trace.path (), Obs.Trace.trace_id ()) with
+    | Some path, Some tid ->
+      [ "--trace";
+        Printf.sprintf "%s.worker-%d.jsonl" (Filename.remove_extension path) i;
+        "--trace-id"; tid ]
+    | _ -> []
+  in
+  let args =
+    [ "portopt"; "worker"; "--connect"; Net.Addr.to_string connect;
+      "--name"; Printf.sprintf "local-%d" i ]
+    @ (match store with Some s -> [ "--store"; Store.dir s ] | None -> [])
+    @ (match chaos with Some s -> [ "--chaos"; s ] | None -> [])
+    @ trace_args
+  in
+  (* Workers share stderr for progress; stdout stays the parent's
+     report channel. *)
+  let pid =
+    Unix.create_process Sys.executable_name (Array.of_list args) Unix.stdin
+      Unix.stderr Unix.stderr
+  in
+  fun () ->
+    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+    try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
 
-(* Shared by serve and the cluster coordinator: bind or die with a
-   friendly message. *)
-let listen_or_exit address start =
-  try start ()
-  with Unix.Unix_error (e, _, _) ->
-    Printf.eprintf "portopt: cannot listen on %s: %s\n"
-      (Net.Addr.to_string address) (Unix.error_message e);
-    exit 1
-
-(* Run [f] with an optional cluster evaluation backend: start the
-   coordinator, spawn local workers, wire SIGINT/SIGTERM to a graceful
-   drain, and always tear everything down (quit workers, reap
-   children).  The backend only changes who interprets; every scheduling
-   artifact is merged by task key, so [f]'s output is byte-identical
-   with or without it. *)
-let with_cluster ?store ?on_result opts f =
-  if opts.c_workers = 0 && opts.c_listen = None then f None
-  else begin
-    if opts.c_workers < 0 then cluster_fail "--workers must be >= 0";
-    let address =
-      match opts.c_listen with
-      | None -> Net.Addr.Tcp ("127.0.0.1", 0)
-      | Some s -> (
-        match Net.Addr.of_string s with
-        | Ok a -> a
-        | Error e -> cluster_fail "--cluster-listen %s" e)
-    in
-    let chaos_spec =
-      match opts.c_chaos with
-      | None -> None
-      | Some s -> (
-        match Cluster.Chaos.of_string s with
-        | Ok _ -> Some s
-        | Error e -> cluster_fail "%s" e)
-    in
-    let config =
-      {
-        (Cluster.Coordinator.config ~address ()) with
-        Cluster.Coordinator.lease_size = opts.c_lease_size;
-        lease_timeout_s = opts.c_lease_timeout;
-      }
-    in
-    let coord =
-      listen_or_exit address (fun () ->
-          Cluster.Coordinator.create ?store config)
-    in
-    let stop_signal _ = Cluster.Coordinator.stop coord in
-    let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle stop_signal) in
-    let prev_term = Sys.signal Sys.sigterm (Sys.Signal_handle stop_signal) in
-    let connect =
-      Net.Addr.to_string (Cluster.Coordinator.address coord)
-    in
-    Obs.Span.log
-      (Printf.sprintf "cluster: coordinator listening on %s" connect);
-    let spawn i =
-      (* When the parent traces, each worker traces too — a sibling
-         file under the parent's trace id, so `portopt report
-         parent.jsonl parent.worker-*.jsonl` stitches the whole run. *)
-      let trace_args =
-        match (Obs.Trace.path (), Obs.Trace.trace_id ()) with
-        | Some path, Some tid ->
-          [ "--trace";
-            Printf.sprintf "%s.worker-%d.jsonl"
-              (Filename.remove_extension path) i;
-            "--trace-id"; tid ]
-        | _ -> []
-      in
-      let args =
-        [ "portopt"; "worker"; "--connect"; connect;
-          "--name"; Printf.sprintf "local-%d" i ]
-        @ (match store with Some s -> [ "--store"; Store.dir s ] | None -> [])
-        @ (match chaos_spec with Some s -> [ "--chaos"; s ] | None -> [])
-        @ trace_args
-      in
-      (* Workers share stderr for progress; stdout stays the parent's
-         report channel. *)
-      Unix.create_process Sys.executable_name (Array.of_list args) Unix.stdin
-        Unix.stderr Unix.stderr
-    in
-    let children = List.init opts.c_workers spawn in
-    let cleanup () =
-      Cluster.Coordinator.shutdown coord;
-      List.iter
-        (fun pid ->
-          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-        children;
-      Sys.set_signal Sys.sigint prev_int;
-      Sys.set_signal Sys.sigterm prev_term
-    in
-    Fun.protect ~finally:cleanup (fun () ->
-        let last = ref (-1) in
-        let tick ~done_ ~total =
-          (* At most ~20 progress lines per evaluation round. *)
-          let step = max 1 (total / 20) in
-          if done_ = total || done_ / step > !last / step then begin
-            last := done_;
-            Obs.Span.log
-              (Printf.sprintf "cluster: %d of %d tasks evaluated" done_ total)
-          end
-        in
-        f
-          (Some
-             (Ml_model.Dataset.Offload
-                (fun groups ->
-                  Cluster.Coordinator.evaluate ~tick ?on_result coord groups))))
-  end
+(* The prologue of the dataset commands (train, crossval, evidence):
+   telemetry, the store and the [banner] line, then [f store backend]
+   on the local cluster the options ask for, its evaluator offloading
+   the dataset's interpretation. *)
+let dataset_run ?banner ?on_result obs store (cluster, chaos) f =
+  let store = start obs store in
+  Option.iter Obs.Span.log banner;
+  match
+    Cluster.Harness.run ?store ?on_result
+      ~launch:(spawn_worker ?store chaos)
+      cluster
+      (fun evaluate ->
+        f store (Option.map (fun e -> Ml_model.Dataset.Offload e) evaluate))
+  with
+  | Ok () -> ()
+  | Error e -> fail ~code:1 "%s" e
 
 (* Shared by [query] and [worker]: which frame format to speak.  The
    peer latches the format of the first frame and answers in kind, so
@@ -650,21 +609,8 @@ let wire_term =
               server answers in whichever format the client speaks.")
 
 let worker_cmd =
-  let run obs connect store chaos name wire =
+  let run obs (connect, chaos) store name wire =
     let store = start obs store in
-    let connect =
-      match Net.Addr.of_string connect with
-      | Ok a -> a
-      | Error e -> cluster_fail "--connect %s" e
-    in
-    let chaos =
-      match chaos with
-      | None -> Cluster.Chaos.none
-      | Some s -> (
-        match Cluster.Chaos.of_string s with
-        | Ok c -> c
-        | Error e -> cluster_fail "%s" e)
-    in
     let name =
       match name with
       | Some n -> n
@@ -678,7 +624,7 @@ let worker_cmd =
       {
         (Cluster.Worker.config ~connect ~name) with
         Cluster.Worker.store;
-        chaos;
+        chaos = Option.value chaos ~default:Cluster.Chaos.none;
         wire;
       }
     in
@@ -691,19 +637,26 @@ let worker_cmd =
     | Cluster.Worker.Killed -> exit 3
     | Cluster.Worker.Lost -> exit 1
   in
-  let connect =
-    Arg.(required & opt (some string) None
-         & info [ "connect" ] ~docv:"ADDR"
-             ~doc:
-               "Coordinator address: $(i,host:port) or a Unix socket \
-                path (recognised by containing '/').")
-  in
-  let chaos =
-    Arg.(value & opt (some string) None
-         & info [ "chaos" ] ~docv:"SPEC"
-             ~doc:
-               "Seeded fault injection on this worker's send path, e.g. \
-                $(i,seed=7,drop=0.05,garble=0.05,kill=0.01).")
+  let peer =
+    let connect =
+      Arg.(required & opt (some string) None
+           & info [ "connect" ] ~docv:"ADDR"
+               ~doc:
+                 "Coordinator address: $(i,host:port) or a Unix socket \
+                  path (recognised by containing '/').")
+    in
+    let chaos =
+      Arg.(value & opt (some string) None
+           & info [ "chaos" ] ~docv:"SPEC"
+               ~doc:
+                 "Seeded fault injection on this worker's send path, e.g. \
+                  $(i,seed=7,drop=0.05,garble=0.05,kill=0.01).")
+    in
+    let check connect chaos =
+      let* connect = address_check "connect" connect in
+      Result.map (fun chaos -> (connect, chaos)) (chaos_check chaos)
+    in
+    Term.(term_result' (const check $ connect $ chaos))
   in
   let name_arg =
     Arg.(value & opt (some string) None
@@ -735,8 +688,8 @@ let worker_cmd =
     (Cmd.info "worker"
        ~doc:"Serve cluster evaluation leases for a train/crossval coordinator"
        ~man)
-    Term.(const run $ obs_term "worker" $ connect $ store_term $ chaos
-          $ name_arg $ wire_term)
+    Term.(const run $ obs_term "worker" $ peer $ store_term $ name_arg
+          $ wire_term)
 
 (* The dataset scale of train, crossval and evidence: the REPRO_*
    defaults, overridden per option.  A bad value of either is a
@@ -756,12 +709,12 @@ let scale_term =
   Term.(term_result' (const scale $ uarchs $ opts))
 
 let train_cmd =
-  let run obs store out evidence_out scale objective cluster =
-    let store = start obs store in
-    Obs.Span.log
-      (Printf.sprintf "training (%d configurations x %d settings)..."
-         scale.Ml_model.Dataset.n_uarchs scale.Ml_model.Dataset.n_opts);
-    with_cluster ?store cluster @@ fun backend ->
+  let run obs store out evidence_out scale objective cluster created =
+    dataset_run obs store cluster
+      ~banner:
+        (Printf.sprintf "training (%d configurations x %d settings)..."
+           scale.Ml_model.Dataset.n_uarchs scale.Ml_model.Dataset.n_opts)
+    @@ fun store backend ->
     let dataset =
       Ml_model.Dataset.generate ?store ?backend ~objective
         ~progress:(fun m -> Obs.Span.log m)
@@ -780,7 +733,7 @@ let train_cmd =
         ("n_opts", Obs.Json.Int scale.Ml_model.Dataset.n_opts);
         ( "programs",
           Obs.Json.Int (Array.length dataset.Ml_model.Dataset.specs) );
-        ("created_unix", Obs.Json.Float (created_unix ()));
+        ("created_unix", Obs.Json.Float (created ()));
       ]
       (* Non-default only: a --objective cycles artifact must stay
          byte-identical to one trained before the flag existed. *)
@@ -860,13 +813,12 @@ let train_cmd =
   Cmd.v
     (Cmd.info "train" ~doc:"Train the model and save a .pcm artifact" ~man)
     Term.(const run $ obs_term "train" $ store_term $ out $ evidence_out
-          $ scale_term $ objective_term $ cluster_term)
+          $ scale_term $ objective_term $ cluster_term $ created_term)
 
 let crossval_cmd =
   let run obs store scale objective cluster =
-    let store = start obs store in
     let progress m = Obs.Span.log m in
-    with_cluster ?store cluster @@ fun backend ->
+    dataset_run obs store cluster @@ fun store backend ->
     let dataset =
       Ml_model.Dataset.generate ?store ?backend ~objective ~progress scale
     in
@@ -936,14 +888,13 @@ let crossval_cmd =
 
 (* ---- store maintenance ------------------------------------------------ *)
 
-(* Maintenance opens an existing store: a typo'd path should diagnose,
-   not silently create an empty store and report zero entries. *)
-let open_existing_store dir =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then begin
-    Printf.eprintf "portopt: no store at %s\n" dir;
-    exit 1
-  end;
-  Store.open_ ~dir
+(* Store maintenance and the registry's readers open an existing
+   directory: a typo'd path should diagnose, not silently create an
+   empty store or registry and report zero entries. *)
+let open_existing what open_ dir =
+  if not (Sys.file_exists dir && Sys.is_directory dir) then
+    fail ~code:1 "no %s at %s" what dir;
+  open_ ~dir
 
 let store_dir_arg =
   Arg.(value & opt string Store.default_dir
@@ -957,7 +908,7 @@ let print_stats (s : Store.stats) =
 
 let store_stats_cmd =
   let run dir =
-    let store = open_existing_store dir in
+    let store = open_existing "store" Store.open_ dir in
     Printf.printf "store    %s\n" (Store.dir store);
     print_stats (Store.stats store)
   in
@@ -967,7 +918,7 @@ let store_stats_cmd =
 
 let store_gc_cmd =
   let run dir max_mb dry_run =
-    let store = open_existing_store dir in
+    let store = open_existing "store" Store.open_ dir in
     let before = Store.stats store in
     let max_bytes = int_of_float (max_mb *. 1024. *. 1024.) in
     let evicted, stats = Store.gc ~dry_run store ~max_bytes in
@@ -1004,7 +955,7 @@ let store_gc_cmd =
 
 let store_verify_cmd =
   let run dir =
-    let store = open_existing_store dir in
+    let store = open_existing "store" Store.open_ dir in
     let report = Store.verify store in
     Printf.printf "checked  %d\nerrors   %d\n" report.Store.checked
       (List.length report.Store.errors);
@@ -1063,52 +1014,34 @@ let address_term =
 
 (* "--ab candidate=0.1": channel name and split fraction. *)
 let parse_ab spec =
+  let expected =
+    "CHANNEL=FRACTION with FRACTION in [0,1], e.g. candidate=0.1"
+  in
   match String.index_opt spec '=' with
-  | None -> Error "expected CHANNEL=FRACTION, e.g. candidate=0.1"
+  | None -> invalid "ab" spec ~expected
   | Some i -> (
     let channel = String.sub spec 0 i in
     let frac = String.sub spec (i + 1) (String.length spec - i - 1) in
     match float_of_string_opt frac with
     | Some f when f >= 0.0 && f <= 1.0 && channel <> "" -> Ok (channel, f)
-    | _ -> Error "expected CHANNEL=FRACTION with FRACTION in [0,1]")
+    | _ -> invalid "ab" spec ~expected)
 
 let serve_cmd =
-  let run obs model_path registry_dir channel ab watch address jobs queue
-      cache admin =
+  let run obs (served, ab, watch) channel address jobs queue cache admin =
     obs ();
     let split, candidate_channel =
-      match ab with
-      | None -> (0.0, None)
-      | Some spec -> (
-        match parse_ab spec with
-        | Ok (ch, f) -> (f, Some ch)
-        | Error e ->
-          Printf.eprintf "portopt: --ab %s: %s\n" spec e;
-          exit 2)
+      match ab with None -> (0.0, None) | Some (ch, f) -> (f, Some ch)
     in
     let artifact, candidate, source =
-      match (model_path, registry_dir) with
-      | Some _, Some _ ->
-        Printf.eprintf "portopt: choose one of --model and --registry\n";
-        exit 2
-      | None, None ->
-        Printf.eprintf "portopt: serve needs --model or --registry\n";
-        exit 2
-      | Some path, None ->
-        if ab <> None || watch <> None then begin
-          Printf.eprintf "portopt: --ab/--watch need --registry\n";
-          exit 2
-        end;
-        (read_artifact path, None, None)
-      | None, Some dir -> (
-        let reg = Registry.open_ ~dir in
+      match served with
+      | `Model path -> (read_artifact path, None, None)
+      | `Registry dir -> (
+        let reg = open_existing "registry" Registry.open_ dir in
         let source =
           Registry.source reg ~stable_channel:channel ~candidate_channel
         in
         match source () with
-        | Error e ->
-          Printf.eprintf "portopt: registry %s: %s\n" dir e;
-          exit 1
+        | Error e -> fail ~code:1 "registry %s: %s" dir e
         | Ok Serve.Server.Unchanged -> assert false
         | Ok (Serve.Server.Swap { stable; candidate }) ->
           (stable, candidate, Some source))
@@ -1126,8 +1059,10 @@ let serve_cmd =
       }
     in
     let server =
-      listen_or_exit address (fun () ->
-          Serve.Server.start ?candidate ~artifact config)
+      try Serve.Server.start ?candidate ~artifact config
+      with Unix.Unix_error (e, _, _) ->
+        fail ~code:1 "cannot listen on %s: %s" (Net.Addr.to_string address)
+          (Unix.error_message e)
     in
     let on_signal _ = Serve.Server.stop server in
     Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
@@ -1140,9 +1075,9 @@ let serve_cmd =
       (Ml_model.Model.n_points (snd artifact).Serve.Artifact.model)
       jobs queue cache
       (if admin then ", admin" else "")
-      (match registry_dir with
-      | Some dir -> Printf.sprintf ", registry %s channel %s" dir channel
-      | None -> "")
+      (match served with
+      | `Registry dir -> Printf.sprintf ", registry %s channel %s" dir channel
+      | `Model _ -> "")
       (match candidate_channel with
       | Some ch -> Printf.sprintf ", A/B %s=%g" ch split
       | None -> "");
@@ -1211,6 +1146,22 @@ let serve_cmd =
          & info [ "admin" ]
              ~doc:"Honour the shutdown and sleep ops (otherwise 403).")
   in
+  (* Where the served model comes from, checked while the arguments
+     parse: a fixed artifact, or a registry with an optional A/B split
+     and watch period. *)
+  let served =
+    let check model registry ab watch =
+      let* ab = optional parse_ab ab in
+      match (model, registry) with
+      | Some _, Some _ -> Error "choose one of --model and --registry"
+      | None, None -> Error "serve needs --model or --registry"
+      | Some _, None when ab <> None || watch <> None ->
+        Error "--ab/--watch need --registry"
+      | Some path, None -> Ok (`Model path, ab, watch)
+      | None, Some dir -> Ok (`Registry dir, ab, watch)
+    in
+    Term.(term_result' (const check $ model $ registry $ ab $ watch))
+  in
   let man =
     [
       `S Manpage.s_description;
@@ -1250,18 +1201,16 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Serve predictions from a model artifact or registry" ~man)
-    Term.(const run $ obs_term "serve" $ model $ registry $ channel $ ab
-          $ watch $ address_term $ jobs $ queue $ cache $ admin)
+    Term.(const run $ obs_term "serve" $ served $ channel $ address_term
+          $ jobs $ queue $ cache $ admin)
 
 (* Shared by query/metrics/top/promote: connect or die with a friendly
    message. *)
 let connect_or_exit ?wire address =
   try Serve.Client.connect ?wire address
   with Unix.Unix_error (e, _, _) ->
-    Printf.eprintf "portopt: cannot connect to %s: %s\n"
-      (Net.Addr.to_string address)
-      (Unix.error_message e);
-    exit 1
+    fail ~code:1 "cannot connect to %s: %s" (Net.Addr.to_string address)
+      (Unix.error_message e)
 
 let query_cmd =
   let print_prediction name u (p : Serve.Protocol.prediction) =
@@ -1283,11 +1232,9 @@ let query_cmd =
     v.Sim.Pipeline.counters
   in
   let server_error (code, msg) =
-    Printf.eprintf "portopt: server error %d: %s\n" code msg;
-    exit (if code = 429 then 3 else 1)
+    fail ~code:(if code = 429 then 3 else 1) "server error %d: %s" code msg
   in
-  let run obs progs batch u objective address health shutdown reload sleep_s
-      wire =
+  let run obs request u objective address wire =
     obs ();
     let client = connect_or_exit ~wire address in
     Fun.protect
@@ -1296,48 +1243,31 @@ let query_cmd =
         let raw r =
           match r with
           | Ok j -> print_endline (Obs.Json.to_string j)
-          | Error (code, msg) ->
-            Printf.eprintf "portopt: server error %d: %s\n" code msg;
-            exit 1
+          | Error (code, msg) -> fail ~code:1 "server error %d: %s" code msg
         in
-        if health then raw (Serve.Client.health client)
-        else if shutdown then raw (Serve.Client.shutdown client)
-        else if reload then raw (Serve.Client.reload client)
-        else
-          match sleep_s with
-          | Some s -> raw (Serve.Client.sleep client s)
-          | None -> (
-            match (progs, batch) with
-            | [], _ ->
-              Printf.eprintf
-                "portopt: query needs a PROGRAM (or --health, \
-                 --shutdown, --reload, --sleep)\n";
-              exit 2
-            | _ :: _ :: _, false ->
-              Printf.eprintf
-                "portopt: multiple programs need --batch\n";
-              exit 2
-            | [ spec ], false -> (
-              match
-                Serve.Client.predict ?objective client
-                  ~counters:(counters_of spec u) ~uarch:u
-              with
-              | Error e -> server_error e
-              | Ok p -> print_prediction spec.Workloads.Spec.name u p)
-            | specs, true -> (
-              let specs = Array.of_list specs in
-              let queries =
-                Array.map (fun spec -> (counters_of spec u, u)) specs
-              in
-              match Serve.Client.predict_batch ?objective client queries with
-              | Error e -> server_error e
-              | Ok results ->
-                Array.iteri
-                  (fun i p ->
-                    print_prediction specs.(i).Workloads.Spec.name u p)
-                  results;
-                Printf.printf "batch of %d served in one request\n"
-                  (Array.length results))))
+        match request with
+        | `Health -> raw (Serve.Client.health client)
+        | `Shutdown -> raw (Serve.Client.shutdown client)
+        | `Reload -> raw (Serve.Client.reload client)
+        | `Sleep s -> raw (Serve.Client.sleep client s)
+        | `Predict spec -> (
+          match
+            Serve.Client.predict ?objective client
+              ~counters:(counters_of spec u) ~uarch:u
+          with
+          | Error e -> server_error e
+          | Ok p -> print_prediction spec.Workloads.Spec.name u p)
+        | `Batch specs -> (
+          let specs = Array.of_list specs in
+          let queries = Array.map (fun spec -> (counters_of spec u, u)) specs in
+          match Serve.Client.predict_batch ?objective client queries with
+          | Error e -> server_error e
+          | Ok results ->
+            Array.iteri
+              (fun i p -> print_prediction specs.(i).Workloads.Spec.name u p)
+              results;
+            Printf.printf "batch of %d served in one request\n"
+              (Array.length results)))
   in
   let progs =
     let specs names =
@@ -1397,6 +1327,27 @@ let query_cmd =
                 $(b,w:)$(i,C,S,E) or $(b,pareto)); the server answers \
                 with a 400 on a mismatch.  Omitted, any model answers.")
   in
+  (* The one request to send, checked while the arguments parse. *)
+  let request =
+    let check progs batch health shutdown reload sleep_s =
+      if health then Ok `Health
+      else if shutdown then Ok `Shutdown
+      else if reload then Ok `Reload
+      else
+        match (sleep_s, progs, batch) with
+        | Some s, _, _ -> Ok (`Sleep s)
+        | None, [], _ ->
+          Error
+            "query needs a PROGRAM (or --health, --shutdown, --reload, \
+             --sleep)"
+        | None, _ :: _ :: _, false -> Error "multiple programs need --batch"
+        | None, [ spec ], false -> Ok (`Predict spec)
+        | None, specs, true -> Ok (`Batch specs)
+    in
+    Term.(term_result'
+            (const check $ progs $ batch $ health $ shutdown $ reload
+            $ sleep_s))
+  in
   let man =
     [
       `S Manpage.s_description;
@@ -1416,9 +1367,8 @@ let query_cmd =
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Query a running prediction server" ~man)
-    Term.(const run $ obs_term "query" $ progs $ batch $ uarch_term
-          $ objective $ address_term $ health $ shutdown $ reload $ sleep_s
-          $ wire_term)
+    Term.(const run $ obs_term "query" $ request $ uarch_term $ objective
+          $ address_term $ wire_term)
 
 let report_cmd =
   let run files =
@@ -1430,9 +1380,7 @@ let report_cmd =
       | Ok events -> (file, events)
     in
     match files with
-    | [] ->
-      Printf.eprintf "portopt: report needs at least one TRACE file\n";
-      exit 2
+    | [] -> fail ~code:2 "report needs at least one TRACE file"
     | [ file ] ->
       let _, events = load file in
       print_string (Obs.Trace.summarise events)
@@ -1482,17 +1430,10 @@ let metrics_cmd =
   let run address cluster format =
     let snapshot =
       match cluster with
-      | Some spec -> (
-        let addr =
-          match Net.Addr.of_string spec with
-          | Ok a -> a
-          | Error e -> cluster_fail "--cluster %s" e
-        in
-        match Cluster.Coordinator.query_metrics addr with
+      | Some addr -> (
+        match Cluster.Wire.query_metrics addr with
         | Ok s -> s
-        | Error e ->
-          Printf.eprintf "portopt: metrics query failed: %s\n" e;
-          exit 1)
+        | Error e -> fail ~code:1 "metrics query failed: %s" e)
       | None -> (
         let client = connect_or_exit address in
         Fun.protect
@@ -1500,21 +1441,21 @@ let metrics_cmd =
           (fun () ->
             match Serve.Client.metrics client with
             | Ok s -> s
-            | Error (code, msg) ->
-              Printf.eprintf "portopt: server error %d: %s\n" code msg;
-              exit 1))
+            | Error (code, msg) -> fail ~code:1 "server error %d: %s" code msg))
     in
     match format with
     | `Json -> print_endline (Obs.Json.to_string snapshot)
     | `Prom -> print_string (Obs.Prom.render snapshot)
   in
   let cluster =
-    Arg.(value & opt (some string) None
-         & info [ "cluster" ] ~docv:"ADDR"
-             ~doc:
-               "Query a cluster coordinator ($(i,host:port) or a socket \
-                path) instead of a prediction server; the poller never \
-                registers as a worker.")
+    Term.(term_result'
+            (const (optional (address_check "cluster"))
+            $ Arg.(value & opt (some string) None
+                   & info [ "cluster" ] ~docv:"ADDR"
+                       ~doc:
+                         "Query a cluster coordinator ($(i,host:port) or a \
+                          socket path) instead of a prediction server; the \
+                          poller never registers as a worker.")))
   in
   let format =
     Arg.(value & opt (enum [ ("json", `Json); ("prom", `Prom) ]) `Json
@@ -1551,10 +1492,6 @@ let metrics_cmd =
 
 let top_cmd =
   let run address interval count no_clear =
-    if interval <= 0.0 then begin
-      Printf.eprintf "portopt: --interval must be > 0\n";
-      exit 2
-    end;
     let client = connect_or_exit address in
     let clear = (not no_clear) && Unix.isatty Unix.stdout in
     let address = Net.Addr.to_string address in
@@ -1563,9 +1500,7 @@ let top_cmd =
       (fun () ->
         let rec loop prev i =
           match Serve.Top.fetch client with
-          | Error (code, msg) ->
-            Printf.eprintf "portopt: server error %d: %s\n" code msg;
-            exit 1
+          | Error (code, msg) -> fail ~code:1 "server error %d: %s" code msg
           | Ok cur ->
             if clear then print_string "\027[2J\027[H";
             print_string (Serve.Top.render ?prev cur ~address);
@@ -1578,9 +1513,11 @@ let top_cmd =
         loop None 0)
   in
   let interval =
-    Arg.(value & opt float 2.0
-         & info [ "interval" ] ~docv:"SECONDS"
-             ~doc:"Seconds between polls.")
+    Term.(term_result'
+            (const (check_positive "interval")
+            $ Arg.(value & opt float 2.0
+                   & info [ "interval" ] ~docv:"SECONDS"
+                       ~doc:"Seconds between polls.")))
   in
   let count =
     Arg.(value & opt int 0
@@ -1626,26 +1563,20 @@ let registry_dir_arg =
        & info [ "dir" ] ~docv:"DIR"
            ~doc:"Registry directory (created by publish if missing).")
 
-let registry_fail fmt =
-  Printf.ksprintf
-    (fun m ->
-      Printf.eprintf "portopt: %s\n" m;
-      exit 1)
-    fmt
-
 let evidence_cmd =
   let run obs store out scale cluster =
-    let store = start obs store in
-    Obs.Span.log
-      (Printf.sprintf "collecting evidence (%d configurations x %d settings)..."
-         scale.Ml_model.Dataset.n_uarchs scale.Ml_model.Dataset.n_opts);
     (* Stream per-result debug lines as cluster workers (or the store
        pre-check) install profiles — the evidence accumulates live. *)
     let on_result ~task ~key:_ ~run:_ =
       Obs.Span.log ~level:Obs.Trace.Debug
         (Printf.sprintf "evidence: profiled %s" task.Cluster.Task.program)
     in
-    with_cluster ?store ~on_result cluster @@ fun backend ->
+    dataset_run obs store cluster ~on_result
+      ~banner:
+        (Printf.sprintf
+           "collecting evidence (%d configurations x %d settings)..."
+           scale.Ml_model.Dataset.n_uarchs scale.Ml_model.Dataset.n_opts)
+    @@ fun store backend ->
     let dataset =
       Ml_model.Dataset.generate ?store ?backend
         ~progress:(fun m -> Obs.Span.log m)
@@ -1696,18 +1627,18 @@ let evidence_cmd =
           $ cluster_term)
 
 let registry_publish_cmd =
-  let run dir evidence parent channel k beta objective =
+  let run dir evidence parent channel k beta objective created =
     let reg = Registry.open_ ~dir in
     let records =
       match Registry.Evidence.read ~path:evidence with
       | Ok r -> r
-      | Error e -> registry_fail "%s" e
+      | Error e -> fail ~code:1 "%s" e
     in
     match
       Registry.publish ?k ?beta ?parent ?channel ~objective
-        ~created:(created_unix ()) reg records
+        ~created:(created ()) reg records
     with
-    | Error e -> registry_fail "%s" e
+    | Error e -> fail ~code:1 "%s" e
     | Ok l ->
       Printf.printf "published %s: %d pairs, %d records%s\n"
         l.Registry.l_id l.Registry.l_pairs l.Registry.l_records
@@ -1746,11 +1677,17 @@ let registry_publish_cmd =
   in
   let k =
     Arg.(value & opt (some int) None
-         & info [ "k" ] ~doc:"Neighbour count (default: the model's 5).")
+         & info [ "k" ]
+             ~doc:
+               (Printf.sprintf "Neighbour count (default: %d)."
+                  Ml_model.Model.default_k))
   in
   let beta =
     Arg.(value & opt (some float) None
-         & info [ "beta" ] ~doc:"Softmax sharpness (default: 10).")
+         & info [ "beta" ]
+             ~doc:
+               (Printf.sprintf "Softmax sharpness (default: %g)."
+                  Ml_model.Model.default_beta))
   in
   let objective =
     Arg.(value & opt objective_conv Objective.Spec.default
@@ -1767,13 +1704,13 @@ let registry_publish_cmd =
     (Cmd.info "publish"
        ~doc:"Train a version from an evidence ledger and store it")
     Term.(const run $ registry_dir_arg $ evidence $ parent $ channel $ k
-          $ beta $ objective)
+          $ beta $ objective $ created_term)
 
 let registry_list_cmd =
   let run dir =
-    let reg = Registry.open_ ~dir in
+    let reg = open_existing "registry" Registry.open_ dir in
     match Registry.versions reg with
-    | Error e -> registry_fail "%s" e
+    | Error e -> fail ~code:1 "%s" e
     | Ok versions ->
       let channels = Registry.channels reg in
       let names_of id =
@@ -1809,9 +1746,9 @@ let registry_list_cmd =
 
 let registry_resolve_cmd =
   let run dir ref_ =
-    let reg = Registry.open_ ~dir in
+    let reg = open_existing "registry" Registry.open_ dir in
     match Registry.resolve_id reg ref_ with
-    | Error e -> registry_fail "%s" e
+    | Error e -> fail ~code:1 "%s" e
     | Ok id -> Printf.printf "%s %s\n" id (Registry.object_path reg id)
   in
   let ref_ =
@@ -1826,9 +1763,9 @@ let registry_resolve_cmd =
 
 let registry_gc_cmd =
   let run dir dry_run =
-    let reg = Registry.open_ ~dir in
+    let reg = open_existing "registry" Registry.open_ dir in
     match Registry.gc ~dry_run reg with
-    | Error e -> registry_fail "%s" e
+    | Error e -> fail ~code:1 "%s" e
     | Ok (deleted, kept) ->
       List.iter
         (fun id ->
@@ -1884,94 +1821,40 @@ let registry_cmd =
 let promote_cmd =
   let run obs dir address min_requests max_regression force =
     obs ();
+    let reg = open_existing "registry" Registry.open_ dir in
     let client = connect_or_exit address in
     Fun.protect
       ~finally:(fun () -> Serve.Client.close client)
       (fun () ->
-        let health =
-          match Serve.Client.health client with
-          | Ok h -> h
-          | Error (code, msg) -> registry_fail "server error %d: %s" code msg
+        let p =
+          match Serve.Top.fetch client with
+          | Error (code, msg) -> fail ~code:1 "server error %d: %s" code msg
+          | Ok sample -> (
+            match
+              Serve.Top.promotion ~min_requests ~max_regression ~force sample
+            with
+            | Ok p -> p
+            | Error e -> fail ~code:1 "%s" e)
         in
-        let member path j =
-          let rec go j = function
-            | [] -> Some j
-            | k :: rest ->
-              Option.bind (Obs.Json.member k j) (fun v -> go v rest)
-          in
-          go j path
+        let show name (a : Serve.Top.arm) =
+          Printf.printf "%-9s %s  requests %-6d %s\n" name a.version
+            a.requests
+            (match a.p99 with
+            | Some v -> Printf.sprintf "p99 %8.3f ms" (v *. 1e3)
+            | None -> "p99 (no samples)")
         in
-        let str path j = Option.bind (member path j) Obs.Json.to_str in
-        let stable_version =
-          match str [ "model"; "version" ] health with
-          | Some v -> v
-          | None -> registry_fail "health report carries no model version"
-        in
-        let candidate_version =
-          match str [ "ab"; "candidate"; "version" ] health with
-          | Some v -> v
-          | None ->
-            registry_fail
-              "server has no candidate arm (serve --registry --ab)"
-        in
-        let metrics =
-          match Serve.Client.metrics client with
-          | Ok m -> m
-          | Error (code, msg) -> registry_fail "server error %d: %s" code msg
-        in
-        let counter name =
-          Option.value ~default:0
-            (Option.bind (member [ "counters"; name ] metrics) Obs.Json.to_int)
-        in
-        let p99 name =
-          Option.bind
-            (member [ "histograms"; name ] metrics)
-            (fun h -> Obs.Metrics.quantile_of_json h 0.99)
-        in
-        let s_req = counter "serve.ab.stable.requests" in
-        let c_req = counter "serve.ab.candidate.requests" in
-        let s_p99 = p99 "serve.ab.stable.seconds" in
-        let c_p99 = p99 "serve.ab.candidate.seconds" in
-        let show l = function
-          | Some v -> Printf.sprintf "%s %8.3f ms" l (v *. 1e3)
-          | None -> Printf.sprintf "%s (no samples)" l
-        in
-        Printf.printf "stable    %s  requests %-6d %s\n" stable_version s_req
-          (show "p99" s_p99);
-        Printf.printf "candidate %s  requests %-6d %s\n" candidate_version
-          c_req (show "p99" c_p99);
-        let verdict =
-          if stable_version = candidate_version then
-            Error "candidate is already the stable version"
-          else if c_req < min_requests && not force then
-            Error
-              (Printf.sprintf
-                 "candidate served %d requests, need %d (or --force)" c_req
-                 min_requests)
-          else
-            match (s_p99, c_p99) with
-            | _, None when not force ->
-              Error "candidate arm has no latency samples (or --force)"
-            | Some s, Some c
-              when c > s *. (1.0 +. max_regression) && not force ->
-              Error
-                (Printf.sprintf
-                   "candidate p99 regresses %.1f%% over stable (budget \
-                    %.1f%%; --force overrides)"
-                   ((c /. s -. 1.0) *. 100.)
-                   (max_regression *. 100.))
-            | _ -> Ok ()
-        in
-        match verdict with
+        show "stable" p.stable;
+        show "candidate" p.candidate;
+        match p.verdict with
         | Error why ->
           Printf.printf "not promoted: %s\n" why;
           exit 3
         | Ok () -> (
-          let reg = Registry.open_ ~dir in
-          match Registry.set_channel reg ~name:"stable" ~id:candidate_version with
-          | Error e -> registry_fail "%s" e
+          let id = p.candidate.version in
+          match Registry.set_channel reg ~name:"stable" ~id with
+          | Error e -> fail ~code:1 "%s" e
           | Ok () ->
-            Printf.printf "promoted: stable -> %s\n" candidate_version;
+            Printf.printf "promoted: stable -> %s\n" id;
             (* Nudge the server; with --watch it would also pick the
                pointer move up on its own.  Failure to reload is not a
                promotion failure. *)

@@ -703,30 +703,3 @@ let evaluate ?tick ?on_result t groups =
           | None -> assert false)
         settings)
     groups
-
-(* ---- admin client ----------------------------------------------------- *)
-
-let query_metrics address =
-  match
-    let fd = Net.Addr.connect address in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        match
-          Net.Codec.write fd Net.Codec.Binary
-            (J.to_string (Wire.to_coordinator_to_json Wire.Metrics_query))
-        with
-        | Error e -> Error ("cluster metrics: " ^ Net.Codec.error_to_string e)
-        | Ok () -> (
-          let reader = Net.Codec.reader ~max_frame:Wire.max_frame fd in
-          match Net.Codec.read reader with
-          | Error e -> Error ("cluster metrics: " ^ Net.Codec.error_to_string e)
-          | Ok (_mode, line) -> (
-            match Result.bind (J.of_string line) Wire.to_worker_of_json with
-            | Ok (Wire.Metrics { snapshot }) -> Ok snapshot
-            | Ok _ -> Error "cluster metrics: unexpected reply"
-            | Error e -> Error ("cluster metrics: " ^ e))))
-  with
-  | r -> r
-  | exception Unix.Unix_error (e, _, _) ->
-    Error ("cluster metrics: " ^ Unix.error_message e)

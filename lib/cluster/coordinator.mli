@@ -99,8 +99,3 @@ val stop : t -> unit
 val shutdown : t -> unit
 (** {!stop}, then block until the drain completes and the loop thread
     is joined.  Idempotent. *)
-
-val query_metrics : Net.Addr.t -> (Obs.Json.t, string) result
-(** Admin client for [portopt metrics --cluster]: connect to a running
-    coordinator, send a [metrics_query] and return the live
-    {!Obs.Metrics.snapshot} — without registering as a worker. *)

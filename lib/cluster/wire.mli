@@ -66,3 +66,8 @@ val to_coordinator_to_json : to_coordinator -> Obs.Json.t
 val to_coordinator_of_json : Obs.Json.t -> (to_coordinator, string) result
 val to_worker_to_json : to_worker -> Obs.Json.t
 val to_worker_of_json : Obs.Json.t -> (to_worker, string) result
+
+val query_metrics : Net.Addr.t -> (Obs.Json.t, string) result
+(** Admin client for [portopt metrics --cluster]: connect to a running
+    coordinator, send a [metrics_query] and return the live
+    {!Obs.Metrics.snapshot} — without registering as a worker. *)

@@ -14,25 +14,19 @@ let fetch client =
 
 (* ---- accessors -------------------------------------------------------- *)
 
-let geti path j =
-  let rec go j = function
-    | [] -> J.to_int j
-    | k :: rest -> ( match J.member k j with Some v -> go v rest | None -> None)
-  in
-  Option.value ~default:0 (go j path)
+(* The one walk from a health or metrics document down a path of member
+   names; every read of either document goes through it. *)
+let walk path j =
+  List.fold_left (fun j k -> Option.bind j (J.member k)) (Some j) path
+
+let geti path j = Option.value ~default:0 (Option.bind (walk path j) J.to_int)
 
 let getf path j =
-  let rec go j = function
-    | [] -> J.to_float j
-    | k :: rest -> ( match J.member k j with Some v -> go v rest | None -> None)
-  in
-  Option.value ~default:0.0 (go j path)
+  Option.value ~default:0.0 (Option.bind (walk path j) J.to_float)
 
 let request_hist s =
   Option.value ~default:(J.Obj [ ("count", J.Int 0) ])
-    (Option.bind
-       (J.member "histograms" s.metrics)
-       (J.member "serve.request.seconds"))
+    (walk [ "histograms"; "serve.request.seconds" ] s.metrics)
 
 (* ---- rendering -------------------------------------------------------- *)
 
@@ -44,7 +38,7 @@ let fmt_quantiles label h =
   | Some p50 ->
     let q p = Option.value ~default:nan (Obs.Metrics.quantile_of_json h p) in
     let hmax =
-      Option.value ~default:nan (Option.bind (J.member "max" h) J.to_float)
+      Option.value ~default:nan (Option.bind (walk [ "max" ] h) J.to_float)
     in
     Printf.sprintf
       "latency  %-12s p50 %8.3fms  p90 %8.3fms  p99 %8.3fms  max %8.3fms"
@@ -60,7 +54,7 @@ let render ?prev (cur : sample) ~address =
   let hits = hi [ "cache"; "hits" ] and misses = hi [ "cache"; "misses" ] in
   out "portopt top — %s    uptime %.1fs    stopping %s\n" address
     (getf [ "uptime_s" ] cur.health)
-    (match J.member "stopping" cur.health with
+    (match walk [ "stopping" ] cur.health with
     | Some (J.Bool true) -> "true"
     | _ -> "false");
   (match prev with
@@ -138,3 +132,59 @@ let render ?prev (cur : sample) ~address =
     | None -> ())
   | None -> ());
   Buffer.contents b
+
+(* ---- promotion gate --------------------------------------------------- *)
+
+type arm = { version : string; requests : int; p99 : float option }
+
+type promotion = {
+  stable : arm;
+  candidate : arm;
+  verdict : (unit, string) result;
+}
+
+let promotion ~min_requests ~max_regression ~force s =
+  let version path = Option.bind (walk path s.health) J.to_str in
+  let arm version requests seconds =
+    {
+      version;
+      requests = geti [ "counters"; requests ] s.metrics;
+      p99 =
+        Option.bind
+          (walk [ "histograms"; seconds ] s.metrics)
+          (fun h -> Obs.Metrics.quantile_of_json h 0.99);
+    }
+  in
+  match
+    (version [ "model"; "version" ], version [ "ab"; "candidate"; "version" ])
+  with
+  | None, _ -> Error "health report carries no model version"
+  | Some _, None -> Error "server has no candidate arm (serve --registry --ab)"
+  | Some stable, Some candidate ->
+    let stable =
+      arm stable "serve.ab.stable.requests" "serve.ab.stable.seconds"
+    and candidate =
+      arm candidate "serve.ab.candidate.requests" "serve.ab.candidate.seconds"
+    in
+    let verdict =
+      if stable.version = candidate.version then
+        Error "candidate is already the stable version"
+      else if candidate.requests < min_requests && not force then
+        Error
+          (Printf.sprintf "candidate served %d requests, need %d (or --force)"
+             candidate.requests min_requests)
+      else
+        match (stable.p99, candidate.p99) with
+        | _, None when not force ->
+          Error "candidate arm has no latency samples (or --force)"
+        | Some s, Some c when c > s *. (1.0 +. max_regression) && not force
+          ->
+          Error
+            (Printf.sprintf
+               "candidate p99 regresses %.1f%% over stable (budget %.1f%%; \
+                --force overrides)"
+               ((c /. s -. 1.0) *. 100.)
+               (max_regression *. 100.))
+        | _ -> Ok ()
+    in
+    Ok { stable; candidate; verdict }

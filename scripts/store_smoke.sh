@@ -7,8 +7,9 @@
 # read as a miss by train.  A cold `crossval --store` must interpret
 # each setting once and leave the same store at one and two domains.
 # Also regression checks for graceful one-line CLI errors on missing or
-# truncated input files, bad arguments and REPRO_* values, and a usage
-# error that must leave no trace file or store behind.
+# truncated input files, bad arguments, REPRO_* and SOURCE_DATE_EPOCH
+# values and missing registries, and usage errors that must leave no
+# trace file, store or registry behind.
 #
 # Invokes the built binary directly rather than via `dune exec`:
 # concurrent `dune exec` processes would contend on the build lock.
@@ -116,22 +117,29 @@ if "$BIN" predict --model "$DIR/empty.pcm" qsort >"$DIR/err4.out" 2>&1; then
 fi
 test "$(wc -l <"$DIR/err4.out")" -eq 1
 
-# A usage error (train without -o) leaves neither the trace file nor
-# the store directory behind: both are opened only once every argument
-# has parsed.
-if "$BIN" train --trace "$DIR/usage.jsonl" --store "$DIR/usage_store" \
-  >"$DIR/err5.out" 2>&1; then
-  echo "store-smoke: train without -o should fail" >&2
-  exit 1
-fi
-if [ -e "$DIR/usage.jsonl" ] || [ -e "$DIR/usage_store" ]; then
-  echo "store-smoke: a usage error left a trace file or a store behind" >&2
-  exit 1
-fi
+# A usage error (train without -o, a bad chaos spec, a bad worker
+# address) leaves neither the trace file nor the store directory
+# behind: both are opened only once every argument has parsed and been
+# checked.
+for args in "train" "train --workers 1 --chaos bogus -o $DIR/bad.pcm" \
+  "worker --connect nope"; do
+  # shellcheck disable=SC2086
+  if "$BIN" $args --trace "$DIR/usage.jsonl" --store "$DIR/usage_store" \
+    >"$DIR/err5.out" 2>&1; then
+    echo "store-smoke: '$args' should fail" >&2
+    exit 1
+  fi
+  if [ -e "$DIR/usage.jsonl" ] || [ -e "$DIR/usage_store" ]; then
+    echo "store-smoke: '$args' left a trace file or a store behind" >&2
+    exit 1
+  fi
+done
 
-# A bad microarchitecture, an unknown program, a nonpositive scale and
-# a bad REPRO_* value: one diagnostic line and a nonzero exit before any
-# work (no artifact), never an uncaught exception.
+# A bad microarchitecture, an unknown program, a nonpositive scale, a
+# bad REPRO_* or SOURCE_DATE_EPOCH value, bad cluster options and a
+# registry reader pointed at a missing directory: one diagnostic line
+# and a nonzero exit before any work (no artifact), never an uncaught
+# exception.
 for args in "$BIN run qsort --il1-kb 3" "$BIN run nosuchprog" \
   "$BIN train --train-uarchs 0 --train-opts 1 -o $DIR/bad.pcm" \
   "$BIN train --train-opts 0 -o $DIR/bad.pcm" \
@@ -139,7 +147,14 @@ for args in "$BIN run qsort --il1-kb 3" "$BIN run nosuchprog" \
   "$BIN predict qsort --train-uarchs 0" \
   "REPRO_UARCHS=0 $BIN train -o $DIR/bad.pcm" \
   "REPRO_SEED=abc $BIN crossval" \
-  "REPRO_JOBS=0 $BIN train -o $DIR/bad.pcm"; do
+  "REPRO_JOBS=0 $BIN train -o $DIR/bad.pcm" \
+  "$BIN train --workers 1 --lease-size 0 -o $DIR/bad.pcm" \
+  "$BIN crossval --workers 1 --lease-timeout 0" \
+  "$BIN train --workers 1 --chaos bogus -o $DIR/bad.pcm" \
+  "$BIN train --cluster-listen nope -o $DIR/bad.pcm" \
+  "SOURCE_DATE_EPOCH=abc REPRO_UARCHS=1 REPRO_OPTS=1 $BIN train -o $DIR/bad.pcm" \
+  "$BIN registry list --dir $DIR/no_such_registry" \
+  "$BIN registry gc --dir $DIR/no_such_registry"; do
   rc=0
   # shellcheck disable=SC2086
   env $args >"$DIR/err6.out" 2>&1 || rc=$?
@@ -150,6 +165,11 @@ for args in "$BIN run qsort --il1-kb 3" "$BIN run nosuchprog" \
     exit 1
   fi
 done
+# Reading a registry never creates one.
+if [ -e "$DIR/no_such_registry" ]; then
+  echo "store-smoke: a registry reader created $DIR/no_such_registry" >&2
+  exit 1
+fi
 # The microarchitecture message names the option it rejects.
 if ! "$BIN" run qsort --il1-kb 3 2>&1 | grep -q -- "'--il1-kb'"; then
   echo "store-smoke: the --il1-kb error does not name the option" >&2

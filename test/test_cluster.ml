@@ -612,6 +612,131 @@ let test_worker_gives_up_when_no_coordinator () =
   check Alcotest.string "lost" "lost"
     (Cluster.Worker.outcome_to_string (Cluster.Worker.run wc))
 
+(* ---- the local-cluster harness ----------------------------------------- *)
+
+let harness_options ?listen workers =
+  { Cluster.Harness.workers; listen; lease_size = 2; lease_timeout_s = 2.0 }
+
+(* Launch worker [i] on a thread; its reaper stops it and joins it.
+   [launched] counts launches and [reaped] counts reapers run. *)
+let thread_launcher () =
+  let launched = Atomic.make 0 and reaped = Atomic.make 0 in
+  let launch ~connect i =
+    Atomic.incr launched;
+    let stop = Atomic.make false in
+    let wc =
+      {
+        (Cluster.Worker.config ~connect ~name:(Printf.sprintf "h%d" i)) with
+        Cluster.Worker.heartbeat_s = 0.2;
+      }
+    in
+    let run () =
+      ignore (Cluster.Worker.run ~stop:(fun () -> Atomic.get stop) wc)
+    in
+    let th = Thread.create run () in
+    fun () ->
+      Atomic.set stop true;
+      Thread.join th;
+      Atomic.incr reaped
+  in
+  (launch, launched, reaped)
+
+(* Run [f] with marker handlers installed for SIGINT and SIGTERM, and
+   the original handlers back afterwards.  [f] gets a predicate telling
+   whether both markers are installed right now. *)
+let with_marker_handlers f =
+  let marker _ = () in
+  let installed () =
+    List.for_all
+      (fun s ->
+        let h = Sys.signal s Sys.Signal_default in
+        Sys.set_signal s h;
+        match h with Sys.Signal_handle g -> g == marker | _ -> false)
+      [ Sys.sigint; Sys.sigterm ]
+  in
+  let prev_int = Sys.signal Sys.sigint (Sys.Signal_handle marker) in
+  let prev_term = Sys.signal Sys.sigterm (Sys.Signal_handle marker) in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigint prev_int;
+      Sys.set_signal Sys.sigterm prev_term)
+    (fun () -> f installed)
+
+let test_harness_matches_local () =
+  let rng = Prelude.Rng.create 71 in
+  let groups = grid rng in
+  let expected = ground_truth groups in
+  let launch, launched, reaped = thread_launcher () in
+  let keys = ref [] and lock = Mutex.create () in
+  let on_result ~task:_ ~key ~run:_ =
+    Mutex.protect lock (fun () -> keys := key :: !keys)
+  in
+  with_marker_handlers (fun installed ->
+      let got =
+        Cluster.Harness.run ~on_result ~launch (harness_options 2)
+          (fun evaluate ->
+            check Alcotest.bool "drain handlers installed" false
+              (installed ());
+            match evaluate with
+            | Some evaluate -> evaluate groups
+            | None -> Alcotest.fail "no evaluator with two workers")
+      in
+      (match got with
+      | Ok got -> check_results_identical expected got
+      | Error e -> Alcotest.failf "harness failed: %s" e);
+      check Alcotest.bool "handlers restored" true (installed ()));
+  check Alcotest.int "workers launched" 2 (Atomic.get launched);
+  check Alcotest.int "workers reaped" 2 (Atomic.get reaped);
+  (* 2 programs x 3 distinct settings: six tasks, one call each. *)
+  check Alcotest.int "on_result calls" 6 (List.length !keys);
+  check Alcotest.int "distinct keys" 6
+    (List.length (List.sort_uniq compare !keys))
+
+let test_harness_restores_handlers_on_raise () =
+  let launch, launched, _ = thread_launcher () in
+  let listen = Net.Addr.Unix_path (tmp_path "harness_raise.sock") in
+  with_marker_handlers (fun installed ->
+      (match
+         Cluster.Harness.run ~launch (harness_options ~listen 0) (fun e ->
+             check Alcotest.bool "an evaluator" true (e <> None);
+             check Alcotest.bool "drain handlers installed" false
+               (installed ());
+             raise Exit)
+       with
+      | _ -> Alcotest.fail "the callback's exception was swallowed"
+      | exception Exit -> ());
+      check Alcotest.bool "handlers restored" true (installed ()));
+  check Alcotest.int "no worker launched" 0 (Atomic.get launched)
+
+let test_harness_no_cluster () =
+  let launch, launched, _ = thread_launcher () in
+  with_marker_handlers (fun installed ->
+      match
+        Cluster.Harness.run ~launch (harness_options 0) (fun e ->
+            check Alcotest.bool "no evaluator" true (e = None);
+            check Alcotest.bool "handlers untouched" true (installed ());
+            42)
+      with
+      | Ok v -> check Alcotest.int "callback result" 42 v
+      | Error e -> Alcotest.failf "harness failed: %s" e);
+  check Alcotest.int "no worker launched" 0 (Atomic.get launched)
+
+let test_harness_listen_failure () =
+  let launch, launched, _ = thread_launcher () in
+  let listen =
+    Net.Addr.Unix_path (Filename.concat (tmp_path "no_such_dir") "c.sock")
+  in
+  (match
+     Cluster.Harness.run ~launch (harness_options ~listen 2) (fun _ ->
+         Alcotest.fail "the callback ran without a coordinator")
+   with
+  | Ok () -> Alcotest.fail "listening in a missing directory succeeded"
+  | Error e ->
+    let prefix = "cannot listen on " ^ Net.Addr.to_string listen in
+    check Alcotest.bool "names the address" true
+      (String.starts_with ~prefix e));
+  check Alcotest.int "no worker launched" 0 (Atomic.get launched)
+
 let () =
   Alcotest.run "cluster"
     [
@@ -668,5 +793,16 @@ let () =
         [
           Alcotest.test_case "gives up without a coordinator" `Quick
             test_worker_gives_up_when_no_coordinator;
+        ] );
+      ( "harness",
+        [
+          Alcotest.test_case "matches local, once per task" `Slow
+            test_harness_matches_local;
+          Alcotest.test_case "restores handlers when the callback raises"
+            `Quick test_harness_restores_handlers_on_raise;
+          Alcotest.test_case "no workers, no listen: no coordinator" `Quick
+            test_harness_no_cluster;
+          Alcotest.test_case "cannot listen: Error, nothing launched" `Quick
+            test_harness_listen_failure;
         ] );
     ]

@@ -1649,30 +1649,32 @@ let test_server_metrics_op () =
             check_error_mentions ~msg:"prom quantile"
               "serve_request_seconds_quantile{quantile=\"0.99\"}" body))
 
-let test_top_render_synthetic () =
-  let hist samples =
-    let counts = Hashtbl.create 16 in
-    List.iter
-      (fun s ->
-        let i = Obs.Metrics.bucket_index s in
-        Hashtbl.replace counts i
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts i)))
-      samples;
-    let buckets =
-      List.map
-        (fun (i, c) -> J.List [ J.Int i; J.Int c ])
-        (List.sort compare (Hashtbl.fold (fun i c acc -> (i, c) :: acc) counts []))
-    in
-    J.Obj
-      [
-        ("count", J.Int (List.length samples));
-        ("sum", J.Float (List.fold_left ( +. ) 0.0 samples));
-        ("min", J.Float (List.fold_left Float.min Float.infinity samples));
-        ("max", J.Float (List.fold_left Float.max 0.0 samples));
-        ("scheme", J.Str Obs.Metrics.scheme);
-        ("buckets", J.List buckets);
-      ]
+(* A histogram's JSON snapshot holding [samples], as the metrics op
+   reports it. *)
+let hist samples =
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun s ->
+      let i = Obs.Metrics.bucket_index s in
+      Hashtbl.replace counts i
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts i)))
+    samples;
+  let buckets =
+    List.map
+      (fun (i, c) -> J.List [ J.Int i; J.Int c ])
+      (List.sort compare (Hashtbl.fold (fun i c acc -> (i, c) :: acc) counts []))
   in
+  J.Obj
+    [
+      ("count", J.Int (List.length samples));
+      ("sum", J.Float (List.fold_left ( +. ) 0.0 samples));
+      ("min", J.Float (List.fold_left Float.min Float.infinity samples));
+      ("max", J.Float (List.fold_left Float.max 0.0 samples));
+      ("scheme", J.Str Obs.Metrics.scheme);
+      ("buckets", J.List buckets);
+    ]
+
+let test_top_render_synthetic () =
   let health ~requests ~shed ~hits ~misses =
     J.Obj
       [
@@ -1732,6 +1734,125 @@ let test_top_render_synthetic () =
      upper bound back to the window's 50 ms max. *)
   check_error_mentions ~msg:"window median is the 50ms mode" "p50   50.000ms"
     window_line
+
+(* ---- promotion gate ----------------------------------------------------- *)
+
+(* One sample of an A/B server: stable version "aaaa" with 100 requests
+   at [stable_s] seconds each, and a candidate arm (unless [candidate]
+   is [None]) with [requests] requests at [candidate_s] seconds each. *)
+let ab_sample ?(candidate = Some "bbbb") ~requests ~stable_s ~candidate_s () =
+  let samples n s = if s = 0.0 then [] else List.init n (fun _ -> s) in
+  let health =
+    J.Obj
+      (("model", J.Obj [ ("version", J.Str "aaaa") ])
+       ::
+       (match candidate with
+       | None -> []
+       | Some v ->
+         [
+           ( "ab",
+             J.Obj
+               [
+                 ("split", J.Float 0.5);
+                 ("candidate", J.Obj [ ("version", J.Str v) ]);
+               ] );
+         ]))
+  in
+  let metrics =
+    J.Obj
+      [
+        ( "counters",
+          J.Obj
+            [
+              ("serve.ab.stable.requests", J.Int 100);
+              ("serve.ab.candidate.requests", J.Int requests);
+            ] );
+        ( "histograms",
+          J.Obj
+            [
+              ("serve.ab.stable.seconds", hist (samples 100 stable_s));
+              ( "serve.ab.candidate.seconds",
+                hist (samples requests candidate_s) );
+            ] );
+      ]
+  in
+  { Serve.Top.at = 0.0; health; metrics }
+
+let promote ?(force = false) sample =
+  match
+    Serve.Top.promotion ~min_requests:20 ~max_regression:0.1 ~force sample
+  with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "the sample cannot be judged: %s" e
+
+let check_verdict ~msg expected (p : Serve.Top.promotion) =
+  check Alcotest.(result unit string) msg expected p.verdict
+
+let test_promotion_same_version () =
+  let s =
+    ab_sample ~candidate:(Some "aaaa") ~requests:50 ~stable_s:0.01
+      ~candidate_s:0.01 ()
+  in
+  let refused = Error "candidate is already the stable version" in
+  check_verdict ~msg:"refused" refused (promote s);
+  check_verdict ~msg:"force does not override" refused (promote ~force:true s)
+
+let test_promotion_too_few_requests () =
+  let s = ab_sample ~requests:19 ~stable_s:0.01 ~candidate_s:0.01 () in
+  let p = promote s in
+  check Alcotest.int "candidate requests" 19 p.candidate.requests;
+  check Alcotest.int "stable requests" 100 p.stable.requests;
+  check_verdict ~msg:"refused"
+    (Error "candidate served 19 requests, need 20 (or --force)")
+    p;
+  check_verdict ~msg:"force overrides" (Ok ()) (promote ~force:true s)
+
+let test_promotion_no_latency_samples () =
+  let s = ab_sample ~requests:50 ~stable_s:0.01 ~candidate_s:0.0 () in
+  let p = promote s in
+  check Alcotest.(option (float 0.0)) "no candidate p99" None p.candidate.p99;
+  check_verdict ~msg:"refused"
+    (Error "candidate arm has no latency samples (or --force)")
+    p;
+  check_verdict ~msg:"force overrides" (Ok ()) (promote ~force:true s)
+
+let test_promotion_p99_regression () =
+  let s = ab_sample ~requests:50 ~stable_s:0.01 ~candidate_s:0.02 () in
+  let p = promote s in
+  (* Every sample of an arm is equal, so its p99 is that sample. *)
+  check Alcotest.(option (float 0.0)) "stable p99" (Some 0.01) p.stable.p99;
+  check Alcotest.(option (float 0.0)) "candidate p99" (Some 0.02)
+    p.candidate.p99;
+  check_verdict ~msg:"refused"
+    (Error
+       "candidate p99 regresses 100.0% over stable (budget 10.0%; --force \
+        overrides)")
+    p;
+  check_verdict ~msg:"force overrides" (Ok ()) (promote ~force:true s)
+
+let test_promotion_passes () =
+  let s = ab_sample ~requests:20 ~stable_s:0.02 ~candidate_s:0.01 () in
+  let p = promote s in
+  check Alcotest.string "stable version" "aaaa" p.stable.version;
+  check Alcotest.string "candidate version" "bbbb" p.candidate.version;
+  check_verdict ~msg:"passes" (Ok ()) p;
+  (* A sample without a candidate arm, or without a model version,
+     cannot be judged at all. *)
+  let unjudged s =
+    match
+      Serve.Top.promotion ~min_requests:20 ~max_regression:0.1 ~force:true s
+    with
+    | Ok _ -> None
+    | Error e -> Some e
+  in
+  check Alcotest.(option string) "no candidate arm"
+    (Some "server has no candidate arm (serve --registry --ab)")
+    (unjudged
+       (ab_sample ~candidate:None ~requests:20 ~stable_s:0.02 ~candidate_s:0.01
+          ()));
+  check Alcotest.(option string) "no model version"
+    (Some "health report carries no model version")
+    (unjudged { s with health = J.Obj [] })
 
 let test_server_graceful_drain () =
   let artifact = artifact_of (Lazy.force dataset42) in
@@ -2383,5 +2504,18 @@ let () =
         [
           Alcotest.test_case "a loaded model shares rows as trained" `Slow
             test_artifact_shares_rows;
+        ] );
+      ( "promote",
+        [
+          Alcotest.test_case "same version: refused, even forced" `Quick
+            test_promotion_same_version;
+          Alcotest.test_case "too few requests: refused unless forced" `Quick
+            test_promotion_too_few_requests;
+          Alcotest.test_case "no latency samples: refused unless forced"
+            `Quick test_promotion_no_latency_samples;
+          Alcotest.test_case "p99 regression: refused unless forced" `Quick
+            test_promotion_p99_regression;
+          Alcotest.test_case "a pass, and unjudgeable samples" `Quick
+            test_promotion_passes;
         ] );
     ]

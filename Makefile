@@ -6,11 +6,13 @@
 # cross-validation and every ablation row run on the domain pool, and
 # their tables must be bit-identical at any job count, so parallel
 # regressions surface in a minute rather than in a full bench run;
-# `trace-smoke` runs a tiny
-# traced bench and validates the JSONL against the schema via
-# `portopt report` (see docs/observability.md); `serve-smoke` does a
-# full train -> serve -> concurrent query -> shutdown round trip
-# against a real server process (see docs/serving.md); `index-smoke`
+# `trace-smoke` runs a tiny traced bench, validates the JSONL against
+# the schema via `portopt report` and checks the report: zero orphan
+# spans, the `bench.summary` and `crossval.run` rows of its span table
+# and `interp.runs` among its counters (see docs/observability.md);
+# `serve-smoke` does a full train -> serve -> concurrent query ->
+# shutdown round trip against a real server process (see
+# docs/serving.md); `index-smoke`
 # serves a tiny model and diffs its single and batch answers against
 # `portopt predict --model` in-process — the served kNN search must be
 # byte-identical (see docs/model.md); `store-smoke`
@@ -72,7 +74,12 @@ trace-smoke:
 	mkdir -p results
 	REPRO_UARCHS=4 REPRO_OPTS=20 REPRO_JOBS=4 dune exec bench/main.exe -- \
 	  summary --trace results/trace_smoke.jsonl --json results/BENCH_smoke.json
-	dune exec bin/portopt.exe -- report results/trace_smoke.jsonl
+	dune exec bin/portopt.exe -- report results/trace_smoke.jsonl \
+	  > results/trace_smoke_report.txt
+	grep -q '^orphan spans: 0$$' results/trace_smoke_report.txt
+	grep -Eq '^  bench\.summary +[0-9]+ ' results/trace_smoke_report.txt
+	grep -Eq '^  crossval\.run +[0-9]+ ' results/trace_smoke_report.txt
+	grep -Eq '^  interp\.runs +[1-9]' results/trace_smoke_report.txt
 
 serve-smoke:
 	dune build bin/portopt.exe

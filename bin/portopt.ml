@@ -16,8 +16,8 @@
     - [worker]   serve cluster evaluation leases for a train/crossval
                  coordinator (see --workers on train/crossval)
     - [flags]    show the optimisation dimensions and the -O3 defaults
-    - [report]   validate and summarise JSONL run traces; several files
-                 stitch into one cross-process causal tree
+    - [report]   validate JSONL run traces and stitch them, one file or
+                 many, into one report: causal tree, time by span name
     - [metrics]  fetch a live metrics snapshot from a server or cluster
                  coordinator (JSON or Prometheus text exposition)
     - [top]      polling dashboard over a running prediction server
@@ -1379,40 +1379,36 @@ let report_cmd =
         exit 1
       | Ok events -> (file, events)
     in
-    match files with
-    | [] -> fail ~code:2 "report needs at least one TRACE file"
-    | [ file ] ->
-      let _, events = load file in
-      print_string (Obs.Trace.summarise events)
-    | files -> print_string (Obs.Stitch.render (Obs.Stitch.stitch (List.map load files)))
+    match Obs.Stitch.stitch (List.map load files) with
+    | Ok t -> print_string (Obs.Stitch.render t)
+    | Error e -> fail ~code:1 "%s" e
   in
   let files =
-    Arg.(value & pos_all file []
+    Arg.(non_empty & pos_all file []
          & info [] ~docv:"TRACE"
              ~doc:
-               "JSONL trace(s) produced by --trace (or bench --trace).  \
-                One file prints the single-process summary; several are \
-                stitched into one cross-process causal tree.")
+               "JSONL trace(s) produced by --trace (or bench --trace), one \
+                per process.")
   in
   let man =
     [
       `S Manpage.s_description;
       `P
-        "With one file: validate it against the event schema and print \
-         the single-process summary (manifest, per-span wall/CPU \
-         aggregates, final counters and histogram quantiles).";
+        "Validate each file against the event schema, then stitch them \
+         into one causal tree: one file per process, e.g. a traced \
+         $(b,train --workers 2) run's coordinator trace plus its \
+         $(i,*.worker-N.jsonl) siblings.  Spans are keyed by (process, \
+         id); $(i,remote) references (propagated through serve requests \
+         and cluster leases) attach a process's entry spans under their \
+         cross-process parent.  Two files of one process are refused.";
       `P
-        "With several files — e.g. a traced $(b,train --workers 2) run's \
-         coordinator trace plus its $(i,*.worker-N.jsonl) siblings, or a \
-         traced server plus its traced clients — each file is validated, \
-         then the spans are stitched into one causal tree: spans are \
-         keyed by (process, id), local parents resolve within a file and \
-         $(i,remote) references (propagated through serve requests and \
-         cluster leases) attach a process's entry spans under their \
-         cross-process parent.  The report lists every process, any \
-         orphan spans (declared parents that resolve nowhere — zero on a \
-         healthy run), the bounded causal tree, the critical path, \
-         per-process self time and the merged histogram quantiles.";
+        "The report lists each process with its argv and $(b,REPRO_*) \
+         env, any orphan spans (parents that resolve nowhere — zero on \
+         a healthy run), the bounded causal tree, the critical path, \
+         self time per process, spans by name (calls, total, self and \
+         max seconds; self time subtracts children in the same process \
+         only), leaf events by name, the nonzero counters and gauges \
+         and merged histogram quantiles.";
       `P
         "Version-1 traces (written before trace ids) still load: the \
          file name stands in as the process identity.";
@@ -1421,8 +1417,8 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Validate JSONL run traces and print a summary; several files \
-          are stitched into one cross-process causal tree"
+         "Validate JSONL run traces and stitch them into one report: \
+          causal tree and time by span name"
        ~man)
     Term.(const run $ files)
 

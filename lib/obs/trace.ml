@@ -253,143 +253,3 @@ let validate_file path =
             else go (i + 1) rest)
       in
       go 0 events
-
-(* ---- summarising ----------------------------------------------------- *)
-
-type agg = { mutable n : int; mutable total : float; mutable top : float }
-
-let summarise events =
-  let buf = Buffer.create 4096 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let aggregate tbl name dur =
-    let a =
-      match Hashtbl.find_opt tbl name with
-      | Some a -> a
-      | None ->
-        let a = { n = 0; total = 0.0; top = 0.0 } in
-        Hashtbl.replace tbl name a;
-        a
-    in
-    a.n <- a.n + 1;
-    a.total <- a.total +. dur;
-    if dur > a.top then a.top <- dur
-  in
-  let spans = Hashtbl.create 16 and leaves = Hashtbl.create 16 in
-  let manifest = ref None and metrics = ref None and stop_dur = ref None in
-  List.iter
-    (fun record ->
-      let ev = Json.member "ev" record in
-      let name () =
-        Option.value ~default:"?"
-          (Option.bind (Json.member "name" record) Json.to_str)
-      in
-      let dur () =
-        Option.value ~default:0.0
-          (Option.bind (Json.member "dur_s" record) Json.to_float)
-      in
-      match ev with
-      | Some (Json.Str "manifest") -> manifest := Some record
-      | Some (Json.Str "span_end") -> aggregate spans (name ()) (dur ())
-      | Some (Json.Str "event") -> aggregate leaves (name ()) (dur ())
-      | Some (Json.Str "metrics") -> metrics := Json.member "metrics" record
-      | Some (Json.Str "stop") ->
-        stop_dur := Option.bind (Json.member "dur_s" record) Json.to_float
-      | _ -> ())
-    events;
-  (match !manifest with
-  | None -> out "no manifest\n"
-  | Some m ->
-    let str k =
-      Option.value ~default:"?" (Option.bind (Json.member k m) Json.to_str)
-    in
-    let argv =
-      match Json.member "argv" m with
-      | Some (Json.List items) ->
-        String.concat " " (List.filter_map Json.to_str items)
-      | _ -> "?"
-    in
-    out "trace of: %s\n" argv;
-    out "git %s, ocaml %s, %d events" (str "git") (str "ocaml")
-      (List.length events);
-    (match !stop_dur with
-    | Some d -> out ", wall %.2fs\n" d
-    | None -> out " (no stop event: truncated trace)\n");
-    match Json.member "env" m with
-    | Some (Json.Obj ((_ :: _) as env)) ->
-      out "env: %s\n"
-        (String.concat " "
-           (List.map
-              (fun (k, v) ->
-                Printf.sprintf "%s=%s" k (Option.value ~default:"?" (Json.to_str v)))
-              env))
-    | _ -> ());
-  let render title tbl =
-    if Hashtbl.length tbl > 0 then begin
-      let rows = Hashtbl.fold (fun k a acc -> (k, a) :: acc) tbl [] in
-      let rows =
-        List.sort
-          (fun (ka, a) (kb, b) ->
-            match compare b.total a.total with
-            | 0 -> String.compare ka kb
-            | c -> c)
-          rows
-      in
-      out "\n%s\n" title;
-      out "  %-28s %8s %10s %10s %10s\n" "name" "count" "total_s" "mean_s"
-        "max_s";
-      List.iter
-        (fun (name, a) ->
-          out "  %-28s %8d %10.3f %10.6f %10.6f\n" name a.n a.total
-            (a.total /. float_of_int a.n)
-            a.top)
-        rows
-    end
-  in
-  render "spans (from span_end):" spans;
-  render "leaf events:" leaves;
-  (match !metrics with
-  | None -> ()
-  | Some m ->
-    (match Json.member "counters" m with
-    | Some (Json.Obj ((_ :: _) as counters)) ->
-      out "\ncounters:\n";
-      List.iter
-        (fun (k, v) ->
-          out "  %-40s %d\n" k (Option.value ~default:0 (Json.to_int v)))
-        counters
-    | _ -> ());
-    (match Json.member "gauges" m with
-    | Some (Json.Obj ((_ :: _) as gauges)) ->
-      out "\ngauges:\n";
-      List.iter
-        (fun (k, v) ->
-          out "  %-40s %.3f\n" k (Option.value ~default:0.0 (Json.to_float v)))
-        gauges
-    | _ -> ());
-    match Json.member "histograms" m with
-    | Some (Json.Obj ((_ :: _) as hists)) ->
-      out "\nhistograms:\n";
-      out "  %-36s %8s %10s %12s %10s %10s %10s\n" "name" "count" "sum"
-        "mean" "p50" "p90" "p99";
-      List.iter
-        (fun (k, v) ->
-          let f field =
-            Option.value ~default:0.0
-              (Option.bind (Json.member field v) Json.to_float)
-          in
-          (* v1 traces carry no quantiles; print "-" rather than 0. *)
-          let q field =
-            match Option.bind (Json.member field v) Json.to_float with
-            | Some x -> Printf.sprintf "%10.6f" x
-            | None -> Printf.sprintf "%10s" "-"
-          in
-          let count =
-            Option.value ~default:0
-              (Option.bind (Json.member "count" v) Json.to_int)
-          in
-          if count > 0 then
-            out "  %-36s %8d %10.3f %12.6f %s %s %s\n" k count (f "sum")
-              (f "mean") (q "p50") (q "p90") (q "p99"))
-        hists
-    | _ -> ());
-  Buffer.contents buf

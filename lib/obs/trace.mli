@@ -93,8 +93,3 @@ val validate_event : Json.t -> (unit, string) result
 val validate_file : string -> (Json.t list, string) result
 (** {!read_file} plus per-record validation, a leading manifest and
     contiguous ["seq"] numbering. *)
-
-val summarise : Json.t list -> string
-(** Human-readable report over a parsed trace: manifest header,
-    per-span aggregates (count, total/mean/max wall seconds), leaf
-    event aggregates, and final counters/gauges/histograms. *)

@@ -8,8 +8,9 @@
 # each setting once and leave the same store at one and two domains.
 # Also regression checks for graceful one-line CLI errors on missing or
 # truncated input files, bad arguments, REPRO_* and SOURCE_DATE_EPOCH
-# values and missing registries, and usage errors that must leave no
-# trace file, store or registry behind.
+# values and missing registries, a report with no trace or with one
+# process twice, and usage errors that must leave no trace file, store
+# or registry behind.
 #
 # Invokes the built binary directly rather than via `dune exec`:
 # concurrent `dune exec` processes would contend on the build lock.
@@ -95,6 +96,27 @@ test "$(wc -l <"$DIR/err1.out")" -eq 1
 # Missing trace file: report must diagnose, not crash.
 if "$BIN" report "$DIR/no_such_trace.jsonl" >"$DIR/err2.out" 2>&1; then
   echo "store-smoke: report of a missing trace should fail" >&2
+  exit 1
+fi
+
+# No trace file at all: a usage error like any missing argument.
+rc=0
+"$BIN" report >"$DIR/err_report.out" 2>&1 || rc=$?
+if [ "$rc" -ne 124 ]; then
+  echo "store-smoke: report without TRACE exited $rc, expected 124" >&2
+  cat "$DIR/err_report.out" >&2
+  exit 1
+fi
+
+# One process in two files: its spans would collide and its metrics
+# count twice, so report refuses in one line.
+rc=0
+"$BIN" report "$DIR/cv1.jsonl" "$DIR/cv1.jsonl" >"$DIR/err_report.out" 2>&1 \
+  || rc=$?
+if [ "$rc" -ne 1 ] || [ "$(wc -l <"$DIR/err_report.out")" -ne 1 ] \
+  || ! grep -q "both trace process" "$DIR/err_report.out"; then
+  echo "store-smoke: report of one process twice exited $rc with:" >&2
+  cat "$DIR/err_report.out" >&2
   exit 1
 fi
 

@@ -888,9 +888,14 @@ let worker_events ~remote_span =
     span_end ~seq:4 ~id:1 ~dur:2.0 "cluster.lease";
   ]
 
+let stitch_ok traces =
+  match Obs.Stitch.stitch traces with
+  | Ok t -> t
+  | Error e -> Alcotest.failf "stitch refused: %s" e
+
 let test_stitch_joins_remote_parents () =
   let t =
-    Obs.Stitch.stitch
+    stitch_ok
       [
         ("coord.jsonl", coord_events);
         ("w0.jsonl", worker_events ~remote_span:2);
@@ -935,7 +940,7 @@ let test_stitch_counts_orphans () =
   (* The worker's remote parent points at a span the coordinator never
      wrote: the lease must surface as an orphan, not vanish. *)
   let t =
-    Obs.Stitch.stitch
+    stitch_ok
       [
         ("coord.jsonl", coord_events);
         ("w0.jsonl", worker_events ~remote_span:99);
@@ -963,8 +968,7 @@ let test_stitch_v1_files_load () =
     ]
   in
   let t =
-    Obs.Stitch.stitch
-      [ ("coord.jsonl", coord_events); ("/tmp/old-v1.jsonl", v1) ]
+    stitch_ok [ ("coord.jsonl", coord_events); ("/tmp/old-v1.jsonl", v1) ]
   in
   check Alcotest.int "no orphans" 0 (Obs.Stitch.orphan_count t);
   check Alcotest.int "two independent roots" 2
@@ -1186,8 +1190,116 @@ let test_trace_v2_manifest_and_remote () =
       span_end ~seq:2 ~id:7 ~dur:1.0 "serve.request";
     ]
   in
-  let t = Obs.Stitch.stitch [ ("coord.jsonl", coord); (path, events) ] in
+  let t = stitch_ok [ ("coord.jsonl", coord); (path, events) ] in
   check Alcotest.int "real trace stitches clean" 0 (Obs.Stitch.orphan_count t)
+
+(* ---- the report's tables ----------------------------------------------- *)
+
+let test_stitch_span_table_self_time () =
+  (* The coordinator alone: train runs 5 s, 4 of them in its local
+     cluster.evaluate child. *)
+  let t = stitch_ok [ ("coord.jsonl", coord_events) ] in
+  let train = List.assoc "train" (Obs.Stitch.spans_by_name t) in
+  check Alcotest.int "one train call" 1 train.Obs.Stitch.calls;
+  check (Alcotest.float 1e-9) "train total" 5.0 train.Obs.Stitch.total_s;
+  check (Alcotest.float 1e-9) "train self" 1.0 train.Obs.Stitch.self_s;
+  check (Alcotest.float 1e-9) "train max" 5.0 train.Obs.Stitch.max_s;
+  check_contains ~msg:"rendered train row"
+    "\n  train                               1      5.000      1.000   \
+     5.000000\n"
+    (Obs.Stitch.render t)
+
+let test_stitch_leaf_events_by_name () =
+  let leaf ?dur ~seq name =
+    j_obj
+      ([ ("ev", js "event"); ("ts", jf 1.0); ("seq", ji seq);
+         ("name", js name); ("parent", Obs.Json.Null) ]
+      @ match dur with Some d -> [ ("dur_s", jf d) ] | None -> [])
+  in
+  let t =
+    stitch_ok
+      [
+        ( "p.jsonl",
+          [ manifest2 ~process:"p" ~tid:"cafe01"; leaf ~seq:1 ~dur:0.5 "interp";
+            leaf ~seq:2 "pass"; leaf ~seq:3 ~dur:0.25 "interp";
+            leaf ~seq:4 "pass" ] );
+        ( "q.jsonl",
+          [ manifest2 ~process:"q" ~tid:"cafe01";
+            leaf ~seq:1 ~dur:1.0 "interp" ] );
+      ]
+  in
+  check
+    Alcotest.(list (triple string int (float 1e-9)))
+    "dur_s summed by name across files; events without it still count"
+    [ ("interp", 3, 1.75); ("pass", 2, 0.0) ]
+    t.Obs.Stitch.leaves
+
+let test_stitch_lists_nonzero_metrics () =
+  let events =
+    with_trace (fun () ->
+        ignore (Obs.Metrics.counter "test.report.zero");
+        ignore (Obs.Metrics.gauge "test.report.idle");
+        Obs.Metrics.add (Obs.Metrics.counter "test.report.hits") 3;
+        Obs.Metrics.set (Obs.Metrics.gauge "test.report.depth") 2.0)
+  in
+  let rendered = Obs.Stitch.render (stitch_ok [ ("t.jsonl", events) ]) in
+  let snapshot = field "metrics" (List.hd (events_of_kind "metrics" events)) in
+  let each section line =
+    match Obs.Json.member section snapshot with
+    | Some (Obs.Json.Obj kv) ->
+      List.iter
+        (fun (k, v) ->
+          let shown, nonzero = line k v in
+          check Alcotest.bool (k ^ " listed iff nonzero") nonzero
+            (contains ~needle:shown rendered))
+        kv
+    | _ -> Alcotest.failf "the snapshot has no %s" section
+  in
+  each "counters" (fun k v ->
+      let n = Option.get (Obs.Json.to_int v) in
+      (Printf.sprintf "\n  %-40s %d\n" k n, n <> 0));
+  each "gauges" (fun k v ->
+      let x = Option.get (Obs.Json.to_float v) in
+      (Printf.sprintf "\n  %-40s %.3f\n" k x, x <> 0.0));
+  check_contains ~msg:"the counter set here" "test.report.hits" rendered;
+  check_contains ~msg:"the gauge set here" "test.report.depth" rendered;
+  List.iter
+    (fun name ->
+      check Alcotest.bool (name ^ " is not listed") false
+        (contains ~needle:name rendered))
+    [ "test.report.zero"; "test.report.idle" ]
+
+let test_stitch_process_line_argv () =
+  let manifest =
+    j_obj
+      [
+        ("ev", js "manifest"); ("ts", jf 0.0); ("seq", ji 0); ("version", ji 2);
+        ("process", js "coord"); ("trace_id", js "cafe01");
+        ( "argv",
+          Obs.Json.List [ js "portopt"; js "train"; js "--workers"; js "2" ] );
+        ("env", j_obj [ ("REPRO_UARCHS", js "2") ]);
+      ]
+  in
+  let t = stitch_ok [ ("coord.jsonl", manifest :: List.tl coord_events) ] in
+  check_contains ~msg:"argv and env below the process line"
+    "(v2, coord.jsonl)\n\
+    \    argv: portopt train --workers 2\n\
+    \    env:  REPRO_UARCHS=2\n"
+    (Obs.Stitch.render t)
+
+let test_stitch_refuses_one_process_twice () =
+  match
+    Obs.Stitch.stitch
+      [
+        ("a.jsonl", coord_events);
+        ("w0.jsonl", worker_events ~remote_span:2);
+        ("b.jsonl", coord_events);
+      ]
+  with
+  | Ok _ -> Alcotest.fail "two files of process coord were stitched"
+  | Error e ->
+    check Alcotest.string "names both files and the process"
+      "a.jsonl and b.jsonl both trace process coord" e
 
 let test_ticker_renders_eta () =
   let lines = ref [] in
@@ -1301,6 +1413,16 @@ let () =
             test_stitch_counts_orphans;
           Alcotest.test_case "v1 files still load" `Quick
             test_stitch_v1_files_load;
+          Alcotest.test_case "span table shows self time" `Quick
+            test_stitch_span_table_self_time;
+          Alcotest.test_case "leaf events sum dur_s by name" `Quick
+            test_stitch_leaf_events_by_name;
+          Alcotest.test_case "only nonzero counters and gauges" `Quick
+            test_stitch_lists_nonzero_metrics;
+          Alcotest.test_case "argv and env on the process line" `Quick
+            test_stitch_process_line_argv;
+          Alcotest.test_case "one process in two files is refused" `Quick
+            test_stitch_refuses_one_process_twice;
         ] );
       ( "trace",
         [
